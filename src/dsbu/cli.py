@@ -22,7 +22,7 @@ from .concentration import (
     square_concentration_trace,
 )
 from .config import RunConfig, config_summary, parse_config
-from .errors import DomainError, DsbuError, UsageError
+from .errors import DomainError, DsbuError, GridMismatchError, UsageError
 from .evolution import (
     ConservationRecord,
     EvolveConfig,
@@ -177,8 +177,15 @@ def _cmd_ground_state(cfg: RunConfig) -> int:
 
 
 def _cmd_evolve(cfg: RunConfig) -> int:
-    out = _output_dir(cfg)
     u0, params = _initial_condition(cfg)
+    # dt0, guard and run_config.txt were resolved from the config's grid.
+    if (u0.grid.n, u0.grid.box_length) != (cfg.n, cfg.box_length):
+        raise GridMismatchError(
+            f"initial field is on {u0.grid} but the config describes "
+            f"Grid2D(n={cfg.n}, box_length={cfg.box_length}); set n and box_length "
+            "to the field's grid"
+        )
+    out = _output_dir(cfg)
     state = SimulationState.initial(u0, params)
     result = run(
         state,
@@ -189,7 +196,6 @@ def _cmd_evolve(cfg: RunConfig) -> int:
             c_adapt=cfg.c_adapt,
             guard=cfg.guard,
             sample_interval=cfg.sample_interval,
-            dealias=cfg.dealias,
             keep_snapshots=True,
         ),
     )

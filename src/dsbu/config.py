@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .evolution import grid_defaults
 
 MODES = ("ground-state", "evolve", "analyze", "verify")
 IC_KINDS = ("gaussian", "snapshot", "standing_wave", "pc_blowup")
@@ -44,7 +45,6 @@ class RunConfig:
     dt0: float | None = None
     adaptive: bool = False
     c_adapt: float = 0.1
-    dealias: bool = False
     sample_interval: float | None = None
     guard: float | None = None
     # analyze mode
@@ -81,7 +81,6 @@ _KEYS = {
     "dt0": ("float", ("evolve",)),
     "adaptive": ("bool", ("evolve",)),
     "c_adapt": ("float", ("evolve",)),
-    "dealias": ("bool", ("evolve",)),
     "sample_interval": ("float", ("evolve",)),
     "guard": ("float", ("evolve",)),
     "snapshot_dir": ("str", ("analyze",)),
@@ -210,15 +209,14 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(**values)  # type: ignore[arg-type]
     _validate(cfg, lines_seen)
 
-    # grid-derived defaults
-    dx = cfg.box_length / cfg.n
     if cfg.mode == "evolve":
+        dt0, guard, sample_interval = grid_defaults(cfg.box_length / cfg.n, cfg.t_end)
         if cfg.dt0 is None:
-            cfg.dt0 = 0.25 * dx**2
+            cfg.dt0 = dt0
         if cfg.guard is None:
-            cfg.guard = 0.5 / dx
+            cfg.guard = guard
         if cfg.sample_interval is None:
-            cfg.sample_interval = cfg.t_end / 50
+            cfg.sample_interval = sample_interval
     return cfg
 
 

@@ -35,9 +35,9 @@ from .spectral import (
     Field,
     Grid2D,
     OperatorParams,
-    _b_action,
     energy,
     gradient_norm_sq,
+    interaction_potential,
     l4_norm_4,
     mass,
     second_moment,
@@ -92,31 +92,16 @@ class BlowupEstimate:
             )
 
 
-def _dealias_mask(grid: Grid2D) -> np.ndarray:
-    kmax = np.abs(grid.k).max()
-    return (np.abs(grid.k1) <= 2 * kmax / 3) & (np.abs(grid.k2) <= 2 * kmax / 3)
-
-
-def _nonlinear_phase(values: np.ndarray, grid: Grid2D, p: OperatorParams,
-                     dealias: bool) -> np.ndarray:
-    """Real phase field L(|u|^2), optionally with 2/3-rule truncation of |u|^2."""
-    w = np.abs(values) ** 2
-    if dealias:
-        w = np.fft.ifft2(_dealias_mask(grid) * np.fft.fft2(w)).real
-    return p.nu * w + p.gamma * _b_action(w, grid).real
-
-
 def strang_step(
     state: SimulationState,
     dt: float,
-    dealias: bool = False,
     _lin_half: np.ndarray | None = None,
 ) -> SimulationState:
     """Advance one Strang step of size dt (dt may be negative for reversal).
 
     Raises BlowupOverflowError carrying the last finite state if the step
     produces non-finite values. ``_lin_half`` lets ``run`` reuse the
-    half-step linear multiplier when dt is fixed.
+    half-step linear multiplier exp(-i|xi|^2 dt/2) whenever dt equals dt0.
     """
     if dt == 0.0:
         raise UsageError("dt must be nonzero")
@@ -127,7 +112,7 @@ def strang_step(
         _lin_half = np.exp(-1j * grid.ksq * (dt / 2))
 
     vals = np.fft.ifft2(_lin_half * np.fft.fft2(u.values))
-    vals = vals * np.exp(1j * dt * _nonlinear_phase(vals, grid, p, dealias))
+    vals = vals * np.exp(1j * dt * interaction_potential(np.abs(vals) ** 2, grid, p))
     vals = np.fft.ifft2(_lin_half * np.fft.fft2(vals))
 
     if not np.all(np.isfinite(vals)):
@@ -150,10 +135,9 @@ def strang_step(
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Controls for ``run``; None fields resolve to grid-derived defaults.
+    """Controls for ``run``; None fields resolve to ``grid_defaults``.
 
-    dt0 defaults to 0.25*dx^2 and the resolution guard to 0.5/dx. With
-    ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|). Snapshots
+    With ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|). Snapshots
     (deep field copies) are kept either at the sampling cadence or, with
     ``snapshot_mode='grad_ladder'``, whenever gradient_norm_sq has grown by
     another factor ``snapshot_grad_ratio`` -- the natural cadence for
@@ -167,7 +151,6 @@ class EvolveConfig:
     c_adapt: float = 0.1
     guard: float | None = None
     sample_interval: float | None = None
-    dealias: bool = False
     keep_snapshots: bool = False
     snapshot_mode: str = "interval"  # or "grad_ladder"
     snapshot_grad_ratio: float = math.sqrt(2.0)
@@ -182,6 +165,15 @@ class RunResult:
     stop_reason: str  # t_end | sup_guard | grad_guard | non_finite
     blowup: BlowupEstimate | None = None
     snapshots: list[tuple[float, Field]] = field(default_factory=list)
+
+
+def grid_defaults(dx: float, span: float) -> tuple[float, float, float]:
+    """Grid-derived defaults (dt0, guard, sample_interval) of a run.
+
+    dt0 = dx^2/4, the resolution guard 0.5/dx, and 50 records over the
+    span. The config parser and ``run`` both resolve their None values here.
+    """
+    return 0.25 * dx**2, 0.5 / dx, span / 50
 
 
 def _record(state: SimulationState, dt_used: float) -> ConservationRecord:
@@ -211,12 +203,12 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     grid = state.u.grid
     if not cfg.t_end > state.t:
         raise UsageError("t_end must exceed the initial time")
-    dt0 = cfg.dt0 if cfg.dt0 is not None else 0.25 * grid.dx**2
-    guard = cfg.guard if cfg.guard is not None else 0.5 / grid.dx
-    span = cfg.t_end - state.t
-    sample_dt = cfg.sample_interval if cfg.sample_interval is not None else span / 50
-
-    lin_half = np.exp(-1j * grid.ksq * (dt0 / 2)) if not cfg.adaptive else None
+    dt0, guard, sample_dt = grid_defaults(grid.dx, cfg.t_end - state.t)
+    dt0 = cfg.dt0 if cfg.dt0 is not None else dt0
+    guard = cfg.guard if cfg.guard is not None else guard
+    sample_dt = cfg.sample_interval if cfg.sample_interval is not None else sample_dt
+    # Built once; reused by every step whose dt equals dt0, adaptive or not.
+    lin_half = np.exp(-1j * grid.ksq * (dt0 / 2))
 
     records = [_record(state, 0.0)]
     snapshots: list[tuple[float, Field]] = []
@@ -231,16 +223,16 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
 
     while state.t < cfg.t_end - t_eps:
         if cfg.adaptive:
-            phase = _nonlinear_phase(state.u.values, grid, state.params, cfg.dealias)
+            phase = interaction_potential(np.abs(state.u.values) ** 2, grid, state.params)
             rate = float(np.abs(phase).max())
             dt = min(dt0, cfg.c_adapt / rate) if rate > 0 else dt0
         else:
             dt = dt0
         dt = min(dt, cfg.t_end - state.t)
-        reuse = lin_half if (not cfg.adaptive and dt == dt0) else None
+        reuse = lin_half if dt == dt0 else None
 
         try:
-            state = strang_step(state, dt, dealias=cfg.dealias, _lin_half=reuse)
+            state = strang_step(state, dt, _lin_half=reuse)
         except BlowupOverflowError as exc:
             state = exc.last_state
             records.append(_record(state, dt))

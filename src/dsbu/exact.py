@@ -21,8 +21,6 @@ floor, corrupted fields do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, ResolutionError
@@ -31,7 +29,7 @@ from .spectral import (
     Field,
     Grid2D,
     OperatorParams,
-    _b_action,
+    interaction_potential,
     sample_scaled,
 )
 
@@ -86,42 +84,9 @@ def pde_residual(
     uc = u_center.to_physical().values
     du_dt = (u_plus.to_physical().values - u_minus.to_physical().values) / (2 * h)
     lap = np.fft.ifft2(-grid.ksq * np.fft.fft2(uc))
-    w = np.abs(uc) ** 2
-    nonlin = (p.nu * w + p.gamma * _b_action(w, grid).real) * uc
+    nonlin = interaction_potential(np.abs(uc) ** 2, grid, p) * uc
     num = np.linalg.norm(1j * du_dt + lap + nonlin)
     den = np.linalg.norm(uc)
     if den == 0.0:
         raise DomainError("center slice is identically zero")
     return float(num / den)
-
-
-STANDING_WAVE = "standing_wave"
-PC_OF_STANDING_WAVE = "pc_of_standing_wave"
-
-
-@dataclass(frozen=True)
-class AnalyticSolution:
-    """A closed-form solution family with its validity interval."""
-
-    kind: str
-    profile: Field
-
-    def __post_init__(self):
-        if self.kind not in (STANDING_WAVE, PC_OF_STANDING_WAVE):
-            raise DomainError(f"unknown analytic solution kind {self.kind!r}")
-
-    @property
-    def t_valid(self) -> tuple[float, float]:
-        if self.kind == STANDING_WAVE:
-            return (-np.inf, np.inf)
-        return (-1.0, 0.0)
-
-    def evaluate(self, t: float, target_grid: Grid2D | None = None) -> Field:
-        lo, hi = self.t_valid
-        if not (lo <= t < hi or (self.kind == STANDING_WAVE and np.isfinite(t))):
-            raise DomainError(f"t={t} outside validity interval [{lo}, {hi})")
-        if self.kind == STANDING_WAVE:
-            return eval_standing_wave(self.profile, t)
-        return eval_pc_blowup(
-            self.profile, t, target_grid if target_grid is not None else self.profile.grid
-        )

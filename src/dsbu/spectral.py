@@ -16,7 +16,8 @@ The symbol has no limit at the origin; the zero mode is assigned the exact
 average of the symbol over the origin cell (1/2 by symmetry), which is the
 unique constant for which box quadratures of <B w, w> converge to their
 plane values at fourth order in 1/box_length instead of second. ``L = nu*I
-+ gamma*B`` acts on the real field |u|^2 inside the cubic nonlinearity.
++ gamma*B`` acts on the real field |u|^2 inside the cubic nonlinearity;
+``interaction_potential`` is its one implementation, with real transforms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, UsageError
+from .errors import DomainError, UsageError
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
@@ -59,12 +60,11 @@ class Grid2D:
         self.dx = self.box_length / self.n
         self.x = -self.box_length / 2 + self.dx * np.arange(self.n)
         self.k = 2 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        self.k1 = self.k[:, None] * np.ones((1, self.n))
-        self.k2 = np.ones((self.n, 1)) * self.k[None, :]
-        self.ksq = self.k1**2 + self.k2**2
+        k1_sq = self.k[:, None] ** 2
+        self.ksq = k1_sq + self.k[None, :] ** 2
         ksq_safe = self.ksq.copy()
         ksq_safe[0, 0] = 1.0
-        self.b_symbol = self.k1**2 / ksq_safe
+        self.b_symbol = k1_sq / ksq_safe
         # Zero mode carries the exact origin-cell average of the symbol; any
         # other constant leaves an O(1/L^2) rank-one defect in <B w, w>.
         self.b_symbol[0, 0] = 0.5
@@ -136,11 +136,6 @@ class OperatorParams:
             raise UsageError(f"gamma must be positive, got {self.gamma}")
 
 
-def _require_same_grid(a: Field, b: Field) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
-
-
 def _check_real(values: np.ndarray, what: str) -> None:
     norm = np.linalg.norm(values)
     if norm == 0.0:
@@ -153,29 +148,42 @@ def _check_real(values: np.ndarray, what: str) -> None:
         )
 
 
-def _b_action(values: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Multiplier action of B on physical-space samples."""
-    return np.fft.ifft2(grid.b_symbol * np.fft.fft2(values))
+def _b_action(w: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Multiplier action of B on real samples, through the half spectrum.
+
+    The symbol is even in xi1 and in xi2, so keeping its columns
+    0..n/2 with ``rfft2``/``irfft2`` is exact and the result is real.
+    """
+    half = grid.b_symbol[:, : grid.n // 2 + 1]
+    return np.fft.irfft2(half * np.fft.rfft2(w), s=w.shape)
+
+
+def interaction_potential(w: np.ndarray, grid: Grid2D, p: OperatorParams) -> np.ndarray:
+    """L(w) = nu*w + gamma*B w for a real array w; the result is real.
+
+    This is the one kernel for L: the Strang nonlinear phase L(|u|^2), the
+    ground-state equation L(R^2) R and the equation residuals all call it.
+    """
+    return p.nu * w + p.gamma * _b_action(w, grid)
 
 
 def apply_b(f: Field) -> Field:
     """Apply the multiplier B with symbol xi1^2/|xi|^2 to a real field.
 
     Input must be physical and real up to roundoff (B acts on |u|^2 in the
-    evolution, which is real); the output imaginary part is pure roundoff
-    because the symbol is real and even in each wavenumber.
+    evolution, which is real); the output is real because the symbol is real
+    and even in each wavenumber.
     """
     f = f.to_physical()
     _check_real(f.values, "apply_b")
-    return Field(f.grid, _b_action(f.values, f.grid), PHYSICAL)
+    return Field(f.grid, _b_action(f.values.real, f.grid), PHYSICAL)
 
 
 def apply_l(f: Field, p: OperatorParams) -> Field:
     """Apply L = nu*I + gamma*B to a real field."""
     f = f.to_physical()
     _check_real(f.values, "apply_l")
-    out = p.nu * f.values + p.gamma * _b_action(f.values, f.grid)
-    return Field(f.grid, out, PHYSICAL)
+    return Field(f.grid, interaction_potential(f.values.real, f.grid, p), PHYSICAL)
 
 
 def mass(u: Field) -> float:

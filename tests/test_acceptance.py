@@ -210,7 +210,7 @@ def test_criterion_04_standing_wave_propagation(ground_state_256, params_focusin
     ratio = errors[512] / errors[1024]
     ok = errors[1024] <= 1e-5 and 3.5 <= ratio <= 4.5
     report(4, ok, f"error at dt=2^-10: {errors[1024]:.3e} (<=1e-5 pinned; measured floor "
-                  f"C*dt^2, C~13.3), halving ratio {ratio:.2f} in [3.5,4.5]")
+                  f"C*dt^2, C~13.9), halving ratio {ratio:.2f} in [3.5,4.5]")
     assert 3.5 <= ratio <= 4.5
     assert errors[1024] <= 1e-5  # defective pinned tolerance; see module docstring
 

@@ -191,6 +191,35 @@ class TestCli:
         assert (override / "records.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_snapshot_ic_on_other_grid_exits_2(self, tmp_path, capsys):
+        # the config's default grid (256, 20) would set dt0 and the guard
+        snap = tmp_path / "start.dsbu"
+        write_snapshot(str(snap), Field(Grid2D(64, 16.0), np.ones((64, 64))),
+                       SnapshotMeta(0.0, 1, 1.0))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = evolve\nt_end = 0.1\nic = snapshot\n"
+                       f"snapshot_path = {snap}\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["evolve", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "Grid2D(n=64, box_length=16.0)" in err
+        assert "Grid2D(n=256, box_length=20.0)" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshot_ic_on_config_grid_uses_its_dt(self, tmp_path):
+        g = Grid2D(64, 16.0)
+        x1, x2 = g.coords()
+        snap = tmp_path / "start.dsbu"
+        write_snapshot(str(snap), Field(g, np.exp(-(x1**2 + x2**2) / 2)),
+                       SnapshotMeta(0.0, 1, 1.0))
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = evolve\nn = 64\nbox_length = 16\nt_end = 0.1\n"
+                       f"ic = snapshot\nsnapshot_path = {snap}\noutput_dir = {out}\n")
+        assert main(["evolve", str(cfg)]) == 0
+        rows = (out / "records.csv").read_text().splitlines()[1:]
+        assert float(rows[1].split(",")[-1]) == pytest.approx(g.dx**2 / 4, rel=1e-15)
+        assert "n = 64\n" in (out / "run_config.txt").read_text()
+
     def test_analyze_square_trace_end_to_end(self, tmp_path):
         out = tmp_path / "run_out"
         cfg = tmp_path / "run.cfg"

@@ -6,9 +6,6 @@ import pytest
 from dsbu import Field, Grid2D, gradient_norm_sq, mass
 from dsbu.errors import DomainError, ResolutionError
 from dsbu.exact import (
-    PC_OF_STANDING_WAVE,
-    STANDING_WAVE,
-    AnalyticSolution,
     eval_pc_blowup,
     eval_standing_wave,
     pde_residual,
@@ -134,23 +131,3 @@ class TestPdeResidual:
         zero = Field(r.grid, np.zeros((r.grid.n, r.grid.n)))
         with pytest.raises(DomainError):
             pde_residual(u, zero, u, 1e-4, params_focusing)
-
-
-class TestAnalyticSolution:
-    def test_standing_wave_any_time(self, ground_state_256):
-        sol = AnalyticSolution(STANDING_WAVE, ground_state_256.profile)
-        out = sol.evaluate(2.5)
-        assert mass(out) == pytest.approx(mass(ground_state_256.profile), rel=1e-13)
-
-    def test_pc_kind_validity_window(self, ground_state_256):
-        sol = AnalyticSolution(PC_OF_STANDING_WAVE, ground_state_256.profile)
-        sol.evaluate(-1.0)
-        with pytest.raises(DomainError):
-            sol.evaluate(0.5)
-        target = Grid2D(256, 20.0 * 0.5)
-        out = sol.evaluate(-0.5, target)
-        assert out.grid == target
-
-    def test_unknown_kind_rejected(self, ground_state_256):
-        with pytest.raises(DomainError):
-            AnalyticSolution("traveling_wave", ground_state_256.profile)

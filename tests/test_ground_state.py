@@ -15,6 +15,7 @@ from dsbu.ground_state import (
     solve_ground_state,
     verify_sharp_inequality,
 )
+from dsbu.spectral import interaction_potential
 
 from oracles import townes_mass
 
@@ -33,6 +34,20 @@ class TestSolver:
         assert gs.residual <= 1e-10
         assert gs.iterations < 2000
         assert gs.residual_history[-1] <= 1e-10
+
+    def test_residual_is_physical_space_residual(self, ground_state_256, params_focusing):
+        # the Parseval residual reported for the returned profile against
+        # dx * ||Lap R - R + L(R^2) R|| evaluated on the grid
+        gs = ground_state_256
+        g = gs.profile.grid
+        r = gs.profile.values.real
+        lap = np.fft.ifft2(-g.ksq * np.fft.fft2(r)).real
+        physical = g.dx * np.linalg.norm(
+            lap - r + interaction_potential(r * r, g, params_focusing) * r
+        )
+        assert abs(gs.residual - physical) <= 1e-13
+        assert len(gs.residual_history) == gs.iterations
+        assert gs.residual == gs.residual_history[-1]
 
     def test_profile_positive_everywhere(self, ground_state_256):
         values = ground_state_256.profile.values.real

@@ -18,6 +18,7 @@ from dsbu import (
     second_moment,
 )
 from dsbu.errors import DomainError, GridMismatchError, UsageError
+from dsbu.spectral import interaction_potential
 
 from oracles import direct_b_multiplier, direct_quartic
 
@@ -112,6 +113,14 @@ class TestApplyB:
         got = apply_b(Field(g, vals + 0j)).values
         want = direct_b_multiplier(vals.astype(complex), g.box_length)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        # the real-transform kernel L(w) = nu*w + gamma*B w, both signs of nu
+        w = rng.standard_normal((16, 16))
+        bw = direct_b_multiplier(w.astype(complex), g.box_length)
+        for nu in (1, -1):
+            got = interaction_potential(w, g, OperatorParams(nu, 0.7))
+            want = nu * w + 0.7 * bw
+            assert np.isrealobj(got)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_reality_and_self_adjointness(self):
         g = Grid2D(32, 6.0)
