@@ -14,12 +14,30 @@ A simulation is driven by ``run``, which records conserved quantities at a
 sampling cadence, stops on resolution guards (blow-up cannot be resolved to
 the critical time on a fixed grid), and extrapolates the blow-up time from
 the terminal gradient growth via the linear model 1/||grad u||^2 ~ a(T*-t).
+
+``run`` carries the step-boundary field in both spaces, u and u_hat, so a
+step never transforms a field it already holds in the other space:
+
+    v = ifft2(E u_hat),  v *= exp(i dt L(|v|^2)),  u_hat = E fft2(v),  u = ifft2(u_hat)
+
+with E = exp(-i|xi|^2 dt/2) = e(k1) e(k2) applied as two broadcast
+multiplies, all in place on u_hat and on the buffer of the replaced field.
+That is 3 complex transforms plus the real pair inside L: 4
+complex-FFT-equivalents per step, 5 with the adaptive rate L(|u|^2), and
+one more per run for the spectrum of the initial field. The sup guard, the
+L4 trapezoid and the adaptive rate read the boundary field u, as in
+``strang_step``. A diagnostic record reads u_hat (gradient by Parseval) and
+the boundary density |u|^2; its one transform, the half spectrum of |u|^2
+for the interaction term, is shared with the adaptive rate. ``strang_step``
+is the same scheme one step at a time on a physical state; it is the
+reference oracle that the spectral-state loop is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,15 +50,17 @@ from .errors import (
 )
 from .spectral import (
     PHYSICAL,
+    SPECTRAL,
     Field,
     Grid2D,
     OperatorParams,
+    density,
     energy,
     gradient_norm_sq,
     interaction_potential,
     l4_norm_4,
-    mass,
-    second_moment,
+    quartic_from_density,
+    second_moment_from_density,
 )
 
 
@@ -100,8 +120,13 @@ def strang_step(
     """Advance one Strang step of size dt (dt may be negative for reversal).
 
     Raises BlowupOverflowError carrying the last finite state if the step
-    produces non-finite values. ``_lin_half`` lets ``run`` reuse the
-    half-step linear multiplier exp(-i|xi|^2 dt/2) whenever dt equals dt0.
+    produces non-finite values. ``_lin_half`` is the n x n half-step linear
+    multiplier exp(-i|xi|^2 dt/2), for callers that repeat one dt.
+
+    This is the reference form of the scheme, from and to a physical state
+    (two transform round trips per step). ``run`` takes the same steps in
+    its spectral-state loop and is tested against repeated calls of this
+    function.
     """
     if dt == 0.0:
         raise UsageError("dt must be nonzero")
@@ -176,41 +201,125 @@ def grid_defaults(dx: float, span: float) -> tuple[float, float, float]:
     return 0.25 * dx**2, 0.5 / dx, span / 50
 
 
-def _record(state: SimulationState, dt_used: float) -> ConservationRecord:
-    sm = second_moment(state.u)
+class _Boundary:
+    """The field at a step boundary: its spectrum u_hat and density |u|^2.
+
+    ``sup`` = max|u| and ``l4`` = integral of |u|^4 come from the density.
+    ``rho_half`` = rfft2(|u|^2) is made on first use and then shared by the
+    record's interaction term and the adaptive rate L(|u|^2), so a boundary
+    transforms its density at most once.
+    """
+
+    def __init__(self, u: np.ndarray, uhat: np.ndarray, dx: float):
+        self.uhat = uhat
+        self.rho = density(u)
+        self.sup = math.sqrt(self.rho.max())
+        self.l4 = dx**2 * float(np.sum(np.square(self.rho)))
+
+    @cached_property
+    def rho_half(self) -> np.ndarray:
+        return np.fft.rfft2(self.rho)
+
+
+def _record(
+    state: SimulationState, dt_used: float, bnd: _Boundary | None = None
+) -> ConservationRecord:
+    """Diagnostics of ``state``; ``bnd`` is its boundary data when ``run`` has it.
+
+    Mass, the second moment and sup|u| come from the density, the gradient
+    from u_hat by Parseval, the energy from those and the interaction term.
+    """
+    g = state.u.grid
+    if bnd is None:
+        u = state.u.to_physical().values
+        bnd = _Boundary(u, np.fft.fft2(u), g.dx)
+    grad = gradient_norm_sq(Field(g, bnd.uhat, SPECTRAL))
+    quartic = quartic_from_density(bnd.rho, g, state.params, bnd.rho_half)
+    sm = second_moment_from_density(bnd.rho, g)
     return ConservationRecord(
         t=state.t,
-        mass=mass(state.u),
-        energy=energy(state.u, state.params),
-        gradient_norm_sq=gradient_norm_sq(state.u),
+        mass=float(g.dx**2 * bnd.rho.sum()),
+        energy=0.5 * grad - 0.25 * quartic,  # spectral.energy from its two terms
+        gradient_norm_sq=grad,
         second_moment=sm.value,
         moment_valid=sm.boundary_ok,
-        sup_abs_u=float(np.abs(state.u.values).max()),
+        sup_abs_u=bnd.sup,
         l4_accum=state.l4_accum,
         dt_used=dt_used,
     )
 
 
+def _half_step_factor(grid: Grid2D, dt: float) -> np.ndarray:
+    """e(k) = exp(-i k^2 dt/2); the half-step multiplier is e(k1) e(k2)."""
+    return np.exp(-1j * grid.k**2 * (dt / 2))
+
+
+def _ifft2_in_place(a: np.ndarray) -> np.ndarray:
+    """ifft2 written over ``a`` (numpy's 1-D ifft honours out=, its ifft2 does not)."""
+    np.fft.ifft(a, axis=1, out=a)
+    return np.fft.ifft(a, axis=0, out=a)
+
+
+def _spectral_step(
+    uhat: np.ndarray, u_out: np.ndarray, dt: float, e: np.ndarray, grid: Grid2D,
+    p: OperatorParams,
+) -> np.ndarray:
+    """One Strang step: advances ``uhat`` in place and writes the next u into ``u_out``.
+
+    ``uhat`` holds the half-step field between its two linear stages, and
+    ``u_out`` holds the phase exp(i dt L(|v|^2)) until it receives u, so a
+    step allocates no complex n x n array.
+    """
+    uhat *= e[:, None]
+    uhat *= e
+    v = _ifft2_in_place(uhat)
+    theta = interaction_potential(density(v), grid, p)
+    theta *= dt
+    np.cos(theta, out=u_out.real)
+    np.sin(theta, out=u_out.imag)
+    v *= u_out
+    np.fft.fft2(v, out=uhat)
+    uhat *= e[:, None]
+    uhat *= e
+    np.copyto(u_out, uhat)
+    return _ifft2_in_place(u_out)
+
+
 def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     """Step from state0 until t_end or until a stop criterion fires.
 
-    Stop criteria: sup|u| above the resolution guard (checked every step),
-    gradient_norm_sq above guard^2 (checked at the sampling cadence), or
-    non-finite values. Guard terminations are normal blow-up outcomes and
+    Stop criteria: sup|u| above the resolution guard (checked every step on
+    the step-boundary field), gradient_norm_sq above guard^2 (checked at the
+    sampling cadence, and every step in ``grad_ladder`` mode), or non-finite
+    values, which record the last finite state (a non-finite initial field
+    raises DomainError). Guard terminations are normal blow-up outcomes and
     come back with a BlowupEstimate when the records support one.
+
+    The loop is the spectral-state form of ``strang_step`` described in the
+    module docstring: it keeps u_hat from step to step, transforms the
+    initial field once, and agrees with repeated ``strang_step`` to roundoff.
+    The half-step factor e(k) for dt0 is built once; any other dt (adaptive
+    or the last, clipped step) costs one n-point exponential.
     """
     state = state0
     grid = state.u.grid
+    p = state.params
     if not cfg.t_end > state.t:
         raise UsageError("t_end must exceed the initial time")
     dt0, guard, sample_dt = grid_defaults(grid.dx, cfg.t_end - state.t)
     dt0 = cfg.dt0 if cfg.dt0 is not None else dt0
     guard = cfg.guard if cfg.guard is not None else guard
     sample_dt = cfg.sample_interval if cfg.sample_interval is not None else sample_dt
-    # Built once; reused by every step whose dt equals dt0, adaptive or not.
-    lin_half = np.exp(-1j * grid.ksq * (dt0 / 2))
+    e_dt0 = _half_step_factor(grid, dt0)
 
-    records = [_record(state, 0.0)]
+    u0 = state.u.to_physical().values
+    if not np.all(np.isfinite(u0)):
+        raise DomainError("run: initial field contains non-finite values")
+    bnd = _Boundary(u0, np.fft.fft2(u0), grid.dx)
+    spare = np.empty_like(u0)
+    if state.l4_last is None:
+        state = replace(state, l4_last=bnd.l4)
+    records = [_record(state, 0.0, bnd)]
     snapshots: list[tuple[float, Field]] = []
     grad_ladder_next = None
     if cfg.keep_snapshots:
@@ -223,41 +332,54 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
 
     while state.t < cfg.t_end - t_eps:
         if cfg.adaptive:
-            phase = interaction_potential(np.abs(state.u.values) ** 2, grid, state.params)
+            phase = interaction_potential(bnd.rho, grid, p, bnd.rho_half)
             rate = float(np.abs(phase).max())
             dt = min(dt0, cfg.c_adapt / rate) if rate > 0 else dt0
         else:
             dt = dt0
         dt = min(dt, cfg.t_end - state.t)
-        reuse = lin_half if dt == dt0 else None
+        e = e_dt0 if dt == dt0 else _half_step_factor(grid, dt)
 
-        try:
-            state = strang_step(state, dt, _lin_half=reuse)
-        except BlowupOverflowError as exc:
-            state = exc.last_state
+        # The step advances uhat in place; the spent boundary is dropped
+        # first so that its density is not held through the step.
+        uhat, bnd = bnd.uhat, None
+        u = _spectral_step(uhat, spare, dt, e, grid, p)
+        if not np.all(np.isfinite(u)):
             records.append(_record(state, dt))
             stop_reason = "non_finite"
             break
+        # The replaced field's buffer takes the next step, unless it is the
+        # caller's initial field.
+        own = state.step_index > state0.step_index
+        spare = state.u.values if own else np.empty_like(u)
+        bnd = _Boundary(u, uhat, grid.dx)
+        state = SimulationState(
+            t=state.t + dt,
+            u=Field(grid, u, PHYSICAL),
+            params=p,
+            step_index=state.step_index + 1,
+            l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + bnd.l4),
+            l4_last=bnd.l4,
+        )
 
-        sup = float(np.abs(state.u.values).max())
-        if sup > guard:
-            records.append(_record(state, dt))
+        if bnd.sup > guard:
+            records.append(_record(state, dt, bnd))
             stop_reason = "sup_guard"
             break
 
         if cfg.keep_snapshots and cfg.snapshot_mode == "grad_ladder":
-            grad_now = gradient_norm_sq(state.u)
+            grad_now = gradient_norm_sq(Field(grid, uhat, SPECTRAL))
             if grad_now >= grad_ladder_next:
                 snapshots.append((state.t, state.u.copy()))
                 while grad_ladder_next <= grad_now:
                     grad_ladder_next *= cfg.snapshot_grad_ratio
             if grad_now > guard**2:
-                records.append(_record(state, dt))
+                records.append(_record(state, dt, bnd))
                 stop_reason = "grad_guard"
                 break
 
         if state.t >= next_sample - t_eps or state.t >= cfg.t_end - t_eps:
-            rec = _record(state, dt)
+            rec = _record(state, dt, bnd)
             records.append(rec)
             if cfg.keep_snapshots and cfg.snapshot_mode == "interval":
                 snapshots.append((state.t, state.u.copy()))

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, UsageError
 from .spectral import (
     PHYSICAL,
     Field,
@@ -50,6 +50,10 @@ class GroundStateConfig:
     tol: float = 1e-10
     max_iter: int = 2000
     init_amplitude: float = 2.0
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise UsageError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass

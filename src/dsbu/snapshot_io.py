@@ -18,6 +18,7 @@ version, structural sizes, and the checksum.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import zlib
@@ -31,6 +32,11 @@ from .spectral import PHYSICAL, Field, Grid2D
 MAGIC = b"DSBU"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIiddd")
+
+
+#: One grid per (n, box_length) for every snapshot read; grids are immutable,
+#: and the snapshots of a run all share one.
+_shared_grid = functools.lru_cache(maxsize=8)(Grid2D)
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,10 @@ def write_snapshot(path: str, field: Field, meta: SnapshotMeta) -> None:
 
 
 def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:
-    """Read and validate a snapshot written by ``write_snapshot``."""
+    """Read and validate a snapshot written by ``write_snapshot``.
+
+    Snapshots on the same (n, box_length) share one ``Grid2D``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size + 4:
@@ -85,5 +94,5 @@ def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:
             f"[{_HEADER.size}, {len(blob) - 4})"
         )
     values = np.frombuffer(payload, dtype="<c16").reshape(n, n)
-    field = Field(Grid2D(n, box_length), values.copy(), PHYSICAL)
+    field = Field(_shared_grid(n, box_length), values.copy(), PHYSICAL)
     return field, SnapshotMeta(t=t, nu=nu, gamma=gamma)

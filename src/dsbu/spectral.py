@@ -22,6 +22,7 @@ plane values at fourth order in 1/box_length instead of second. ``L = nu*I
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,9 +46,9 @@ class Grid2D:
     """Uniform n x n grid on the periodic square [-L/2, L/2)^2.
 
     Coordinates are x_i = -L/2 + i*dx with dx = L/n; wavenumbers are
-    xi_k = 2*pi*k/L for k in [-n/2, n/2). Multiplier arrays used by the
-    operators are precomputed once and never mutated, so a grid may be
-    shared freely between threads.
+    xi_k = 2*pi*k/L for k in [-n/2, n/2). Coordinate and multiplier arrays
+    are precomputed once and read-only, so a grid may be shared freely
+    between fields and threads.
     """
 
     def __init__(self, n: int, box_length: float):
@@ -68,6 +69,9 @@ class Grid2D:
         # Zero mode carries the exact origin-cell average of the symbol; any
         # other constant leaves an O(1/L^2) rank-one defect in <B w, w>.
         self.b_symbol[0, 0] = 0.5
+        # Grids are shared (snapshot reads on one grid get one object).
+        for a in (self.x, self.k, self.ksq, self.b_symbol):
+            a.flags.writeable = False
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid (X1, X2) of physical coordinates, 'ij' indexing."""
@@ -148,23 +152,38 @@ def _check_real(values: np.ndarray, what: str) -> None:
         )
 
 
-def _b_action(w: np.ndarray, grid: Grid2D) -> np.ndarray:
+def _b_action(w: np.ndarray, grid: Grid2D, w_half: np.ndarray | None = None) -> np.ndarray:
     """Multiplier action of B on real samples, through the half spectrum.
 
     The symbol is even in xi1 and in xi2, so keeping its columns
     0..n/2 with ``rfft2``/``irfft2`` is exact and the result is real.
+    ``w_half`` is ``rfft2(w)`` when the caller already has it.
     """
     half = grid.b_symbol[:, : grid.n // 2 + 1]
-    return np.fft.irfft2(half * np.fft.rfft2(w), s=w.shape)
+    if w_half is None:
+        w_half = np.fft.rfft2(w)
+        w_half *= half
+    else:  # the caller's half spectrum may be shared; leave it unscaled
+        w_half = half * w_half
+    return np.fft.irfft2(w_half, s=w.shape)
 
 
-def interaction_potential(w: np.ndarray, grid: Grid2D, p: OperatorParams) -> np.ndarray:
+def interaction_potential(
+    w: np.ndarray, grid: Grid2D, p: OperatorParams, w_half: np.ndarray | None = None
+) -> np.ndarray:
     """L(w) = nu*w + gamma*B w for a real array w; the result is real.
 
     This is the one kernel for L: the Strang nonlinear phase L(|u|^2), the
     ground-state equation L(R^2) R and the equation residuals all call it.
+    ``w_half`` is ``rfft2(w)`` when the caller already has it.
     """
-    return p.nu * w + p.gamma * _b_action(w, grid)
+    out = _b_action(w, grid, w_half)
+    out *= p.gamma
+    if p.nu == 1:  # nu is +1 or -1
+        out += w
+    else:
+        out -= w
+    return out
 
 
 def apply_b(f: Field) -> Field:
@@ -202,11 +221,41 @@ def mass(u: Field) -> float:
     return float(g.dx**2 * total)
 
 
+def density(values: np.ndarray) -> np.ndarray:
+    """|u|^2 of complex samples, as re^2 + im^2."""
+    rho = np.square(values.real)
+    rho += np.square(values.imag)
+    return rho
+
+
 def gradient_norm_sq(u: Field) -> float:
-    """Integral of |grad u|^2, evaluated as sum |xi|^2 |u_hat|^2."""
+    """Integral of |grad u|^2, evaluated as sum |xi|^2 |u_hat|^2.
+
+    |xi|^2 = k1^2 + k2^2 is summed axis by axis against the row and column
+    sums of |u_hat|^2, so no n x n weight array is formed. A spectral field
+    costs no transform.
+    """
     g = u.grid
-    uh = u.to_spectral().values
-    return float(g.dx**2 / g.n**2 * np.sum(g.ksq * np.abs(uh) ** 2))
+    a = density(u.to_spectral().values)
+    k_sq = g.k**2
+    return float(g.dx**2 / g.n**2 * (k_sq @ a.sum(axis=1) + k_sq @ a.sum(axis=0)))
+
+
+def quartic_from_density(
+    w: np.ndarray, grid: Grid2D, p: OperatorParams, w_half: np.ndarray | None = None
+) -> float:
+    """Integral of L(w) w for a real density w (``w_half`` = ``rfft2(w)`` if known).
+
+    The spectral quadratic form nu*sum w^2 + gamma*sum m(xi)|w_hat|^2 is
+    summed over the half spectrum: each column 1..n/2-1 stands for itself
+    and its Hermitian mirror, so it counts twice; columns 0 and n/2 once.
+    """
+    n = grid.n
+    if w_half is None:
+        w_half = np.fft.rfft2(w)
+    s = grid.b_symbol[:, : n // 2 + 1] * density(w_half)
+    b_part = (2.0 * s.sum() - s[:, 0].sum() - s[:, n // 2].sum()) / n**2
+    return float(grid.dx**2 * (p.nu * np.sum(np.square(w)) + p.gamma * b_part))
 
 
 def quartic_term(u: Field, p: OperatorParams) -> float:
@@ -216,11 +265,7 @@ def quartic_term(u: Field, p: OperatorParams) -> float:
     with w = |u|^2, which is manifestly real and keeps the gamma part inside
     [0, gamma * integral of |u|^4] (the symbol is bounded by [0, 1]).
     """
-    g = u.grid
-    w = np.abs(u.to_physical().values) ** 2
-    what = np.fft.fft2(w)
-    b_part = np.sum(g.b_symbol * np.abs(what) ** 2) / g.n**2
-    return float(g.dx**2 * (p.nu * np.sum(w * w) + p.gamma * b_part))
+    return quartic_from_density(density(u.to_physical().values), u.grid, p)
 
 
 def energy(u: Field, p: OperatorParams) -> float:
@@ -242,16 +287,22 @@ def second_moment(u: Field) -> SecondMoment:
     the box (|x|^2 is not periodic); ``boundary_ok`` is False once the field
     amplitude on the outermost cells exceeds 1e-10 of its maximum.
     """
-    g = u.grid
-    vals = u.to_physical().values
-    absu = np.abs(vals)
-    sup = absu.max()
-    edge = max(
-        absu[0, :].max(), absu[-1, :].max(), absu[:, 0].max(), absu[:, -1].max()
+    return second_moment_from_density(density(u.to_physical().values), u.grid)
+
+
+def second_moment_from_density(rho: np.ndarray, grid: Grid2D) -> SecondMoment:
+    """``second_moment`` of a field given its density rho = |u|^2.
+
+    |x|^2 = x1^2 + x2^2 is summed axis by axis against the row and column
+    sums of rho; the boundary flag compares amplitudes, sqrt(rho).
+    """
+    sup = math.sqrt(rho.max())
+    edge = math.sqrt(
+        max(rho[0, :].max(), rho[-1, :].max(), rho[:, 0].max(), rho[:, -1].max())
     )
     ok = bool(sup == 0.0 or edge <= BOUNDARY_DECAY_TOL * sup)
-    x1, x2 = g.coords()
-    value = float(g.dx**2 * np.sum((x1**2 + x2**2) * absu**2))
+    x_sq = grid.x**2
+    value = float(grid.dx**2 * (x_sq @ rho.sum(axis=1) + x_sq @ rho.sum(axis=0)))
     return SecondMoment(value, ok)
 
 

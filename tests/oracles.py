@@ -5,10 +5,30 @@ transforms, quadrature by 1-D product rules, brute-force window scans, and
 a radial ODE shooting solver for the cubic focusing ground state. Expected
 values asserted in the tests are computed by these routines (or frozen from
 them), never by the code under test.
+
+The one exception is ``reference_run``: the run driver as a plain loop of
+the reference stepper ``strang_step`` and whole-field diagnostics, against
+which the spectral-state loop of ``evolution.run`` is checked.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from dsbu.errors import BlowupOverflowError, NoBlowupError
+from dsbu.evolution import (
+    ConservationRecord,
+    RunResult,
+    estimate_t_star,
+    grid_defaults,
+    strang_step,
+)
+from dsbu.spectral import (
+    energy,
+    gradient_norm_sq,
+    interaction_potential,
+    mass,
+    second_moment,
+)
 
 
 def direct_b_multiplier(values: np.ndarray, box_length: float) -> np.ndarray:
@@ -131,3 +151,119 @@ def townes_mass(shoot_tol: float = 1e-12, r_max: float = 18.0) -> float:
     sol = solve_ivp(rhs, (eps, r_max), [q0, dq0, 0.0], rtol=1e-11, atol=1e-13,
                     events=[small])
     return float(sol.y[2, -1]), float(a)
+
+
+def reference_record(state, dt_used):
+    """Diagnostics of a state from the public whole-field functionals."""
+    sm = second_moment(state.u)
+    return ConservationRecord(
+        t=state.t,
+        mass=mass(state.u),
+        energy=energy(state.u, state.params),
+        gradient_norm_sq=gradient_norm_sq(state.u),
+        second_moment=sm.value,
+        moment_valid=sm.boundary_ok,
+        sup_abs_u=float(np.abs(state.u.values).max()),
+        l4_accum=state.l4_accum,
+        dt_used=dt_used,
+    )
+
+
+def reference_run(state0, cfg):
+    """``evolution.run`` as repeated ``strang_step`` calls, one record at a time.
+
+    Same stop rules, sampling, snapshots and adaptive rate max|L(|u|^2)| as
+    ``run``, with the field transformed to and from physical space in every
+    step and every diagnostic recomputed from the physical field.
+    """
+    state = state0
+    grid = state.u.grid
+    dt0, guard, sample_dt = grid_defaults(grid.dx, cfg.t_end - state.t)
+    dt0 = cfg.dt0 if cfg.dt0 is not None else dt0
+    guard = cfg.guard if cfg.guard is not None else guard
+    sample_dt = cfg.sample_interval if cfg.sample_interval is not None else sample_dt
+    lin_half = np.exp(-1j * grid.ksq * (dt0 / 2))
+
+    records = [reference_record(state, 0.0)]
+    snapshots = []
+    grad_ladder_next = None
+    if cfg.keep_snapshots:
+        snapshots.append((state.t, state.u.copy()))
+        if cfg.snapshot_mode == "grad_ladder":
+            grad_ladder_next = records[0].gradient_norm_sq * cfg.snapshot_grad_ratio
+    next_sample = state.t + sample_dt
+    stop_reason = "t_end"
+    t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
+
+    while state.t < cfg.t_end - t_eps:
+        if cfg.adaptive:
+            phase = interaction_potential(np.abs(state.u.values) ** 2, grid, state.params)
+            rate = float(np.abs(phase).max())
+            dt = min(dt0, cfg.c_adapt / rate) if rate > 0 else dt0
+        else:
+            dt = dt0
+        dt = min(dt, cfg.t_end - state.t)
+        reuse = lin_half if dt == dt0 else None
+
+        try:
+            state = strang_step(state, dt, _lin_half=reuse)
+        except BlowupOverflowError as exc:
+            state = exc.last_state
+            records.append(reference_record(state, dt))
+            stop_reason = "non_finite"
+            break
+
+        sup = float(np.abs(state.u.values).max())
+        if sup > guard:
+            records.append(reference_record(state, dt))
+            stop_reason = "sup_guard"
+            break
+
+        if cfg.keep_snapshots and cfg.snapshot_mode == "grad_ladder":
+            grad_now = gradient_norm_sq(state.u)
+            if grad_now >= grad_ladder_next:
+                snapshots.append((state.t, state.u.copy()))
+                while grad_ladder_next <= grad_now:
+                    grad_ladder_next *= cfg.snapshot_grad_ratio
+            if grad_now > guard**2:
+                records.append(reference_record(state, dt))
+                stop_reason = "grad_guard"
+                break
+
+        if state.t >= next_sample - t_eps or state.t >= cfg.t_end - t_eps:
+            rec = reference_record(state, dt)
+            records.append(rec)
+            if cfg.keep_snapshots and cfg.snapshot_mode == "interval":
+                snapshots.append((state.t, state.u.copy()))
+            next_sample += sample_dt
+            if rec.gradient_norm_sq > guard**2:
+                stop_reason = "grad_guard"
+                break
+
+    if cfg.keep_snapshots and state.t > snapshots[-1][0]:
+        snapshots.append((state.t, state.u.copy()))
+
+    estimate = None
+    if stop_reason != "t_end":
+        try:
+            estimate = estimate_t_star(records)
+        except NoBlowupError:
+            estimate = None
+    return RunResult(state=state, records=records, stop_reason=stop_reason,
+                     blowup=estimate, snapshots=snapshots)
+
+
+def full_spectrum_quartic(u, p):
+    """Interaction functional with the full fft2 spectrum of |u|^2."""
+    g = u.grid
+    w = np.abs(u.values) ** 2
+    what = np.fft.fft2(w)
+    b_part = np.sum(g.b_symbol * np.abs(what) ** 2) / g.n**2
+    return float(g.dx**2 * (p.nu * np.sum(w * w) + p.gamma * b_part))
+
+
+def meshgrid_second_moment(u):
+    """Integral of |x|^2 |u|^2 with the n x n coordinate meshgrid."""
+    g = u.grid
+    x1, x2 = g.coords()
+    return float(g.dx**2 * np.sum((x1**2 + x2**2) * np.abs(u.values) ** 2))

@@ -81,6 +81,16 @@ class TestSnapshotFormat:
         assert back.grid == field.grid
         assert back.values.tobytes() == field.values.tobytes()
 
+    def test_reads_on_one_grid_share_it(self, tmp_path):
+        meta = SnapshotMeta(t=0.0, nu=1, gamma=1.0)
+        p1, p2, p3 = tmp_path / "a.dsbu", tmp_path / "b.dsbu", tmp_path / "c.dsbu"
+        write_snapshot(str(p1), self.make_field(seed=1), meta)
+        write_snapshot(str(p2), self.make_field(seed=2), meta)
+        write_snapshot(str(p3), self.make_field(box=9.0), meta)
+        a, b, c = (read_snapshot(str(p))[0] for p in (p1, p2, p3))
+        assert a.grid is b.grid
+        assert c.grid is not a.grid and c.grid.box_length == 9.0
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         field = self.make_field()
         meta = SnapshotMeta(t=0.0, nu=1, gamma=1.0)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsbu import Field, Grid2D, OperatorParams, energy, gradient_norm_sq, l4_norm_4, mass
+from dsbu import evolution
 from dsbu.errors import BlowupOverflowError, DomainError, NoBlowupError, UsageError
 from dsbu.evolution import (
     ConservationRecord,
@@ -17,6 +20,8 @@ from dsbu.evolution import (
 )
 from dsbu.ground_state import solve_ground_state
 from dsbu.spectral import interaction_potential
+
+from oracles import reference_run
 
 
 def gaussian(grid, amplitude=1.0, width=1.0):
@@ -239,6 +244,179 @@ class TestRun:
         assert len(res.snapshots) >= 3
         times = [t for t, _ in res.snapshots]
         assert times == sorted(times)
+
+
+RECORD_COLUMNS = ("t", "mass", "energy", "gradient_norm_sq", "second_moment",
+                  "sup_abs_u", "l4_accum", "dt_used")
+
+
+def assert_same_run(got, ref, t_end, rel=1e-12):
+    """``run`` against ``reference_run``: same path, records equal to roundoff.
+
+    dt_used of a final step clipped to t_end is t_end - t, so besides the
+    relative bound it may carry the absolute error that the bound allows on
+    t, rel * t_end.
+    """
+    assert got.stop_reason == ref.stop_reason
+    assert got.state.step_index == ref.state.step_index
+    assert len(got.records) == len(ref.records)
+    for a, b in zip(got.records, ref.records):
+        assert a.moment_valid == b.moment_valid
+        for name in RECORD_COLUMNS:
+            x, y = getattr(a, name), getattr(b, name)
+            slack = rel * t_end if name == "dt_used" else 0.0
+            assert abs(x - y) <= rel * max(abs(x), abs(y)) + slack, (name, a.t, x, y)
+    assert len(got.snapshots) == len(ref.snapshots)
+    for (ta, fa), (tb, fb) in zip(got.snapshots, ref.snapshots):
+        assert abs(ta - tb) <= rel * max(abs(ta), abs(tb))
+        assert np.max(np.abs(fa.values - fb.values)) <= rel * np.max(np.abs(fb.values))
+
+
+def drawn_gaussian(amplitude, width, n=64, box=12.0):
+    g = Grid2D(n, box)
+    return SimulationState.initial(gaussian(g, amplitude, width), OperatorParams(1, 1.0))
+
+
+class TestSpectralStateLoop:
+    """``run`` keeps u_hat between steps; it must reproduce repeated ``strang_step``."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(0.3, 1.8), st.floats(0.7, 1.5))
+    def test_fixed_dt_matches_reference(self, amplitude, width):
+        s = drawn_gaussian(amplitude, width)
+        cfg = EvolveConfig(t_end=0.1, dt0=1e-3, sample_interval=0.01, guard=50.0)
+        assert_same_run(run(s, cfg), reference_run(s, cfg), cfg.t_end)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(1.0, 2.2), st.floats(0.7, 1.5))
+    def test_adaptive_dt_matches_reference(self, amplitude, width):
+        s = drawn_gaussian(amplitude, width)
+        cfg = EvolveConfig(t_end=0.1, dt0=2e-3, adaptive=True, c_adapt=0.005,
+                           sample_interval=0.01, guard=50.0)
+        got = run(s, cfg)
+        assert min(r.dt_used for r in got.records[1:]) < cfg.dt0
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.floats(1.8, 2.2), st.floats(1.1, 1.4))
+    def test_grad_ladder_snapshots_match_reference(self, amplitude, width):
+        s = drawn_gaussian(amplitude, width)
+        cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, keep_snapshots=True,
+                           snapshot_mode="grad_ladder", snapshot_grad_ratio=2.0**0.25)
+        got = run(s, cfg)
+        assert got.stop_reason == "grad_guard"
+        assert len(got.snapshots) >= 3
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.floats(1.8, 2.2), st.floats(1.1, 1.4))
+    def test_sup_guard_stop_matches_reference(self, amplitude, width):
+        s = drawn_gaussian(amplitude, width)
+        cfg = EvolveConfig(t_end=1.0, guard=1.5 * amplitude, sample_interval=1.0)
+        got = run(s, cfg)
+        assert got.stop_reason == "sup_guard"
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
+
+    def test_initial_state_and_snapshots_left_untouched(self):
+        # the loop reuses its own field buffers, never the caller's, and
+        # interval snapshots are copies that later steps do not overwrite
+        s = drawn_gaussian(1.5, 1.0)
+        before = s.u.values.copy()
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, keep_snapshots=True, sample_interval=2e-3)
+        res = run(s, cfg)
+        assert s.u.values.tobytes() == before.tobytes()
+        assert res.snapshots[0][1].values.tobytes() == before.tobytes()
+        assert_same_run(res, reference_run(s, cfg), cfg.t_end)
+
+    def test_nonfinite_initial_field_rejected(self):
+        s = drawn_gaussian(1.0, 1.0)
+        s.u.values[5, 7] = np.nan
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3)
+        for driver in (run, reference_run):
+            with pytest.raises(DomainError, match="non-finite"):
+                driver(s, cfg)
+
+    def test_nonfinite_step_records_last_finite_state(self, monkeypatch):
+        step = evolution._spectral_step
+        calls = []
+
+        def failing_third_step(uhat, *args):
+            calls.append(1)
+            u = step(uhat, *args)
+            if len(calls) == 3:
+                u[5, 7] = np.nan
+            return u
+
+        monkeypatch.setattr(evolution, "_spectral_step", failing_third_step)
+        s = drawn_gaussian(1.0, 1.0)
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1.0)
+        got = run(s, cfg)
+        ref = reference_run(s, EvolveConfig(t_end=2e-3, dt0=1e-3, sample_interval=1.0))
+        assert got.stop_reason == "non_finite"
+        assert got.state.step_index == 2
+        diff = np.max(np.abs(got.state.u.values - ref.state.u.values))
+        assert diff <= 1e-12 * np.max(np.abs(ref.state.u.values))
+        last = got.records[-1]
+        assert last.t == got.state.t and last.dt_used == 1e-3
+        assert np.isfinite([last.mass, last.energy, last.gradient_norm_sq]).all()
+
+
+class FFTCounter:
+    """Counts numpy.fft calls in complex 2-D FFT-equivalents (real transforms count half)."""
+
+    COMPLEX = ("fft2", "ifft2")
+    REAL = ("rfft2", "irfft2")
+
+    def __init__(self, monkeypatch):
+        self.total = 0.0
+        for name in self.COMPLEX + self.REAL:
+            weight = 1.0 if name in self.COMPLEX else 0.5
+            monkeypatch.setattr(np.fft, name, self._counted(getattr(np.fft, name), weight))
+
+    def _counted(self, fn, weight):
+        def counted(*args, **kwargs):
+            self.total += weight
+            return fn(*args, **kwargs)
+        return counted
+
+
+class TestFFTBudget:
+    """Transforms per step and per record inside ``run`` (the spectral-state budget)."""
+
+    def counted_run(self, monkeypatch, cfg, amplitude=1.2):
+        counter = FFTCounter(monkeypatch)
+        in_records = [0.0, 0]
+        record = evolution._record
+
+        def counted_record(*args, **kwargs):
+            before = counter.total
+            out = record(*args, **kwargs)
+            in_records[0] += counter.total - before
+            in_records[1] += 1
+            return out
+
+        monkeypatch.setattr(evolution, "_record", counted_record)
+        s = drawn_gaussian(amplitude, 1.0)
+        before = counter.total
+        res = run(s, cfg)
+        steps = res.state.step_index
+        return counter.total - before - in_records[0], steps, in_records
+
+    def test_fixed_step_budget(self, monkeypatch):
+        cfg = EvolveConfig(t_end=0.05, dt0=1e-3, sample_interval=0.01, guard=50.0)
+        in_steps, steps, (in_rec, n_rec) = self.counted_run(monkeypatch, cfg)
+        assert steps == 50 and n_rec == 6
+        # 4 per step, plus the one transform of the initial field
+        assert in_steps <= 4 * steps + 1
+        assert in_rec <= 0.5 * n_rec
+
+    def test_adaptive_step_budget(self, monkeypatch):
+        cfg = EvolveConfig(t_end=0.05, dt0=1e-3, adaptive=True, c_adapt=1e-3,
+                           sample_interval=0.01, guard=50.0)
+        in_steps, steps, (in_rec, n_rec) = self.counted_run(monkeypatch, cfg)
+        assert steps > 50
+        assert in_steps <= 5 * steps + 1
+        assert in_rec <= 0.5 * n_rec
 
 
 class TestEstimateTStar:

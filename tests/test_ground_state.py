@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dsbu import Field, Grid2D, OperatorParams, energy, gradient_norm_sq, mass, quartic_term
-from dsbu.errors import DomainError, NonConvergenceError
+from dsbu.errors import DomainError, NonConvergenceError, UsageError
 from dsbu.ground_state import (
     GroundStateConfig,
     solve_ground_state,
@@ -106,6 +106,11 @@ class TestSolver:
         with pytest.raises(NonConvergenceError) as excinfo:
             solve_ground_state(Grid2D(64, 20.0), OperatorParams(1, 1.0), cfg)
         assert len(excinfo.value.residual_history) == 5
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(UsageError, match="max_iter"):
+            GroundStateConfig(max_iter=max_iter)
 
 
 class TestSharpInequality:

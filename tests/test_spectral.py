@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dsbu import (
+    SPECTRAL,
     Field,
     Grid2D,
     OperatorParams,
@@ -20,7 +21,12 @@ from dsbu import (
 from dsbu.errors import DomainError, GridMismatchError, UsageError
 from dsbu.spectral import interaction_potential
 
-from oracles import direct_b_multiplier, direct_quartic
+from oracles import (
+    direct_b_multiplier,
+    direct_quartic,
+    full_spectrum_quartic,
+    meshgrid_second_moment,
+)
 
 
 def gaussian_field(grid, amplitude=1.0, width=1.0):
@@ -302,6 +308,46 @@ class TestFunctionals:
         wave = Field(g, np.exp(1j * 2 * np.pi * 3 / 20.0 * x1))
         assert abs(l4_norm_4(wave) - 400.0) <= 1e-10 * 400.0
         assert abs(l4_norm_4(gaussian_field(g)) - np.pi / 2) <= 1e-10 * np.pi
+
+
+class TestReducedFormulas:
+    """Half-spectrum and axis-sum functionals against their full n x n forms."""
+
+    @staticmethod
+    def random_fields():
+        rng = np.random.default_rng(11)
+        for n, box in ((16, 5.0), (64, 10.0), (128, 17.0)):
+            g = Grid2D(n, box)
+            for _ in range(3):
+                vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                yield Field(g, vals)
+
+    def test_quartic_matches_full_spectrum(self):
+        for u in self.random_fields():
+            for p in (OperatorParams(1, 1.0), OperatorParams(1, 0.3), OperatorParams(-1, 2.5)):
+                expected = full_spectrum_quartic(u, p)
+                assert abs(quartic_term(u, p) - expected) <= 1e-13 * abs(expected)
+
+    def test_second_moment_matches_meshgrid(self):
+        for u in self.random_fields():
+            expected = meshgrid_second_moment(u)
+            assert abs(second_moment(u).value - expected) <= 1e-13 * expected
+
+    def test_gradient_matches_full_weight_array(self):
+        for u in self.random_fields():
+            g = u.grid
+            uh = np.fft.fft2(u.values)
+            expected = g.dx**2 / g.n**2 * np.sum(g.ksq * np.abs(uh) ** 2)
+            assert abs(gradient_norm_sq(u) - expected) <= 1e-13 * expected
+            spectral = Field(g, uh, SPECTRAL)
+            assert gradient_norm_sq(spectral) == gradient_norm_sq(u)
+
+    def test_potential_from_given_half_spectrum(self):
+        g = Grid2D(64, 10.0)
+        w = np.random.default_rng(5).random((64, 64))
+        p = OperatorParams(-1, 1.5)
+        given = interaction_potential(w, g, p, np.fft.rfft2(w))
+        assert np.array_equal(given, interaction_potential(w, g, p))
 
 
 class TestScalingLaws:
