@@ -134,7 +134,14 @@ def _initial_condition(cfg: RunConfig) -> tuple[Field, OperatorParams]:
     params = OperatorParams(cfg.nu, cfg.gamma)
     if cfg.ic == "snapshot":
         field, meta = read_snapshot(cfg.snapshot_path)
-        return field, OperatorParams(meta.nu, meta.gamma)
+        # run_config.txt records the config's couplings; the run must use them
+        if (meta.nu, meta.gamma) != (cfg.nu, cfg.gamma):
+            raise UsageError(
+                f"snapshot {cfg.snapshot_path} carries nu = {meta.nu}, gamma = {meta.gamma} "
+                f"but the config sets nu = {cfg.nu}, gamma = {cfg.gamma}; set nu and "
+                "gamma to the snapshot's couplings"
+            )
+        return field, params
     if cfg.ic in ("standing_wave", "pc_blowup"):
         profile, _meta = read_snapshot(cfg.profile_path)
         if cfg.ic == "standing_wave":

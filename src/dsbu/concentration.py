@@ -16,7 +16,9 @@ quartic(v) = 2 ||grad v||^2 - 4 E(v) and the rescaled energy vanishes.
 The two trace drivers turn a snapshot sequence into concentration records:
 disk windows follow a shrinking schedule lambda(t) toward the blow-up time
 (mass captured must approach at least 2/c_opt), square windows have
-sidelength C*sqrt(t_star - t) and track the captured L2 norm.
+sidelength C*sqrt(t_star - t) and track the captured L2 norm. The disk
+trace walks the snapshots once for its schedule and the two t_star-shifted
+sensitivity schedules, rescaling each snapshot at most once.
 """
 
 from __future__ import annotations
@@ -192,38 +194,16 @@ class DiskTraceSummary:
     skipped_times: list[float] = field(default_factory=list)
 
 
-def _disk_records(
-    snapshots: list[tuple[float, Field]],
-    schedule: LambdaSchedule,
-    params: OperatorParams,
-) -> tuple[list[ConcentrationRecord], list[float]]:
-    records: list[ConcentrationRecord] = []
-    skipped: list[float] = []
-    for t, u in snapshots:
-        lam = schedule(t)
-        if lam <= u.grid.dx:
-            skipped.append(t)
-            continue
-        wm = windowed_mass_sup(u, WindowSpec(DISK, lam))
-        v, rho = rescaled_snapshot(u)
-        records.append(
-            ConcentrationRecord(
-                t=t,
-                window=WindowSpec(DISK, lam),
-                best_mass=wm.best_mass,
-                best_center=wm.best_center,
-                clamped=wm.clamped,
-                rho=rho,
-                rescaled_quartic=quartic_term(v, params),
-                rescaled_energy=energy(v, params),
-            )
-        )
-    return records, skipped
-
-
 def _terminal_segment(records: list[ConcentrationRecord]) -> list[ConcentrationRecord]:
     rho_min = min(r.rho for r in records)
     return [r for r in records if r.rho <= 10.0 * rho_min]
+
+
+def _mass_ratios(terminal: list[ConcentrationRecord], threshold: float) -> dict:
+    return {
+        "min_ratio": min(r.best_mass for r in terminal) / threshold,
+        "final_ratio": terminal[-1].best_mass / threshold,
+    }
 
 
 def disk_concentration_trace(
@@ -239,13 +219,38 @@ def disk_concentration_trace(
     terminal segment, checks that lambda * ||grad u|| grows (the window
     hypothesis), that |rescaled energy| decays to zero up to 5% ripple, and
     how far the terminal interaction term sits from 2. Sensitivity of the
-    mass ratios to the extrapolated t_star is reported by rerunning the
-    trace with t_star shifted by +-2% of the trace span.
+    mass ratios to the extrapolated t_star is reported from two schedules
+    with t_star shifted by +-2% of the trace span, traced in the same pass.
+    The rescaled diagnostics do not depend on the schedule: each snapshot's
+    are computed once, when the first schedule keeps it.
     """
     if not snapshots:
         raise DomainError("no snapshots to trace")
     snapshots = sorted(snapshots, key=lambda pair: pair[0])
-    records, skipped = _disk_records(snapshots, schedule, params)
+    span = schedule.t_star - snapshots[0][0]
+    schedules = {"main": schedule}
+    for tag, shift in (("minus_2pct", -0.02 * span), ("plus_2pct", 0.02 * span)):
+        schedules[tag] = LambdaSchedule(schedule.kind, schedule.epsilon, schedule.t_star + shift)
+    rows: dict[str, list[ConcentrationRecord]] = {tag: [] for tag in schedules}
+    skipped: list[float] = []
+    for t, u in snapshots:
+        rescaled = None
+        for tag, sched in schedules.items():
+            lam = sched(t)
+            if lam <= u.grid.dx:
+                if tag == "main":
+                    skipped.append(t)
+                continue
+            window = WindowSpec(DISK, lam)
+            wm = windowed_mass_sup(u, window)
+            if rescaled is None:
+                v, rho = rescaled_snapshot(u)
+                rescaled = {"rho": rho, "rescaled_quartic": quartic_term(v, params),
+                            "rescaled_energy": energy(v, params)}
+            rows[tag].append(ConcentrationRecord(
+                t=t, window=window, best_mass=wm.best_mass, best_center=wm.best_center,
+                clamped=wm.clamped, **rescaled))
+    records = rows.pop("main")
     if not records:
         raise DomainError("every snapshot was skipped by the schedule")
     threshold = 2.0 / c_opt
@@ -260,27 +265,18 @@ def disk_concentration_trace(
         for earlier, later in zip(energies, energies[1:])
     )
     quartic_dev = max(abs(r.rescaled_quartic - 2.0) / 2.0 for r in terminal)
-
-    sensitivity = {}
-    span = schedule.t_star - min(t for t, _ in snapshots)
-    for tag, shift in (("minus_2pct", -0.02 * span), ("plus_2pct", 0.02 * span)):
-        shifted = LambdaSchedule(schedule.kind, schedule.epsilon, schedule.t_star + shift)
-        recs, _ = _disk_records(snapshots, shifted, params)
-        if recs:
-            term = _terminal_segment(recs)
-            sensitivity[tag] = {
-                "min_ratio": min(r.best_mass for r in term) / threshold,
-                "final_ratio": term[-1].best_mass / threshold,
-            }
-        else:
-            sensitivity[tag] = None
+    ratios = _mass_ratios(terminal, threshold)
+    sensitivity = {
+        tag: _mass_ratios(_terminal_segment(recs), threshold) if recs else None
+        for tag, recs in rows.items()
+    }
 
     summary = DiskTraceSummary(
         threshold_mass=threshold,
         terminal_min_mass=min(r.best_mass for r in terminal),
         terminal_final_mass=terminal[-1].best_mass,
-        min_ratio=min(r.best_mass for r in terminal) / threshold,
-        final_ratio=terminal[-1].best_mass / threshold,
+        min_ratio=ratios["min_ratio"],
+        final_ratio=ratios["final_ratio"],
         lambda_grad_products=products,
         lambda_grad_growing=products[-1] > products[0],
         energy_trend_ok=trend_ok,

@@ -1,13 +1,15 @@
 """Plain key = value run configuration.
 
 One config file fully determines a run: '#' starts a comment, keys are
-validated against the chosen mode, unknown or duplicate keys are rejected
-with their line number, and grid-derived defaults (dt0, guard, sampling
-interval) are resolved at parse time so the returned RunConfig is complete.
+validated against the chosen mode, unknown or duplicate keys and non-finite
+floats are rejected with their line number, and grid-derived defaults (dt0,
+guard, sampling interval) are resolved at parse time so the returned
+RunConfig is complete.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -99,7 +101,10 @@ def _convert(key: str, raw: str, line: int):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(line, f"{key} must be finite, got {raw!r}")
+            return value
         if kind == "bool":
             if raw.lower() not in _BOOL:
                 raise ValueError

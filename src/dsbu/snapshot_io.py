@@ -13,12 +13,15 @@ Layout (all little-endian):
     crc32   u32      checksum of the payload
 
 Writes go through a temp file and an atomic rename; reads validate magic,
-version, structural sizes, and the checksum.
+version, the header values (n even and >= 8, box_length finite and > 0,
+nu = +-1, gamma finite and > 0, t finite), structural sizes, and the
+checksum.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import struct
 import zlib
@@ -79,6 +82,15 @@ def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:
         raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise SnapshotFormatError(f"{path}: unsupported format version {version}")
+    for ok, value, rule in (
+        (n >= 8 and n % 2 == 0, f"n = {n}", "even and >= 8"),
+        (0.0 < box_length < math.inf, f"box_length = {box_length}", "finite and > 0"),
+        (nu in (-1, 1), f"nu = {nu}", "-1 or 1"),
+        (0.0 < gamma < math.inf, f"gamma = {gamma}", "finite and > 0"),
+        (math.isfinite(t), f"t = {t}", "finite"),
+    ):
+        if not ok:
+            raise SnapshotFormatError(f"{path}: bad header value {value}, must be {rule}")
     expected = _HEADER.size + 16 * n * n + 4
     if len(blob) != expected:
         raise SnapshotFormatError(

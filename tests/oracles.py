@@ -6,15 +6,28 @@ a radial ODE shooting solver for the cubic focusing ground state. Expected
 values asserted in the tests are computed by these routines (or frozen from
 them), never by the code under test.
 
-The one exception is ``reference_run``: the run driver as a plain loop of
-the reference stepper ``strang_step`` and whole-field diagnostics, against
-which the spectral-state loop of ``evolution.run`` is checked.
+Two exceptions reuse package code as a reference for a faster rewrite of
+it. ``reference_run`` is the run driver as a plain loop of the reference
+stepper ``strang_step`` and whole-field diagnostics, against which the
+spectral-state loop of ``evolution.run`` is checked. ``reference_disk_trace``
+is the disk concentration trace as three separate passes, one per schedule,
+that rescale every kept snapshot anew; the one-pass
+``concentration.disk_concentration_trace`` must reproduce it exactly.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from dsbu.errors import BlowupOverflowError, NoBlowupError
+from dsbu.concentration import (
+    DISK,
+    ConcentrationRecord,
+    DiskTraceSummary,
+    LambdaSchedule,
+    WindowSpec,
+    rescaled_snapshot,
+    windowed_mass_sup,
+)
+from dsbu.errors import BlowupOverflowError, DomainError, NoBlowupError
 from dsbu.evolution import (
     ConservationRecord,
     RunResult,
@@ -27,6 +40,7 @@ from dsbu.spectral import (
     gradient_norm_sq,
     interaction_potential,
     mass,
+    quartic_term,
     second_moment,
 )
 
@@ -267,3 +281,88 @@ def meshgrid_second_moment(u):
     g = u.grid
     x1, x2 = g.coords()
     return float(g.dx**2 * np.sum((x1**2 + x2**2) * np.abs(u.values) ** 2))
+
+
+def _reference_disk_records(snapshots, schedule, params):
+    records = []
+    skipped = []
+    for t, u in snapshots:
+        lam = schedule(t)
+        if lam <= u.grid.dx:
+            skipped.append(t)
+            continue
+        wm = windowed_mass_sup(u, WindowSpec(DISK, lam))
+        v, rho = rescaled_snapshot(u)
+        records.append(
+            ConcentrationRecord(
+                t=t,
+                window=WindowSpec(DISK, lam),
+                best_mass=wm.best_mass,
+                best_center=wm.best_center,
+                clamped=wm.clamped,
+                rho=rho,
+                rescaled_quartic=quartic_term(v, params),
+                rescaled_energy=energy(v, params),
+            )
+        )
+    return records, skipped
+
+
+def _reference_terminal_segment(records):
+    rho_min = min(r.rho for r in records)
+    return [r for r in records if r.rho <= 10.0 * rho_min]
+
+
+def reference_disk_trace(snapshots, schedule, c_opt, params):
+    """``disk_concentration_trace`` as one full pass per schedule.
+
+    The main schedule is traced first; the sensitivity entries rerun the
+    whole trace with t_star shifted by -2% and +2% of the trace span.
+    """
+    if not snapshots:
+        raise DomainError("no snapshots to trace")
+    snapshots = sorted(snapshots, key=lambda pair: pair[0])
+    records, skipped = _reference_disk_records(snapshots, schedule, params)
+    if not records:
+        raise DomainError("every snapshot was skipped by the schedule")
+    threshold = 2.0 / c_opt
+    terminal = _reference_terminal_segment(records)
+    products = [r.window.size / r.rho for r in records]
+    energies = [abs(r.rescaled_energy) for r in terminal]
+    floor = 1e-3 * max(abs(r.rescaled_energy) for r in records)
+    trend_ok = all(
+        later <= earlier * 1.05 + floor
+        for earlier, later in zip(energies, energies[1:])
+    )
+    quartic_dev = max(abs(r.rescaled_quartic - 2.0) / 2.0 for r in terminal)
+
+    sensitivity = {}
+    span = schedule.t_star - min(t for t, _ in snapshots)
+    for tag, shift in (("minus_2pct", -0.02 * span), ("plus_2pct", 0.02 * span)):
+        shifted = LambdaSchedule(schedule.kind, schedule.epsilon, schedule.t_star + shift)
+        recs, _ = _reference_disk_records(snapshots, shifted, params)
+        if recs:
+            term = _reference_terminal_segment(recs)
+            sensitivity[tag] = {
+                "min_ratio": min(r.best_mass for r in term) / threshold,
+                "final_ratio": term[-1].best_mass / threshold,
+            }
+        else:
+            sensitivity[tag] = None
+
+    summary = DiskTraceSummary(
+        threshold_mass=threshold,
+        terminal_min_mass=min(r.best_mass for r in terminal),
+        terminal_final_mass=terminal[-1].best_mass,
+        min_ratio=min(r.best_mass for r in terminal) / threshold,
+        final_ratio=terminal[-1].best_mass / threshold,
+        lambda_grad_products=products,
+        lambda_grad_growing=products[-1] > products[0],
+        energy_trend_ok=trend_ok,
+        terminal_quartic_dev=quartic_dev,
+        final_quartic_dev=abs(records[-1].rescaled_quartic - 2.0) / 2.0,
+        final_rescaled_energy=records[-1].rescaled_energy,
+        sensitivity=sensitivity,
+        skipped_times=skipped,
+    )
+    return records, summary

@@ -1,7 +1,9 @@
 """Config parsing, snapshot format, and CLI surface tests."""
 
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from dsbu import Field, Grid2D
 from dsbu.cli import main
 from dsbu.config import parse_config
 from dsbu.errors import ConfigError, SnapshotFormatError
-from dsbu.snapshot_io import SnapshotMeta, read_snapshot, write_snapshot
+from dsbu.snapshot_io import _HEADER, MAGIC, VERSION, SnapshotMeta, read_snapshot, write_snapshot
 
 
 class TestParseConfig:
@@ -61,6 +63,31 @@ class TestParseConfig:
     def test_type_errors_carry_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("mode = evolve\nt_end = soon\n")
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["c_opt", "tol", "gamma", "box_length"])
+    def test_non_finite_floats_rejected(self, key, raw, tmp_path, capsys):
+        command, head = {
+            "c_opt": ("analyze", "mode = analyze\nsnapshot_dir = snaps\n"),
+            "tol": ("ground-state", "mode = ground-state\n"),
+        }.get(key, ("evolve", "mode = evolve\nt_end = 0.1\n"))
+        text = f"{head}{key} = {raw}\n"
+        line = text.count("\n")
+        with pytest.raises(ConfigError, match=f"line {line}: {key} must be finite") as exc:
+            parse_config(text)
+        assert exc.value.line == line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + f"output_dir = {tmp_path / 'out'}\n")
+        assert main([command, str(cfg)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def snapshot_blob(n=8, nu=1, box_length=4.0, t=0.5, gamma=1.0):
+    """Snapshot bytes with arbitrary header values and a valid payload CRC."""
+    header = _HEADER.pack(MAGIC, VERSION, n, nu, box_length, t, gamma)
+    payload = np.ones(n * n, dtype="<c16").tobytes()
+    return header + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
 class TestSnapshotFormat:
@@ -128,6 +155,25 @@ class TestSnapshotFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotFormatError, match="structural"):
             read_snapshot(str(path))
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", 4), ("n", 0), ("n", 9),
+        ("box_length", 0.0), ("box_length", -1.0), ("box_length", np.nan), ("box_length", np.inf),
+        ("nu", 3), ("nu", 0),
+        ("gamma", -2.0), ("gamma", 0.0), ("gamma", np.nan), ("gamma", np.inf),
+        ("t", np.nan), ("t", np.inf),
+    ])
+    def test_bad_header_values_rejected(self, key, value, tmp_path):
+        path = tmp_path / "bad.dsbu"
+        path.write_bytes(snapshot_blob(**{key: value}))
+        with pytest.raises(SnapshotFormatError, match=f"bad header value {key} = "):
+            read_snapshot(str(path))
+
+    def test_crafted_blob_is_valid_by_default(self, tmp_path):
+        path = tmp_path / "good.dsbu"
+        path.write_bytes(snapshot_blob())
+        field, meta = read_snapshot(str(path))
+        assert field.grid.n == 8 and meta == SnapshotMeta(0.5, 1, 1.0)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "nope.dsbu"
@@ -214,6 +260,28 @@ class TestCli:
         assert "Grid2D(n=64, box_length=16.0)" in err
         assert "Grid2D(n=256, box_length=20.0)" in err
         assert not (tmp_path / "out").exists()
+
+    def test_snapshot_ic_with_other_couplings_exits_2(self, tmp_path, capsys):
+        # run_config.txt would record the config's nu = 1, gamma = 1.0
+        g = Grid2D(64, 16.0)
+        snap = tmp_path / "start.dsbu"
+        write_snapshot(str(snap), Field(g, np.ones((64, 64))), SnapshotMeta(0.0, -1, 3.0))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = evolve\nn = 64\nbox_length = 16\nt_end = 0.1\nic = snapshot\n"
+                       f"snapshot_path = {snap}\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["evolve", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "nu = -1, gamma = 3.0" in err
+        assert "nu = 1, gamma = 1.0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_analyze_corrupt_header_exits_1(self, tmp_path, capsys):
+        (tmp_path / "snap_000000.dsbu").write_bytes(snapshot_blob(n=4))
+        cfg = tmp_path / "an.cfg"
+        cfg.write_text(f"mode = analyze\nsnapshot_dir = {tmp_path}\ntrace = square\n"
+                       f"t_star = 1.0\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["analyze", str(cfg)]) == 1
+        assert "bad header value n = 4" in capsys.readouterr().err
 
     def test_snapshot_ic_on_config_grid_uses_its_dt(self, tmp_path):
         g = Grid2D(64, 16.0)

@@ -1,14 +1,17 @@
 """Windowed-mass and rescaled-snapshot diagnostics tests."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from dsbu import Field, Grid2D, gradient_norm_sq, mass, quartic_term
+from dsbu import Field, Grid2D, OperatorParams, concentration, gradient_norm_sq, mass, quartic_term
 from dsbu.concentration import (
     CONIC,
     DISK,
     PARABOLIC_MINUS_EPS,
     SQUARE,
+    DiskTraceSummary,
     LambdaSchedule,
     WindowSpec,
     disk_concentration_trace,
@@ -19,7 +22,7 @@ from dsbu.concentration import (
 from dsbu.errors import DomainError
 from dsbu.exact import eval_pc_blowup, eval_standing_wave
 
-from oracles import brute_force_windowed_mass
+from oracles import brute_force_windowed_mass, reference_disk_trace
 
 
 def bump(grid, center, width=0.4, amplitude=1.0):
@@ -196,6 +199,88 @@ class TestDiskTrace:
         schedule = LambdaSchedule(PARABOLIC_MINUS_EPS, 0.1, 0.0)
         with pytest.raises(DomainError):
             disk_concentration_trace(snaps, schedule, gs.c_opt, params_focusing)
+
+
+# t_star = 1 over a trace starting at t = 0, so the sensitivity schedules
+# shift t_star by -0.02 and +0.02. On Grid2D(32, 8.0) (dx = 0.25) the
+# parabolic schedule with epsilon = 0.1 keeps t iff t_star - t > 0.25**2.5.
+EDGE_GRID = Grid2D(32, 8.0)
+EDGE_TIMES = (0.0, 0.3, 0.6, 0.8, 0.9, 0.955, 0.975, 0.995, 1.01)
+EDGE_SCHEDULE = LambdaSchedule(PARABOLIC_MINUS_EPS, 0.1, 1.0)
+
+
+def edge_snapshots():
+    snaps = []
+    for t in EDGE_TIMES:
+        width = 0.3 + (1.0 - t)
+        snaps.append((t, Field(EDGE_GRID, bump(EDGE_GRID, (0.5 * t, -0.25), width, 1.0 / width))))
+    return snaps
+
+
+def assert_same_trace(got, want):
+    records, summary = got
+    ref_records, ref_summary = want
+    assert records == ref_records
+    for f in fields(DiskTraceSummary):
+        assert getattr(summary, f.name) == getattr(ref_summary, f.name), f.name
+
+
+class TestDiskTraceOnePass:
+    """The one-pass trace against the three-pass reference, compared with ==."""
+
+    def test_pc_conic_family_matches_reference(self, ground_state_256, params_focusing):
+        gs = ground_state_256
+        r = gs.profile
+        snaps = []
+        for t in -np.geomspace(0.4, 0.002, 10):
+            target = Grid2D(r.grid.n, r.grid.box_length * abs(t))
+            snaps.append((float(t), eval_pc_blowup(r, float(t), target)))
+        schedule = LambdaSchedule(CONIC, 0.1, 0.0)
+        assert_same_trace(
+            disk_concentration_trace(snaps, schedule, gs.c_opt, params_focusing),
+            reference_disk_trace(snaps, schedule, gs.c_opt, params_focusing),
+        )
+
+    def test_shifted_schedules_keep_and_skip_other_snapshots(self):
+        dx = EDGE_GRID.dx
+        span = EDGE_SCHEDULE.t_star - min(EDGE_TIMES)
+        minus, plus = (
+            LambdaSchedule(PARABOLIC_MINUS_EPS, 0.1, EDGE_SCHEDULE.t_star + s * 0.02 * span)
+            for s in (-1, 1)
+        )
+        kept = lambda sched: {t for t in EDGE_TIMES if sched(t) > dx}
+        # the case set exercises both directions
+        assert kept(plus) - kept(EDGE_SCHEDULE) == {0.975}
+        assert kept(EDGE_SCHEDULE) - kept(minus) == {0.955}
+        params = OperatorParams(1, 1.0)
+        got = disk_concentration_trace(edge_snapshots(), EDGE_SCHEDULE, 0.26, params)
+        assert_same_trace(got, reference_disk_trace(edge_snapshots(), EDGE_SCHEDULE, 0.26, params))
+        assert got[1].skipped_times == [0.975, 0.995, 1.01]
+        assert set(got[1].sensitivity) == {"minus_2pct", "plus_2pct"}
+
+    def test_unsorted_input_matches_reference(self):
+        params = OperatorParams(1, 1.0)
+        snaps = edge_snapshots()
+        # the earliest snapshot, which sets the trace span, not in front
+        shuffled = [snaps[i] for i in (4, 0, 7, 2, 8, 1, 6, 3, 5)]
+        got = disk_concentration_trace(shuffled, EDGE_SCHEDULE, 0.26, params)
+        assert_same_trace(got, reference_disk_trace(shuffled, EDGE_SCHEDULE, 0.26, params))
+        assert_same_trace(got, disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, params))
+
+    def test_each_snapshot_rescaled_at_most_once(self, monkeypatch):
+        calls = {}
+        original = concentration.rescaled_snapshot
+
+        def counting(u):
+            calls[id(u)] = calls.get(id(u), 0) + 1
+            return original(u)
+
+        monkeypatch.setattr(concentration, "rescaled_snapshot", counting)
+        snaps = edge_snapshots()
+        disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, OperatorParams(1, 1.0))
+        # every snapshot kept by some schedule (all but t = 0.995 and 1.01), once
+        assert sorted(calls.values()) == [1] * (len(snaps) - 2)
+        assert set(calls) == {id(u) for t, u in snaps if t < 0.99}
 
 
 class TestSquareTrace:
