@@ -245,11 +245,11 @@ def disk_concentration_trace(
             wm = windowed_mass_sup(u, window)
             if rescaled is None:
                 v, rho = rescaled_snapshot(u)
-                rescaled = {"rho": rho, "rescaled_quartic": quartic_term(v, params),
-                            "rescaled_energy": energy(v, params)}
+                rescaled = (rho, quartic_term(v, params), energy(v, params))
+            rho, quartic, en = rescaled
             rows[tag].append(ConcentrationRecord(
                 t=t, window=window, best_mass=wm.best_mass, best_center=wm.best_center,
-                clamped=wm.clamped, **rescaled))
+                clamped=wm.clamped, rho=rho, rescaled_quartic=quartic, rescaled_energy=en))
     records = rows.pop("main")
     if not records:
         raise DomainError("every snapshot was skipped by the schedule")
@@ -265,7 +265,8 @@ def disk_concentration_trace(
         for earlier, later in zip(energies, energies[1:])
     )
     quartic_dev = max(abs(r.rescaled_quartic - 2.0) / 2.0 for r in terminal)
-    ratios = _mass_ratios(terminal, threshold)
+    min_mass = min(r.best_mass for r in terminal)
+    final_mass = terminal[-1].best_mass
     sensitivity = {
         tag: _mass_ratios(_terminal_segment(recs), threshold) if recs else None
         for tag, recs in rows.items()
@@ -273,10 +274,10 @@ def disk_concentration_trace(
 
     summary = DiskTraceSummary(
         threshold_mass=threshold,
-        terminal_min_mass=min(r.best_mass for r in terminal),
-        terminal_final_mass=terminal[-1].best_mass,
-        min_ratio=ratios["min_ratio"],
-        final_ratio=ratios["final_ratio"],
+        terminal_min_mass=min_mass,
+        terminal_final_mass=final_mass,
+        min_ratio=min_mass / threshold,
+        final_ratio=final_mass / threshold,
         lambda_grad_products=products,
         lambda_grad_growing=products[-1] > products[0],
         energy_trend_ok=trend_ok,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SnapshotFormatError
+from .errors import SnapshotFormatError, UsageError
 from .spectral import PHYSICAL, Field, Grid2D
 
 MAGIC = b"DSBU"
@@ -83,20 +83,23 @@ def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:
     if version != VERSION:
         raise SnapshotFormatError(f"{path}: unsupported format version {version}")
     for ok, value, rule in (
-        (n >= 8 and n % 2 == 0, f"n = {n}", "even and >= 8"),
-        (0.0 < box_length < math.inf, f"box_length = {box_length}", "finite and > 0"),
         (nu in (-1, 1), f"nu = {nu}", "-1 or 1"),
         (0.0 < gamma < math.inf, f"gamma = {gamma}", "finite and > 0"),
         (math.isfinite(t), f"t = {t}", "finite"),
     ):
         if not ok:
-            raise SnapshotFormatError(f"{path}: bad header value {value}, must be {rule}")
+            raise SnapshotFormatError(f"{path}: bad header: {value}, must be {rule}")
     expected = _HEADER.size + 16 * n * n + 4
     if len(blob) != expected:
         raise SnapshotFormatError(
             f"{path}: structural size mismatch: header says n={n} "
             f"(expect {expected} bytes), file has {len(blob)}"
         )
+    # the grid is built once the file size has vouched for n
+    try:
+        grid = _shared_grid(n, box_length)
+    except UsageError as exc:
+        raise SnapshotFormatError(f"{path}: bad header: {exc}") from None
     payload = blob[_HEADER.size:-4]
     (crc_stored,) = struct.unpack_from("<I", blob, len(blob) - 4)
     crc = zlib.crc32(payload) & 0xFFFFFFFF
@@ -106,5 +109,5 @@ def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:
             f"[{_HEADER.size}, {len(blob) - 4})"
         )
     values = np.frombuffer(payload, dtype="<c16").reshape(n, n)
-    field = Field(_shared_grid(n, box_length), values.copy(), PHYSICAL)
+    field = Field(grid, values.copy(), PHYSICAL)
     return field, SnapshotMeta(t=t, nu=nu, gamma=gamma)

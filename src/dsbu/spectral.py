@@ -54,8 +54,8 @@ class Grid2D:
     def __init__(self, n: int, box_length: float):
         if n < 8 or n % 2 != 0:
             raise UsageError(f"grid size must be even and >= 8, got n={n}")
-        if not box_length > 0:
-            raise UsageError(f"box_length must be positive, got {box_length}")
+        if not 0 < box_length < math.inf:
+            raise UsageError(f"box_length must be positive and finite, got {box_length}")
         self.n = int(n)
         self.box_length = float(box_length)
         self.dx = self.box_length / self.n
