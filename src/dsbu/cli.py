@@ -12,26 +12,16 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .concentration import (
-    LambdaSchedule,
-    PARABOLIC_MINUS_EPS,
-    disk_concentration_trace,
-    square_concentration_trace,
-)
+from .concentration import disk_concentration_trace, square_concentration_trace
 from .config import RunConfig, config_summary, parse_config
 from .errors import DomainError, DsbuError, GridMismatchError, UsageError
-from .evolution import (
-    ConservationRecord,
-    EvolveConfig,
-    SimulationState,
-    estimate_t_star,
-    run,
-)
+from .evolution import ConservationRecord, SimulationState, estimate_t_star, run
 from .exact import eval_pc_blowup, eval_standing_wave, pde_residual
-from .ground_state import GroundStateConfig, solve_ground_state
+from .ground_state import solve_ground_state
 from .snapshot_io import SnapshotMeta, read_snapshot, write_snapshot
 from .spectral import (
     PHYSICAL,
@@ -53,7 +43,9 @@ commands:
   verify [config]         run the exact-solution oracle battery
 """
 
+#: records.csv header: one column per ConservationRecord field, in field order.
 RECORD_COLUMNS = "t,mass,energy,grad_sq,second_moment,moment_valid,sup_abs,l4_accum,dt"
+_RECORD_FIELDS = [f.name for f in fields(ConservationRecord)]
 ANALYSIS_COLUMNS = "t,lambda,best_mass,yx,yy,rho,rescaled_energy,rescaled_quartic"
 
 
@@ -77,24 +69,9 @@ def _output_dir(cfg: RunConfig) -> str:
 
 
 def _records_csv(records: list[ConservationRecord]) -> str:
-    lines = [RECORD_COLUMNS]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.t),
-                    _fmt(r.mass),
-                    _fmt(r.energy),
-                    _fmt(r.gradient_norm_sq),
-                    _fmt(r.second_moment),
-                    "1" if r.moment_valid else "0",
-                    _fmt(r.sup_abs_u),
-                    _fmt(r.l4_accum),
-                    _fmt(r.dt_used),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    # moment_valid, a bool, formats as 1 or 0
+    rows = [",".join(_fmt(getattr(r, name)) for name in _RECORD_FIELDS) for r in records]
+    return "\n".join([RECORD_COLUMNS, *rows]) + "\n"
 
 
 def _read_records_csv(path: str) -> list[ConservationRecord]:
@@ -103,21 +80,16 @@ def _read_records_csv(path: str) -> list[ConservationRecord]:
     if not lines or lines[0] != RECORD_COLUMNS:
         raise DomainError(f"{path}: unrecognized records schema")
     records = []
-    for line in lines[1:]:
-        t, m, e, g, sm, valid, sup, l4, dt = line.split(",")
-        records.append(
-            ConservationRecord(
-                t=float(t),
-                mass=float(m),
-                energy=float(e),
-                gradient_norm_sq=float(g),
-                second_moment=float(sm),
-                moment_valid=valid == "1",
-                sup_abs_u=float(sup),
-                l4_accum=float(l4),
-                dt_used=float(dt),
-            )
-        )
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        try:
+            if len(cells) != len(_RECORD_FIELDS):
+                raise ValueError(f"{len(cells)} columns, expected {len(_RECORD_FIELDS)}")
+            row = dict(zip(_RECORD_FIELDS, map(float, cells)))
+        except ValueError as exc:
+            raise DomainError(f"{path}: line {lineno}: malformed record: {exc}") from None
+        row["moment_valid"] = row["moment_valid"] == 1.0
+        records.append(ConservationRecord(**row))
     return records
 
 
@@ -131,7 +103,7 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _initial_condition(cfg: RunConfig) -> tuple[Field, OperatorParams]:
-    params = OperatorParams(cfg.nu, cfg.gamma)
+    params = cfg.operator_params()
     if cfg.ic == "snapshot":
         field, meta = read_snapshot(cfg.snapshot_path)
         # run_config.txt records the config's couplings; the run must use them
@@ -159,13 +131,7 @@ def _initial_condition(cfg: RunConfig) -> tuple[Field, OperatorParams]:
 def _cmd_ground_state(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     grid = Grid2D(cfg.n, cfg.box_length)
-    params = OperatorParams(cfg.nu, cfg.gamma)
-    gs = solve_ground_state(
-        grid,
-        params,
-        GroundStateConfig(tol=cfg.tol, max_iter=cfg.max_iter,
-                          init_amplitude=cfg.init_amplitude),
-    )
+    gs = solve_ground_state(grid, cfg.operator_params(), cfg.ground_state_config())
     snap_path = os.path.join(out, "ground_state.dsbu")
     write_snapshot(snap_path, gs.profile, SnapshotMeta(0.0, cfg.nu, cfg.gamma))
     report = "\n".join(
@@ -194,18 +160,7 @@ def _cmd_evolve(cfg: RunConfig) -> int:
         )
     out = _output_dir(cfg)
     state = SimulationState.initial(u0, params)
-    result = run(
-        state,
-        EvolveConfig(
-            t_end=cfg.t_end,
-            dt0=cfg.dt0,
-            adaptive=cfg.adaptive,
-            c_adapt=cfg.c_adapt,
-            guard=cfg.guard,
-            sample_interval=cfg.sample_interval,
-            keep_snapshots=True,
-        ),
-    )
+    result = run(state, cfg.evolve_config())
     _atomic_write_text(os.path.join(out, "records.csv"), _records_csv(result.records))
     for index, (t, field) in enumerate(result.snapshots):
         write_snapshot(
@@ -257,9 +212,8 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         t_star = estimate_t_star(_read_records_csv(records_path)).t_star_estimate
 
     if cfg.trace == "disk":
-        schedule = LambdaSchedule(PARABOLIC_MINUS_EPS, cfg.epsilon, t_star)
         records, summary = disk_concentration_trace(
-            snapshots, schedule, cfg.c_opt, params
+            snapshots, cfg.lambda_schedule(t_star), cfg.c_opt, params
         )
         summary_lines = [
             "trace = disk",

@@ -34,8 +34,8 @@ from .spectral import (
     Field,
     Grid2D,
     OperatorParams,
-    energy,
     gradient_norm_sq,
+    hamiltonian,
     quartic_term,
 )
 
@@ -141,7 +141,7 @@ class LambdaSchedule:
         if self.kind not in (PARABOLIC_MINUS_EPS, CONIC):
             raise DomainError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 < self.epsilon < 0.5:
-            raise DomainError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
+            raise DomainError(f"epsilon must lie in (0, 1/2), got {self.epsilon}", key="epsilon")
 
     def __call__(self, t: float) -> float:
         gap = self.t_star - t
@@ -245,7 +245,8 @@ def disk_concentration_trace(
             wm = windowed_mass_sup(u, window)
             if rescaled is None:
                 v, rho = rescaled_snapshot(u)
-                rescaled = (rho, quartic_term(v, params), energy(v, params))
+                quartic = quartic_term(v, params)
+                rescaled = (rho, quartic, hamiltonian(gradient_norm_sq(v), quartic))
             rho, quartic, en = rescaled
             rows[tag].append(ConcentrationRecord(
                 t=t, window=window, best_mass=wm.best_mass, best_center=wm.best_center,

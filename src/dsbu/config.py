@@ -5,6 +5,18 @@ validated against the chosen mode, unknown or duplicate keys and non-finite
 floats are rejected with their line number, and grid-derived defaults (dt0,
 guard, sampling interval) are resolved at parse time so the returned
 RunConfig is complete.
+
+Each value rule lives in the object that uses the value: ``Grid2D`` (n,
+box_length), ``OperatorParams`` (nu, gamma), ``GroundStateConfig`` (tol,
+max_iter), ``EvolveConfig`` (dt0, c_adapt, sample_interval, guard) and
+``LambdaSchedule`` (epsilon). The parser builds these objects through the
+same ``RunConfig`` methods the CLI runs with, and reports an object's error on
+the line of the key it names. It states only the rules no object owns (mode,
+required keys, ic and trace kinds, paths, the Gaussian's amplitude, width and
+aspect, t_end > 0, eta, c_opt) and two whose owners run only after input
+files are read and fail with exit 1: pc_start_time (``eval_pc_blowup``) and
+c_side (``square_concentration_trace``). A key's type is its RunConfig
+annotation.
 """
 
 from __future__ import annotations
@@ -12,8 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
-from .evolution import grid_defaults
+from .concentration import PARABOLIC_MINUS_EPS, LambdaSchedule
+from .errors import ConfigError, DsbuError
+from .evolution import EvolveConfig, grid_defaults
+from .ground_state import GroundStateConfig
+from .spectral import Grid2D, OperatorParams
 
 MODES = ("ground-state", "evolve", "analyze", "verify")
 IC_KINDS = ("gaussian", "snapshot", "standing_wave", "pc_blowup")
@@ -58,45 +73,42 @@ class RunConfig:
     t_star: float | None = None
     c_opt: float | None = None
 
+    def operator_params(self) -> OperatorParams:
+        return OperatorParams(self.nu, self.gamma)
+
+    def ground_state_config(self) -> GroundStateConfig:
+        return GroundStateConfig(self.tol, self.max_iter, self.init_amplitude)
+
+    def evolve_config(self) -> EvolveConfig:
+        """Run controls; the CLI keeps a snapshot at every record."""
+        return EvolveConfig(
+            t_end=self.t_end,
+            dt0=self.dt0,
+            adaptive=self.adaptive,
+            c_adapt=self.c_adapt,
+            guard=self.guard,
+            sample_interval=self.sample_interval,
+            keep_snapshots=True,
+        )
+
+    def lambda_schedule(self, t_star: float) -> LambdaSchedule:
+        return LambdaSchedule(PARABOLIC_MINUS_EPS, self.epsilon, t_star)
+
 
 _BOOL = {"true": True, "false": False}
+_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
 
-# key -> (type tag, applicable modes); 'all' keys are valid everywhere.
-_KEYS = {
-    "mode": ("str", "all"),
-    "n": ("int", "all"),
-    "box_length": ("float", "all"),
-    "nu": ("int", "all"),
-    "gamma": ("float", "all"),
-    "output_dir": ("str", "all"),
-    "tol": ("float", ("ground-state",)),
-    "max_iter": ("int", ("ground-state",)),
-    "init_amplitude": ("float", ("ground-state",)),
-    "t_end": ("float", ("evolve",)),
-    "ic": ("str", ("evolve",)),
-    "amplitude": ("float", ("evolve",)),
-    "width": ("float", ("evolve",)),
-    "aspect": ("float", ("evolve",)),
-    "snapshot_path": ("str", ("evolve",)),
-    "profile_path": ("str", ("evolve",)),
-    "pc_start_time": ("float", ("evolve",)),
-    "dt0": ("float", ("evolve",)),
-    "adaptive": ("bool", ("evolve",)),
-    "c_adapt": ("float", ("evolve",)),
-    "sample_interval": ("float", ("evolve",)),
-    "guard": ("float", ("evolve",)),
-    "snapshot_dir": ("str", ("analyze",)),
-    "trace": ("str", ("analyze",)),
-    "epsilon": ("float", ("analyze",)),
-    "c_side": ("float", ("analyze",)),
-    "eta": ("float", ("analyze",)),
-    "t_star": ("float", ("analyze",)),
-    "c_opt": ("float", ("analyze",)),
+# The keys of one mode; every other RunConfig field is a key of all modes.
+_MODE_KEYS = {
+    "ground-state": ("tol", "max_iter", "init_amplitude"),
+    "evolve": ("t_end", "ic", "amplitude", "width", "aspect", "snapshot_path", "profile_path",
+               "pc_start_time", "dt0", "adaptive", "c_adapt", "sample_interval", "guard"),
+    "analyze": ("snapshot_dir", "trace", "epsilon", "c_side", "eta", "t_star", "c_opt"),
 }
 
 
 def _convert(key: str, raw: str, line: int):
-    kind = _KEYS[key][0]
+    kind = _TYPES[key]
     try:
         if kind == "int":
             return int(raw)
@@ -115,23 +127,23 @@ def _convert(key: str, raw: str, line: int):
 
 
 def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
-    def fail(key: str, message: str):
+    """Raise ConfigError for the first rule the config breaks, in a fixed order."""
+
+    def fail(key: str | None, message: str):
         raise ConfigError(lines.get(key, 0), message)
+
+    def build(owner, *args):
+        try:
+            owner(*args)
+        except DsbuError as exc:
+            fail(exc.key, str(exc))
 
     if cfg.mode not in MODES:
         fail("mode", f"mode must be one of {', '.join(MODES)}, got {cfg.mode!r}")
-    if cfg.n < 8 or cfg.n % 2 != 0:
-        fail("n", f"n must be even and >= 8, got {cfg.n}")
-    if not cfg.box_length > 0:
-        fail("box_length", "box_length must be positive")
-    if cfg.nu not in (-1, 1):
-        fail("nu", "nu must be ±1")
-    if not cfg.gamma > 0:
-        fail("gamma", "gamma must be positive")
-    if not cfg.tol > 0:
-        fail("tol", "tol must be positive")
-    if cfg.max_iter < 1:
-        fail("max_iter", "max_iter must be at least 1")
+    build(Grid2D.check, cfg.n, cfg.box_length)
+    build(cfg.operator_params)
+    if cfg.mode == "ground-state":
+        build(cfg.ground_state_config)
 
     if cfg.mode == "evolve":
         if cfg.t_end is None:
@@ -146,32 +158,20 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
             fail("ic", f"ic = {cfg.ic} requires profile_path")
         if cfg.ic == "pc_blowup" and not (-1.0 <= cfg.pc_start_time < 0.0):
             fail("pc_start_time", "pc_start_time must lie in [-1, 0)")
-        if not cfg.amplitude > 0:
-            fail("amplitude", "amplitude must be positive")
-        if not cfg.width > 0:
-            fail("width", "width must be positive")
-        if not cfg.aspect > 0:
-            fail("aspect", "aspect must be positive")
-        if cfg.dt0 is not None and not cfg.dt0 > 0:
-            fail("dt0", "dt0 must be positive")
-        if not cfg.c_adapt > 0:
-            fail("c_adapt", "c_adapt must be positive")
-        if cfg.sample_interval is not None and not cfg.sample_interval > 0:
-            fail("sample_interval", "sample_interval must be positive")
-        if cfg.guard is not None and not cfg.guard > 0:
-            fail("guard", "guard must be positive")
+        for key in ("amplitude", "width", "aspect"):
+            if not getattr(cfg, key) > 0:
+                fail(key, f"{key} must be positive")
+        build(cfg.evolve_config)
 
     if cfg.mode == "analyze":
         if cfg.snapshot_dir is None:
             fail("mode", "analyze mode requires snapshot_dir")
         if cfg.trace not in TRACE_KINDS:
             fail("trace", f"trace must be one of {', '.join(TRACE_KINDS)}")
-        if not 0.0 < cfg.epsilon < 0.5:
-            fail("epsilon", "epsilon must lie in (0, 1/2)")
-        if not cfg.c_side > 0:
-            fail("c_side", "c_side must be positive")
-        if not cfg.eta > 0:
-            fail("eta", "eta must be positive")
+        build(cfg.lambda_schedule, 0.0)  # the rule is on epsilon; t_star may come later
+        for key in ("c_side", "eta"):
+            if not getattr(cfg, key) > 0:
+                fail(key, f"{key} must be positive")
         if cfg.trace == "disk" and cfg.c_opt is None:
             fail("trace", "trace = disk requires c_opt (from a ground-state report)")
         if cfg.c_opt is not None and not cfg.c_opt > 0:
@@ -194,7 +194,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _KEYS:
+        if key not in _TYPES:
             raise ConfigError(lineno, f"unknown key {key!r}")
         if key in values:
             raise ConfigError(lineno, f"duplicate key {key!r}")
@@ -207,8 +207,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(0, "missing required key 'mode'")
     mode = values["mode"]
     for key, lineno in lines_seen.items():
-        allowed = _KEYS[key][1]
-        if allowed != "all" and mode not in allowed:
+        if any(key in keys for other, keys in _MODE_KEYS.items() if other != mode):
             raise ConfigError(lineno, f"key {key!r} does not apply to mode {mode!r}")
 
     cfg = RunConfig(**values)  # type: ignore[arg-type]

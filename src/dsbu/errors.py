@@ -6,7 +6,15 @@ code 1); UsageError marks malformed invocations and configs (exit code 2).
 
 
 class DsbuError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``key`` names the input value at fault, when one is, so that the config
+    parser can report the line that set it.
+    """
+
+    def __init__(self, message: str = "", key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DomainError(DsbuError):

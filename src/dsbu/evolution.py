@@ -57,6 +57,7 @@ from .spectral import (
     density,
     energy,
     gradient_norm_sq,
+    hamiltonian,
     interaction_potential,
     l4_norm_4,
     quartic_from_density,
@@ -167,7 +168,8 @@ class EvolveConfig:
     ``snapshot_mode='grad_ladder'``, whenever gradient_norm_sq has grown by
     another factor ``snapshot_grad_ratio`` -- the natural cadence for
     blow-up runs, where everything happens in the last few per cent of the
-    lifespan.
+    lifespan. Values on which ``run`` would hang or misread the snapshot
+    cadence raise UsageError at construction.
     """
 
     t_end: float
@@ -179,6 +181,24 @@ class EvolveConfig:
     keep_snapshots: bool = False
     snapshot_mode: str = "interval"  # or "grad_ladder"
     snapshot_grad_ratio: float = math.sqrt(2.0)
+
+    def __post_init__(self):
+        if not math.isfinite(self.t_end):
+            raise UsageError(f"t_end must be finite, got {self.t_end}", key="t_end")
+        for name in ("dt0", "c_adapt", "sample_interval", "guard"):
+            value = getattr(self, name)
+            if (value is not None or name == "c_adapt") and not value > 0:
+                raise UsageError(f"{name} must be positive, got {value}", key=name)
+        if self.snapshot_mode not in ("interval", "grad_ladder"):
+            raise UsageError(
+                f"snapshot_mode must be interval or grad_ladder, got {self.snapshot_mode!r}",
+                key="snapshot_mode",
+            )
+        if not self.snapshot_grad_ratio > 1:
+            raise UsageError(
+                f"snapshot_grad_ratio must exceed 1, got {self.snapshot_grad_ratio}",
+                key="snapshot_grad_ratio",
+            )
 
 
 @dataclass
@@ -239,7 +259,7 @@ def _record(
     return ConservationRecord(
         t=state.t,
         mass=float(g.dx**2 * bnd.rho.sum()),
-        energy=0.5 * grad - 0.25 * quartic,  # spectral.energy from its two terms
+        energy=hamiltonian(grad, quartic),
         gradient_norm_sq=grad,
         second_moment=sm.value,
         moment_valid=sm.boundary_ok,

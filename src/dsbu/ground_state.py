@@ -52,8 +52,10 @@ class GroundStateConfig:
     init_amplitude: float = 2.0
 
     def __post_init__(self):
+        if not self.tol > 0:
+            raise UsageError(f"tol must be positive, got {self.tol}", key="tol")
         if self.max_iter < 1:
-            raise UsageError(f"max_iter must be at least 1, got {self.max_iter}")
+            raise UsageError(f"max_iter must be at least 1, got {self.max_iter}", key="max_iter")
 
 
 @dataclass

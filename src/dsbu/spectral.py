@@ -52,10 +52,7 @@ class Grid2D:
     """
 
     def __init__(self, n: int, box_length: float):
-        if n < 8 or n % 2 != 0:
-            raise UsageError(f"grid size must be even and >= 8, got n={n}")
-        if not 0 < box_length < math.inf:
-            raise UsageError(f"box_length must be positive and finite, got {box_length}")
+        self.check(n, box_length)
         self.n = int(n)
         self.box_length = float(box_length)
         self.dx = self.box_length / self.n
@@ -72,6 +69,16 @@ class Grid2D:
         # Grids are shared (snapshot reads on one grid get one object).
         for a in (self.x, self.k, self.ksq, self.b_symbol):
             a.flags.writeable = False
+
+    @staticmethod
+    def check(n: int, box_length: float) -> None:
+        """The grid rule, n even and >= 8 and box_length finite and > 0; builds no array."""
+        if n < 8 or n % 2 != 0:
+            raise UsageError(f"grid size must be even and >= 8, got n={n}", key="n")
+        if not 0 < box_length < math.inf:
+            raise UsageError(
+                f"box_length must be positive and finite, got {box_length}", key="box_length"
+            )
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid (X1, X2) of physical coordinates, 'ij' indexing."""
@@ -135,9 +142,9 @@ class OperatorParams:
 
     def __post_init__(self):
         if self.nu not in (-1, 1):
-            raise UsageError(f"nu must be +1 or -1, got {self.nu}")
-        if not self.gamma > 0:
-            raise UsageError(f"gamma must be positive, got {self.gamma}")
+            raise UsageError(f"nu must be ±1, got {self.nu}", key="nu")
+        if not 0 < self.gamma < math.inf:
+            raise UsageError(f"gamma must be positive and finite, got {self.gamma}", key="gamma")
 
 
 def _check_real(values: np.ndarray, what: str) -> None:
@@ -268,9 +275,14 @@ def quartic_term(u: Field, p: OperatorParams) -> float:
     return quartic_from_density(density(u.to_physical().values), u.grid, p)
 
 
+def hamiltonian(grad_sq: float, quartic: float) -> float:
+    """Energy from its terms: (1/2) ``gradient_norm_sq`` - (1/4) ``quartic_term``."""
+    return 0.5 * grad_sq - 0.25 * quartic
+
+
 def energy(u: Field, p: OperatorParams) -> float:
     """Hamiltonian: (1/2) integral |grad u|^2 - (1/4) integral L(|u|^2)|u|^2."""
-    return 0.5 * gradient_norm_sq(u) - 0.25 * quartic_term(u, p)
+    return hamiltonian(gradient_norm_sq(u), quartic_term(u, p))
 
 
 class SecondMoment(NamedTuple):

@@ -1,5 +1,6 @@
 """Config parsing, snapshot format, and CLI surface tests."""
 
+import re
 import struct
 import subprocess
 import sys
@@ -8,10 +9,11 @@ import zlib
 import numpy as np
 import pytest
 
-from dsbu import Field, Grid2D
+from dsbu import Field, Grid2D, cli
 from dsbu.cli import main
 from dsbu.config import parse_config
 from dsbu.errors import ConfigError, SnapshotFormatError
+from dsbu.evolution import ConservationRecord
 from dsbu.snapshot_io import _HEADER, MAGIC, VERSION, SnapshotMeta, read_snapshot, write_snapshot
 
 
@@ -64,6 +66,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("mode = evolve\nt_end = soon\n")
 
+    def test_parsing_builds_no_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("parse_config built a grid")
+
+        monkeypatch.setattr(Grid2D, "__init__", no_grid)
+        assert parse_config("mode = evolve\nn = 8192\nt_end = 1\n").n == 8192
+
     @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("key", ["c_opt", "tol", "gamma", "box_length"])
     def test_non_finite_floats_rejected(self, key, raw, tmp_path, capsys):
@@ -81,6 +90,55 @@ class TestParseConfig:
         assert main([command, str(cfg)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+HEADS = {
+    "ground-state": "mode = ground-state\n",
+    "evolve": "mode = evolve\nt_end = 0.1\n",
+    "analyze": "mode = analyze\nsnapshot_dir = snaps\ntrace = square\n",
+    "verify": "mode = verify\n",
+}
+
+# (command, config text, line of the rejection, key the message names); the
+# offending line is the last one unless a line is given.
+REJECTIONS = [
+    *[(mode, f"{head}{key} = {bad}\n", None, key)
+      for mode, head in HEADS.items()
+      for key, bad in (("n", 6), ("box_length", 0), ("nu", 0), ("gamma", -1))],
+    ("evolve", "mode = bogus\n", None, "mode"),
+    ("ground-state", HEADS["ground-state"] + "tol = 0\n", None, "tol"),
+    ("ground-state", HEADS["ground-state"] + "max_iter = 0\n", None, "max_iter"),
+    ("evolve", "mode = evolve\nn = 64\n", 1, "t_end"),
+    ("evolve", "mode = evolve\nt_end = 0\n", None, "t_end"),
+    ("evolve", HEADS["evolve"] + "ic = bogus\n", None, "ic"),
+    ("evolve", HEADS["evolve"] + "ic = snapshot\n", None, "snapshot_path"),
+    ("evolve", HEADS["evolve"] + "ic = standing_wave\n", None, "profile_path"),
+    ("evolve", HEADS["evolve"] + "ic = pc_blowup\nprofile_path = p\npc_start_time = 0.5\n",
+     None, "pc_start_time"),
+    *[("evolve", f"{HEADS['evolve']}{key} = {bad}\n", None, key)
+      for key, bad in (("amplitude", 0), ("width", -1), ("aspect", 0), ("dt0", -1e-3),
+                       ("c_adapt", 0), ("sample_interval", 0), ("guard", -1))],
+    ("analyze", "mode = analyze\ntrace = square\n", 1, "snapshot_dir"),
+    ("analyze", "mode = analyze\nsnapshot_dir = snaps\ntrace = disk\n", None, "c_opt"),
+    *[("analyze", f"{HEADS['analyze']}{key} = {bad}\n", None, key)
+      for key, bad in (("trace", "cone"), ("epsilon", 0.5), ("c_side", 0), ("eta", 0),
+                       ("c_opt", -1))],
+]
+
+
+@pytest.mark.parametrize("command,text,line,key", REJECTIONS)
+def test_each_rule_rejects_on_its_line(command, text, line, key, tmp_path, capsys):
+    line = line or text.count("\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+    assert re.search(rf"\b{key}\b", str(exc.value))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + f"output_dir = {tmp_path / 'out'}\n")
+    assert main([command, str(cfg)]) == 2
+    assert f"line {line}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def snapshot_blob(n=8, nu=1, box_length=4.0, t=0.5, gamma=1.0):
@@ -282,6 +340,31 @@ class TestCli:
                        f"t_star = 1.0\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["analyze", str(cfg)]) == 1
         assert "bad header: grid size must be even and >= 8, got n=4" in capsys.readouterr().err
+
+    def test_records_csv_round_trip(self, tmp_path):
+        records = [ConservationRecord(0.0, 1.0, -0.25, 3.0, 2.0, True, 1.5, 0.0, 0.0),
+                   ConservationRecord(0.1, 1.0, 1 / 3, 3.5, 2.5, False, 1.25, 0.1, 1e-3)]
+        path = tmp_path / "records.csv"
+        path.write_text(cli._records_csv(records))
+        assert path.read_text().splitlines()[2] == (
+            "0.10000000000000001,1,0.33333333333333331,3.5,2.5,0,1.25,0.10000000000000001,0.001")
+        assert cli._read_records_csv(str(path)) == records
+
+    @pytest.mark.parametrize("row,fault", [
+        ("0,1,2,3", "4 columns, expected 9"),
+        ("0.1,1,2,3,4,1,six,7,8", "could not convert"),
+    ])
+    def test_analyze_malformed_records_exits_1(self, row, fault, tmp_path, capsys):
+        write_snapshot(str(tmp_path / "snap_000000.dsbu"),
+                       Field(Grid2D(16, 4.0), np.ones((16, 16))), SnapshotMeta(0.0, 1, 1.0))
+        records = tmp_path / "records.csv"
+        records.write_text(f"{cli.RECORD_COLUMNS}\n0,1,2,3,4,1,6,7,8\n{row}\n")
+        cfg = tmp_path / "an.cfg"
+        cfg.write_text(f"mode = analyze\nsnapshot_dir = {tmp_path}\ntrace = square\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["analyze", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{records}: line 3: malformed record: " in err and fault in err
 
     def test_snapshot_ic_on_config_grid_uses_its_dt(self, tmp_path):
         g = Grid2D(64, 16.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsbu import Field, Grid2D, OperatorParams, energy, gradient_norm_sq, l4_norm_4, mass
@@ -246,12 +246,41 @@ class TestRun:
         assert times == sorted(times)
 
 
+class TestEvolveConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("t_end", np.inf), ("t_end", np.nan), ("dt0", -1e-3), ("dt0", np.nan),
+        ("c_adapt", 0.0), ("guard", 0.0), ("sample_interval", np.nan),
+        ("snapshot_mode", "ladder"), ("snapshot_grad_ratio", 1.0),
+    ])
+    def test_rejected_at_construction(self, key, value):
+        # run would hang on these (or, for "ladder", keep no cadence); it is never called
+        with pytest.raises(UsageError, match=key) as exc:
+            EvolveConfig(**{"t_end": 0.1, "adaptive": True, key: value})
+        assert exc.value.key == key
+
+
 RECORD_COLUMNS = ("t", "mass", "energy", "gradient_norm_sq", "second_moment",
                   "sup_abs_u", "l4_accum", "dt_used")
 
 
+def energy_terms(rec):
+    """(1/2) grad_sq + (1/4)|Q|: the size of the two terms whose difference is E."""
+    half_grad = 0.5 * rec.gradient_norm_sq
+    return half_grad + abs(half_grad - rec.energy)
+
+
 def assert_same_run(got, ref, t_end, rel=1e-12):
     """``run`` against ``reference_run``: same path, records equal to roundoff.
+
+    Every column is held to ``rel`` of its own size except the energy, which
+    is held to ``rel`` of ``energy_terms``. E = (1/2) grad_sq - (1/4) Q is
+    computed from two terms that each step order rounds on its own, so the
+    gap between the two orders grows linearly in the step count: by 9.8e-17
+    of the terms per step for amplitude 1.6875, width 0.96875 (9.8e-15 after
+    its 100 steps), and by at most 2.9e-16 per step, 2.7e-14 in all, over a
+    25 x 25 scan of the fixed-dt draw ranges. Near the ground-state mass the
+    terms cancel and E tends to 0, so no bound relative to |E| holds (that
+    draw reaches 9.4e-12 of |E|); rel of the terms allows some 3000 steps.
 
     dt_used of a final step clipped to t_end is t_end - t, so besides the
     relative bound it may carry the absolute error that the bound allows on
@@ -264,8 +293,11 @@ def assert_same_run(got, ref, t_end, rel=1e-12):
         assert a.moment_valid == b.moment_valid
         for name in RECORD_COLUMNS:
             x, y = getattr(a, name), getattr(b, name)
+            scale = max(abs(x), abs(y))
+            if name == "energy":
+                scale = max(energy_terms(a), energy_terms(b))
             slack = rel * t_end if name == "dt_used" else 0.0
-            assert abs(x - y) <= rel * max(abs(x), abs(y)) + slack, (name, a.t, x, y)
+            assert abs(x - y) <= rel * scale + slack, (name, a.t, x, y)
     assert len(got.snapshots) == len(ref.snapshots)
     for (ta, fa), (tb, fb) in zip(got.snapshots, ref.snapshots):
         assert abs(ta - tb) <= rel * max(abs(ta), abs(tb))
@@ -282,6 +314,7 @@ class TestSpectralStateLoop:
 
     @settings(max_examples=8, deadline=None)
     @given(st.floats(0.3, 1.8), st.floats(0.7, 1.5))
+    @example(1.6875, 0.96875)  # E ~ 0: the terms cancel to 1e-3 of their size
     def test_fixed_dt_matches_reference(self, amplitude, width):
         s = drawn_gaussian(amplitude, width)
         cfg = EvolveConfig(t_end=0.1, dt0=1e-3, sample_interval=0.01, guard=50.0)

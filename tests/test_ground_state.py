@@ -107,6 +107,11 @@ class TestSolver:
             solve_ground_state(Grid2D(64, 20.0), OperatorParams(1, 1.0), cfg)
         assert len(excinfo.value.residual_history) == 5
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(UsageError, match="tol must be positive"):
+            GroundStateConfig(tol=tol)
+
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(UsageError, match="max_iter"):

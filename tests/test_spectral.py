@@ -81,6 +81,11 @@ class TestField:
         with pytest.raises(UsageError):
             OperatorParams(1, 0.0)
 
+    def test_params_reject_infinite_gamma(self):
+        with pytest.raises(UsageError, match="gamma must be positive and finite") as exc:
+            OperatorParams(1, np.inf)
+        assert exc.value.key == "gamma"
+
 
 class TestApplyB:
     def test_pure_x1_mode_is_fixed(self):
