@@ -267,12 +267,10 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig | None) -> int:
-    n = cfg.n if cfg else 256
-    box = cfg.box_length if cfg else 20.0
-    gamma = cfg.gamma if cfg else 1.0
+def _cmd_verify(cfg: RunConfig) -> int:
+    n, box, gamma = cfg.n, cfg.box_length, cfg.gamma
     grid = Grid2D(n, box)
-    params = OperatorParams(1, gamma)
+    params = cfg.operator_params()
     checks: list[tuple[str, float, float]] = []  # (name, value, bound)
 
     x1, x2 = grid.coords()
@@ -347,8 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     command, *rest = argv
     try:
         if command == "verify":
-            cfg = _load_config(rest[0]) if rest else None
-            if cfg is not None and cfg.mode != "verify":
+            cfg = _load_config(rest[0]) if rest else RunConfig("verify")
+            if cfg.mode != "verify":
                 raise UsageError(f"config mode is {cfg.mode!r}, expected 'verify'")
             return _cmd_verify(cfg)
         if command in ("ground-state", "evolve", "analyze"):

@@ -3,9 +3,9 @@
 ``windowed_mass_sup`` maximizes, over all grid centers y, the mass captured
 by a disk or square window around y. The map y -> captured mass is the
 periodic convolution of |u|^2 with the window indicator, evaluated for all
-centers at once through the convolution theorem; a cell belongs to the
-window iff its center does, which keeps the FFT path identical to the
-brute-force definition.
+centers at once through the convolution theorem with real transforms (both
+factors are real); a cell belongs to the window iff its center does, which
+keeps the FFT path identical to the brute-force definition.
 
 ``rescaled_snapshot`` produces v(x) = rho * u(rho x) with
 rho = 1/||grad u||_2 on a grid scaled by rho, so that mass(v) = mass(u) and
@@ -18,7 +18,11 @@ disk windows follow a shrinking schedule lambda(t) toward the blow-up time
 (mass captured must approach at least 2/c_opt), square windows have
 sidelength C*sqrt(t_star - t) and track the captured L2 norm. The disk
 trace walks the snapshots once for its schedule and the two t_star-shifted
-sensitivity schedules, rescaling each snapshot at most once.
+sensitivity schedules. It builds no rescaled field: B's symbol is
+homogeneous of degree 0, so the scaling identities ||grad v||^2 = 1 and
+quartic(v) = rho^2 quartic(u) give E(v) = 1/2 - quartic(v)/4 from u alone.
+Each kept snapshot's |u|^2 is transformed once, and that half spectrum is
+shared by quartic(u) and every window of the three schedules.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from .spectral import (
     Field,
     Grid2D,
     OperatorParams,
+    density,
     gradient_norm_sq,
     hamiltonian,
-    quartic_term,
+    quartic_from_density,
 )
 
 DISK = "disk"
@@ -81,27 +86,37 @@ def _window_kernel(grid: Grid2D, w: WindowSpec) -> np.ndarray:
     return ((np.abs(d1) <= half) & (np.abs(d2) <= half)).astype(float)
 
 
-def windowed_mass_sup(u: Field, w: WindowSpec) -> WindowedMass:
+def windowed_mass_sup(u: Field, w: WindowSpec, w_half: np.ndarray | None = None) -> WindowedMass:
     """Maximize the window-captured mass over all grid centers.
 
     Ties break toward the lexicographically smallest index. A window at
     least as large as the box captures everything; the result is then the
-    total mass with ``clamped`` set.
+    total mass with ``clamped`` set. ``w_half`` is ``rfft2(density(u))``
+    when the caller already has it (the disk trace shares one per snapshot
+    across its windows); the result is bitwise the same either way.
     """
     grid = u.grid
     if not w.size > grid.dx:
-        raise DomainError(
-            f"window size {w.size} must exceed one cell (dx={grid.dx})"
-        )
+        raise DomainError(f"window size {w.size} must exceed one cell (dx={grid.dx})")
     kernel = _window_kernel(grid, w)
-    density = np.abs(u.to_physical().values) ** 2
-    captured = np.fft.ifft2(np.fft.fft2(density) * np.fft.fft2(kernel)).real * grid.dx**2
+    if w_half is None:
+        w_half = np.fft.rfft2(density(u.to_physical().values))
+    captured = np.fft.irfft2(w_half * np.fft.rfft2(kernel), s=kernel.shape)
+    captured *= grid.dx**2
     idx = np.unravel_index(np.argmax(captured), captured.shape)
     return WindowedMass(
         best_mass=float(captured[idx]),
         best_center=(float(grid.x[idx[0]]), float(grid.x[idx[1]])),
         clamped=bool(kernel.all()),
     )
+
+
+def _unit_gradient_scale(u: Field) -> float:
+    """rho = 1/||grad u||, the scale of the unit-gradient rescaling."""
+    grad = gradient_norm_sq(u)
+    if grad <= 0.0:
+        raise DomainError("rescaled snapshot undefined for gradient-free fields")
+    return grad**-0.5
 
 
 def rescaled_snapshot(u: Field) -> tuple[Field, float]:
@@ -111,10 +126,7 @@ def rescaled_snapshot(u: Field) -> tuple[Field, float]:
     where the sample points coincide with the originals, so mass(v) = mass(u)
     and gradient_norm_sq(v) = 1 hold to roundoff.
     """
-    grad = gradient_norm_sq(u)
-    if grad <= 0.0:
-        raise DomainError("rescaled snapshot undefined for gradient-free fields")
-    rho = grad**-0.5
+    rho = _unit_gradient_scale(u)
     v_grid = Grid2D(u.grid.n, u.grid.box_length / rho)
     return Field(v_grid, rho * u.to_physical().values, PHYSICAL), rho
 
@@ -155,8 +167,9 @@ class LambdaSchedule:
 class ConcentrationRecord:
     """Windowed-mass measurement of one snapshot.
 
-    The rescaled diagnostics are filled by the disk trace (they need the
-    operator parameters); the square trace leaves them None.
+    The ``WindowedMass`` fields follow t and window. The rescaled diagnostics
+    are filled by the disk trace (they need the operator parameters); the
+    square trace leaves them None.
     """
 
     t: float
@@ -222,7 +235,8 @@ def disk_concentration_trace(
     mass ratios to the extrapolated t_star is reported from two schedules
     with t_star shifted by +-2% of the trace span, traced in the same pass.
     The rescaled diagnostics do not depend on the schedule: each snapshot's
-    are computed once, when the first schedule keeps it.
+    are computed once, when the first schedule keeps it, from the scaling
+    identities and the one transform of |u|^2 that its windows share.
     """
     if not snapshots:
         raise DomainError("no snapshots to trace")
@@ -234,23 +248,22 @@ def disk_concentration_trace(
     rows: dict[str, list[ConcentrationRecord]] = {tag: [] for tag in schedules}
     skipped: list[float] = []
     for t, u in snapshots:
-        rescaled = None
+        w_half = None
         for tag, sched in schedules.items():
             lam = sched(t)
             if lam <= u.grid.dx:
                 if tag == "main":
                     skipped.append(t)
                 continue
+            if w_half is None:
+                rho = _unit_gradient_scale(u)
+                w = density(u.to_physical().values)
+                w_half = np.fft.rfft2(w)
+                quartic = rho**2 * quartic_from_density(w, u.grid, params, w_half)
+                en = hamiltonian(1.0, quartic)
             window = WindowSpec(DISK, lam)
-            wm = windowed_mass_sup(u, window)
-            if rescaled is None:
-                v, rho = rescaled_snapshot(u)
-                quartic = quartic_term(v, params)
-                rescaled = (rho, quartic, hamiltonian(gradient_norm_sq(v), quartic))
-            rho, quartic, en = rescaled
-            rows[tag].append(ConcentrationRecord(
-                t=t, window=window, best_mass=wm.best_mass, best_center=wm.best_center,
-                clamped=wm.clamped, rho=rho, rescaled_quartic=quartic, rescaled_energy=en))
+            wm = windowed_mass_sup(u, window, w_half)
+            rows[tag].append(ConcentrationRecord(t, window, *wm, rho, quartic, en))
     records = rows.pop("main")
     if not records:
         raise DomainError("every snapshot was skipped by the schedule")
@@ -332,16 +345,8 @@ def square_concentration_trace(
         if side <= u.grid.dx:
             skipped.append(t)
             continue
-        wm = windowed_mass_sup(u, WindowSpec(SQUARE, side))
-        records.append(
-            ConcentrationRecord(
-                t=t,
-                window=WindowSpec(SQUARE, side),
-                best_mass=wm.best_mass,
-                best_center=wm.best_center,
-                clamped=wm.clamped,
-            )
-        )
+        window = WindowSpec(SQUARE, side)
+        records.append(ConcentrationRecord(t, window, *windowed_mass_sup(u, window)))
     if not records:
         raise DomainError("every snapshot was skipped (t_star too early or windows sub-cell)")
     gaps = np.array([t_star - r.t for r in records])

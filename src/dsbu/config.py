@@ -8,15 +8,15 @@ RunConfig is complete.
 
 Each value rule lives in the object that uses the value: ``Grid2D`` (n,
 box_length), ``OperatorParams`` (nu, gamma), ``GroundStateConfig`` (tol,
-max_iter), ``EvolveConfig`` (dt0, c_adapt, sample_interval, guard) and
-``LambdaSchedule`` (epsilon). The parser builds these objects through the
-same ``RunConfig`` methods the CLI runs with, and reports an object's error on
-the line of the key it names. It states only the rules no object owns (mode,
-required keys, ic and trace kinds, paths, the Gaussian's amplitude, width and
-aspect, t_end > 0, eta, c_opt) and two whose owners run only after input
-files are read and fail with exit 1: pc_start_time (``eval_pc_blowup``) and
-c_side (``square_concentration_trace``). A key's type is its RunConfig
-annotation.
+max_iter, init_amplitude), ``EvolveConfig`` (dt0, c_adapt, sample_interval,
+guard) and ``LambdaSchedule`` (epsilon). The parser builds these objects
+through the same ``RunConfig`` methods the CLI runs with, and reports an
+object's error on the line of the key it names. It states only the rules
+no object owns (mode, required keys, ic and trace kinds, paths, the
+Gaussian's amplitude, width and aspect, t_end > 0, eta, c_opt) and two whose
+owners run only after input files are read and fail with exit 1:
+pc_start_time (``eval_pc_blowup``) and c_side
+(``square_concentration_trace``). A key's type is its RunConfig annotation.
 """
 
 from __future__ import annotations

@@ -56,6 +56,9 @@ class GroundStateConfig:
             raise UsageError(f"tol must be positive, got {self.tol}", key="tol")
         if self.max_iter < 1:
             raise UsageError(f"max_iter must be at least 1, got {self.max_iter}", key="max_iter")
+        if not 0 < abs(self.init_amplitude) < np.inf:
+            msg = f"init_amplitude must be nonzero and finite, got {self.init_amplitude}"
+            raise UsageError(msg, key="init_amplitude")
 
 
 @dataclass

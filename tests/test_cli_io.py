@@ -108,6 +108,7 @@ REJECTIONS = [
     ("evolve", "mode = bogus\n", None, "mode"),
     ("ground-state", HEADS["ground-state"] + "tol = 0\n", None, "tol"),
     ("ground-state", HEADS["ground-state"] + "max_iter = 0\n", None, "max_iter"),
+    ("ground-state", HEADS["ground-state"] + "init_amplitude = 0\n", None, "init_amplitude"),
     ("evolve", "mode = evolve\nn = 64\n", 1, "t_end"),
     ("evolve", "mode = evolve\nt_end = 0\n", None, "t_end"),
     ("evolve", HEADS["evolve"] + "ic = bogus\n", None, "ic"),
@@ -268,6 +269,15 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mode = evolve\nt_end = 1\n")
         assert main(["ground-state", str(cfg)]) == 2
+
+    def test_verify_runs_with_the_config_nu(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("mode = verify\nn = 64\nnu = -1\n")
+        # the ground-state check rejects the defocusing sign before any PASS line
+        assert main(["verify", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "focusing sign" in captured.err
+        assert "PASS" not in captured.out
 
     def test_evolve_writes_records_and_snapshots(self, tmp_path):
         out = tmp_path / "run_out"

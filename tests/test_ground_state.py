@@ -112,6 +112,12 @@ class TestSolver:
         with pytest.raises(UsageError, match="tol must be positive"):
             GroundStateConfig(tol=tol)
 
+    @pytest.mark.parametrize("amplitude", [0.0, np.inf, -np.inf, np.nan])
+    def test_zero_or_non_finite_init_amplitude_rejected(self, amplitude):
+        with pytest.raises(UsageError, match="init_amplitude must be nonzero and finite"):
+            GroundStateConfig(init_amplitude=amplitude)
+        assert GroundStateConfig(init_amplitude=-2.0).init_amplitude == -2.0
+
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(UsageError, match="max_iter"):
