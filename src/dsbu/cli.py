@@ -343,27 +343,21 @@ def main(argv: list[str] | None = None) -> int:
         print(USAGE)
         return 0 if argv else 2
     command, *rest = argv
-    try:
-        if command == "verify":
-            cfg = _load_config(rest[0]) if rest else RunConfig("verify")
-            if cfg.mode != "verify":
-                raise UsageError(f"config mode is {cfg.mode!r}, expected 'verify'")
-            return _cmd_verify(cfg)
-        if command in ("ground-state", "evolve", "analyze"):
-            if len(rest) != 1:
-                raise UsageError(f"{command} takes exactly one config argument")
-            cfg = _load_config(rest[0])
-            expected = command
-            if cfg.mode != expected:
-                raise UsageError(f"config mode is {cfg.mode!r}, expected {expected!r}")
-            if command == "ground-state":
-                return _cmd_ground_state(cfg)
-            if command == "evolve":
-                return _cmd_evolve(cfg)
-            return _cmd_analyze(cfg)
+    commands = {"ground-state": _cmd_ground_state, "evolve": _cmd_evolve,
+                "analyze": _cmd_analyze, "verify": _cmd_verify}
+    if command not in commands:
         print(USAGE, file=sys.stderr)
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 2
+    try:
+        optional = command == "verify"  # the battery has a default grid
+        if len(rest) > 1 or not (rest or optional):
+            count = "at most" if optional else "exactly"
+            raise UsageError(f"{command} takes {count} one config argument")
+        cfg = _load_config(rest[0]) if rest else RunConfig("verify")
+        if cfg.mode != command:
+            raise UsageError(f"config mode is {cfg.mode!r}, expected {command!r}")
+        return commands[command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,9 +47,9 @@ class RunConfig:
     gamma: float = 1.0
     output_dir: str = "out"
     # ground-state mode
-    tol: float = 1e-10
-    max_iter: int = 2000
-    init_amplitude: float = 2.0
+    tol: float = GroundStateConfig.tol
+    max_iter: int = GroundStateConfig.max_iter
+    init_amplitude: float = GroundStateConfig.init_amplitude
     # evolve mode
     t_end: float | None = None
     ic: str = "gaussian"
@@ -60,8 +60,8 @@ class RunConfig:
     profile_path: str | None = None
     pc_start_time: float = -1.0
     dt0: float | None = None
-    adaptive: bool = False
-    c_adapt: float = 0.1
+    adaptive: bool = EvolveConfig.adaptive
+    c_adapt: float = EvolveConfig.c_adapt
     sample_interval: float | None = None
     guard: float | None = None
     # analyze mode

@@ -163,13 +163,12 @@ def strang_step(
 class EvolveConfig:
     """Controls for ``run``; None fields resolve to ``grid_defaults``.
 
-    With ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|). Snapshots
-    (deep field copies) are kept either at the sampling cadence or, with
-    ``snapshot_mode='grad_ladder'``, whenever gradient_norm_sq has grown by
-    another factor ``snapshot_grad_ratio`` -- the natural cadence for
-    blow-up runs, where everything happens in the last few per cent of the
-    lifespan. Values on which ``run`` would hang or misread the snapshot
-    cadence raise UsageError at construction.
+    With ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|). With
+    ``keep_snapshots`` a snapshot (deep field copy) is kept at every record,
+    or, when ``snapshot_grad_ratio`` is set, whenever gradient_norm_sq has
+    grown by another factor of it -- the natural cadence for blow-up runs,
+    where everything happens in the last few per cent of the lifespan.
+    Values on which ``run`` would hang raise UsageError at construction.
     """
 
     t_end: float
@@ -179,8 +178,7 @@ class EvolveConfig:
     guard: float | None = None
     sample_interval: float | None = None
     keep_snapshots: bool = False
-    snapshot_mode: str = "interval"  # or "grad_ladder"
-    snapshot_grad_ratio: float = math.sqrt(2.0)
+    snapshot_grad_ratio: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.t_end):
@@ -189,15 +187,10 @@ class EvolveConfig:
             value = getattr(self, name)
             if (value is not None or name == "c_adapt") and not value > 0:
                 raise UsageError(f"{name} must be positive, got {value}", key=name)
-        if self.snapshot_mode not in ("interval", "grad_ladder"):
+        ratio = self.snapshot_grad_ratio
+        if ratio is not None and not ratio > 1:
             raise UsageError(
-                f"snapshot_mode must be interval or grad_ladder, got {self.snapshot_mode!r}",
-                key="snapshot_mode",
-            )
-        if not self.snapshot_grad_ratio > 1:
-            raise UsageError(
-                f"snapshot_grad_ratio must exceed 1, got {self.snapshot_grad_ratio}",
-                key="snapshot_grad_ratio",
+                f"snapshot_grad_ratio must exceed 1, got {ratio}", key="snapshot_grad_ratio"
             )
 
 
@@ -225,16 +218,23 @@ class _Boundary:
     """The field at a step boundary: its spectrum u_hat and density |u|^2.
 
     ``sup`` = max|u| and ``l4`` = integral of |u|^4 come from the density.
-    ``rho_half`` = rfft2(|u|^2) is made on first use and then shared by the
-    record's interaction term and the adaptive rate L(|u|^2), so a boundary
-    transforms its density at most once.
+    ``grad`` = gradient_norm_sq from u_hat by Parseval and ``rho_half`` =
+    rfft2(|u|^2) are made on first use and then shared: the gradient by the
+    snapshot ladder and the record, the half spectrum by the record's
+    interaction term and the adaptive rate L(|u|^2). A boundary computes
+    each quantity at most once.
     """
 
-    def __init__(self, u: np.ndarray, uhat: np.ndarray, dx: float):
+    def __init__(self, u: np.ndarray, uhat: np.ndarray, grid: Grid2D):
         self.uhat = uhat
+        self.grid = grid
         self.rho = density(u)
         self.sup = math.sqrt(self.rho.max())
-        self.l4 = dx**2 * float(np.sum(np.square(self.rho)))
+        self.l4 = grid.dx**2 * float(np.sum(np.square(self.rho)))
+
+    @cached_property
+    def grad(self) -> float:
+        return gradient_norm_sq(Field(self.grid, self.uhat, SPECTRAL))
 
     @cached_property
     def rho_half(self) -> np.ndarray:
@@ -252,15 +252,14 @@ def _record(
     g = state.u.grid
     if bnd is None:
         u = state.u.to_physical().values
-        bnd = _Boundary(u, np.fft.fft2(u), g.dx)
-    grad = gradient_norm_sq(Field(g, bnd.uhat, SPECTRAL))
+        bnd = _Boundary(u, np.fft.fft2(u), g)
     quartic = quartic_from_density(bnd.rho, g, state.params, bnd.rho_half)
     sm = second_moment_from_density(bnd.rho, g)
     return ConservationRecord(
         t=state.t,
         mass=float(g.dx**2 * bnd.rho.sum()),
-        energy=hamiltonian(grad, quartic),
-        gradient_norm_sq=grad,
+        energy=hamiltonian(bnd.grad, quartic),
+        gradient_norm_sq=bnd.grad,
         second_moment=sm.value,
         moment_valid=sm.boundary_ok,
         sup_abs_u=bnd.sup,
@@ -309,11 +308,13 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     """Step from state0 until t_end or until a stop criterion fires.
 
     Stop criteria: sup|u| above the resolution guard (checked every step on
-    the step-boundary field), gradient_norm_sq above guard^2 (checked at the
-    sampling cadence, and every step in ``grad_ladder`` mode), or non-finite
+    the step-boundary field), gradient_norm_sq above guard^2 (checked at
+    every record, and every step on the snapshot ladder), or non-finite
     values, which record the last finite state (a non-finite initial field
-    raises DomainError). Guard terminations are normal blow-up outcomes and
-    come back with a BlowupEstimate when the records support one.
+    raises DomainError, and so does a gradient-free one on the ladder, whose
+    rungs would all be 0). Every stop and every sample go through one record
+    site at the end of the step. Guard terminations are normal blow-up
+    outcomes and come back with a BlowupEstimate when the records support one.
 
     The loop is the spectral-state form of ``strang_step`` described in the
     module docstring: it keeps u_hat from step to step, transforms the
@@ -335,19 +336,19 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     u0 = state.u.to_physical().values
     if not np.all(np.isfinite(u0)):
         raise DomainError("run: initial field contains non-finite values")
-    bnd = _Boundary(u0, np.fft.fft2(u0), grid.dx)
+    bnd = _Boundary(u0, np.fft.fft2(u0), grid)
+    ladder = cfg.snapshot_grad_ratio if cfg.keep_snapshots else None
+    if ladder is not None:
+        if not bnd.grad > 0.0:
+            raise DomainError("run: snapshot ladder undefined for gradient-free fields")
+        rung = bnd.grad * ladder
     spare = np.empty_like(u0)
     if state.l4_last is None:
         state = replace(state, l4_last=bnd.l4)
     records = [_record(state, 0.0, bnd)]
-    snapshots: list[tuple[float, Field]] = []
-    grad_ladder_next = None
-    if cfg.keep_snapshots:
-        snapshots.append((state.t, state.u.copy()))
-        if cfg.snapshot_mode == "grad_ladder":
-            grad_ladder_next = records[0].gradient_norm_sq * cfg.snapshot_grad_ratio
+    snapshots = [(state.t, state.u.copy())] if cfg.keep_snapshots else []
     next_sample = state.t + sample_dt
-    stop_reason = "t_end"
+    stop = None
     t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
 
     while state.t < cfg.t_end - t_eps:
@@ -365,54 +366,49 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
         uhat, bnd = bnd.uhat, None
         u = _spectral_step(uhat, spare, dt, e, grid, p)
         if not np.all(np.isfinite(u)):
-            records.append(_record(state, dt))
-            stop_reason = "non_finite"
-            break
-        # The replaced field's buffer takes the next step, unless it is the
-        # caller's initial field.
-        own = state.step_index > state0.step_index
-        spare = state.u.values if own else np.empty_like(u)
-        bnd = _Boundary(u, uhat, grid.dx)
-        state = SimulationState(
-            t=state.t + dt,
-            u=Field(grid, u, PHYSICAL),
-            params=p,
-            step_index=state.step_index + 1,
-            l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + bnd.l4),
-            l4_last=bnd.l4,
-        )
+            # state stays the last finite one; with no boundary, _record
+            # transforms it afresh.
+            stop = "non_finite"
+        else:
+            # The replaced field's buffer takes the next step, unless it is
+            # the caller's initial field.
+            own = state.step_index > state0.step_index
+            spare = state.u.values if own else np.empty_like(u)
+            bnd = _Boundary(u, uhat, grid)
+            state = SimulationState(
+                t=state.t + dt,
+                u=Field(grid, u, PHYSICAL),
+                params=p,
+                step_index=state.step_index + 1,
+                l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + bnd.l4),
+                l4_last=bnd.l4,
+            )
+            if bnd.sup > guard:
+                stop = "sup_guard"
+            elif ladder is not None:
+                if bnd.grad >= rung:
+                    snapshots.append((state.t, state.u.copy()))
+                    while rung <= bnd.grad:
+                        rung *= ladder
+                if bnd.grad > guard**2:
+                    stop = "grad_guard"
 
-        if bnd.sup > guard:
+        due = state.t >= next_sample - t_eps or state.t >= cfg.t_end - t_eps
+        if stop or due:
             records.append(_record(state, dt, bnd))
-            stop_reason = "sup_guard"
-            break
-
-        if cfg.keep_snapshots and cfg.snapshot_mode == "grad_ladder":
-            grad_now = gradient_norm_sq(Field(grid, uhat, SPECTRAL))
-            if grad_now >= grad_ladder_next:
-                snapshots.append((state.t, state.u.copy()))
-                while grad_ladder_next <= grad_now:
-                    grad_ladder_next *= cfg.snapshot_grad_ratio
-            if grad_now > guard**2:
-                records.append(_record(state, dt, bnd))
-                stop_reason = "grad_guard"
-                break
-
-        if state.t >= next_sample - t_eps or state.t >= cfg.t_end - t_eps:
-            rec = _record(state, dt, bnd)
-            records.append(rec)
-            if cfg.keep_snapshots and cfg.snapshot_mode == "interval":
+            if not stop and cfg.keep_snapshots and ladder is None:
                 snapshots.append((state.t, state.u.copy()))
             next_sample += sample_dt
-            if rec.gradient_norm_sq > guard**2:
-                stop_reason = "grad_guard"
+            if not stop and records[-1].gradient_norm_sq > guard**2:
+                stop = "grad_guard"
+            if stop:
                 break
 
     if cfg.keep_snapshots and state.t > snapshots[-1][0]:
         snapshots.append((state.t, state.u.copy()))
 
     estimate = None
-    if stop_reason != "t_end":
+    if stop:
         try:
             estimate = estimate_t_star(records)
         except NoBlowupError:
@@ -420,7 +416,7 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     return RunResult(
         state=state,
         records=records,
-        stop_reason=stop_reason,
+        stop_reason=stop or "t_end",
         blowup=estimate,
         snapshots=snapshots,
     )

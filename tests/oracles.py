@@ -203,7 +203,7 @@ def reference_run(state0, cfg):
     grad_ladder_next = None
     if cfg.keep_snapshots:
         snapshots.append((state.t, state.u.copy()))
-        if cfg.snapshot_mode == "grad_ladder":
+        if cfg.snapshot_grad_ratio is not None:
             grad_ladder_next = records[0].gradient_norm_sq * cfg.snapshot_grad_ratio
     next_sample = state.t + sample_dt
     stop_reason = "t_end"
@@ -233,7 +233,7 @@ def reference_run(state0, cfg):
             stop_reason = "sup_guard"
             break
 
-        if cfg.keep_snapshots and cfg.snapshot_mode == "grad_ladder":
+        if cfg.keep_snapshots and cfg.snapshot_grad_ratio is not None:
             grad_now = gradient_norm_sq(state.u)
             if grad_now >= grad_ladder_next:
                 snapshots.append((state.t, state.u.copy()))
@@ -247,7 +247,7 @@ def reference_run(state0, cfg):
         if state.t >= next_sample - t_eps or state.t >= cfg.t_end - t_eps:
             rec = reference_record(state, dt)
             records.append(rec)
-            if cfg.keep_snapshots and cfg.snapshot_mode == "interval":
+            if cfg.keep_snapshots and cfg.snapshot_grad_ratio is None:
                 snapshots.append((state.t, state.u.copy()))
             next_sample += sample_dt
             if rec.gradient_norm_sq > guard**2:

@@ -110,7 +110,6 @@ def big_blowup_run():
             adaptive=True,
             sample_interval=6.25e-5,
             keep_snapshots=True,
-            snapshot_mode="grad_ladder",
             snapshot_grad_ratio=2**0.25,
         ),
     )

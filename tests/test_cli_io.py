@@ -11,9 +11,10 @@ import pytest
 
 from dsbu import Field, Grid2D, cli
 from dsbu.cli import main
-from dsbu.config import parse_config
+from dsbu.config import RunConfig, parse_config
 from dsbu.errors import ConfigError, SnapshotFormatError
-from dsbu.evolution import ConservationRecord
+from dsbu.evolution import ConservationRecord, EvolveConfig
+from dsbu.ground_state import GroundStateConfig
 from dsbu.snapshot_io import _HEADER, MAGIC, VERSION, SnapshotMeta, read_snapshot, write_snapshot
 
 
@@ -25,6 +26,12 @@ class TestParseConfig:
         assert cfg.dt0 == pytest.approx(0.25 * dx**2)
         assert cfg.guard == pytest.approx(0.5 / dx)
         assert cfg.sample_interval == pytest.approx(1.0 / 50)
+
+    def test_owner_defaults(self):
+        # RunConfig takes these defaults from the objects that use them
+        assert RunConfig("ground-state").ground_state_config() == GroundStateConfig()
+        evolve, owner = RunConfig("evolve", t_end=1.0).evolve_config(), EvolveConfig(t_end=1.0)
+        assert (evolve.adaptive, evolve.c_adapt) == (owner.adaptive, owner.c_adapt)
 
     def test_comments_and_spacing(self):
         cfg = parse_config(
@@ -264,6 +271,19 @@ class TestCli:
 
     def test_missing_config_exits_2(self):
         assert main(["evolve", "/nonexistent/path.cfg"]) == 2
+
+    @pytest.mark.parametrize("command,extra,count", [
+        ("verify", "", 2), ("evolve", "t_end = 0.01\n", 2), ("evolve", "t_end = 0.01\n", 0),
+    ])
+    def test_config_argument_count_exits_2_before_output(self, command, extra, count,
+                                                         tmp_path, capsys):
+        # verify takes at most one config, every other command exactly one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = {command}\nn = 16\n{extra}")
+        assert main([command, *[str(cfg)] * count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one config argument" in captured.err
 
     def test_config_mode_mismatch_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

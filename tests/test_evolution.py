@@ -21,6 +21,7 @@ from dsbu.evolution import (
 from dsbu.ground_state import solve_ground_state
 from dsbu.spectral import interaction_potential
 
+import oracles
 from oracles import reference_run
 
 
@@ -236,24 +237,43 @@ class TestRun:
         p = OperatorParams(1, 1.0)
         res = run(
             SimulationState.initial(gaussian(g, amplitude=1.8, width=1.3), p),
-            EvolveConfig(
-                t_end=5.0, keep_snapshots=True, snapshot_mode="grad_ladder",
-                snapshot_grad_ratio=2.0**0.25,
-            ),
+            EvolveConfig(t_end=5.0, keep_snapshots=True, snapshot_grad_ratio=2.0**0.25),
         )
         assert len(res.snapshots) >= 3
         times = [t for t, _ in res.snapshots]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_snapshot_ladder_rejects_gradient_free_field(self, value):
+        # every rung of a zero gradient is 0, so the ladder would never advance
+        g = Grid2D(16, 10.0)
+        s = SimulationState.initial(Field(g, np.full((16, 16), value)), OperatorParams(1, 1.0))
+        cfg = EvolveConfig(t_end=1e-3, dt0=1e-3, keep_snapshots=True,
+                           snapshot_grad_ratio=2.0**0.25)
+        with pytest.raises(DomainError, match="gradient-free"):
+            run(s, cfg)
+
+    def test_snapshot_ladder_takes_one_gradient_per_boundary(self, monkeypatch):
+        # the ladder check and the record share the boundary's gradient:
+        # one for the initial field and one per step
+        calls = []
+        counted = lambda u: calls.append(1) or gradient_norm_sq(u)
+        monkeypatch.setattr(evolution, "gradient_norm_sq", counted)
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=2e-3, guard=50.0,
+                           keep_snapshots=True, snapshot_grad_ratio=2.0**0.25)
+        res = run(drawn_gaussian(1.5, 1.0), cfg)
+        assert res.stop_reason == "t_end" and res.state.step_index == 10
+        assert len(calls) == 10 + 1
 
 
 class TestEvolveConfig:
     @pytest.mark.parametrize("key,value", [
         ("t_end", np.inf), ("t_end", np.nan), ("dt0", -1e-3), ("dt0", np.nan),
         ("c_adapt", 0.0), ("guard", 0.0), ("sample_interval", np.nan),
-        ("snapshot_mode", "ladder"), ("snapshot_grad_ratio", 1.0),
+        ("snapshot_grad_ratio", 1.0),
     ])
     def test_rejected_at_construction(self, key, value):
-        # run would hang on these (or, for "ladder", keep no cadence); it is never called
+        # run would hang on these; it is never called
         with pytest.raises(UsageError, match=key) as exc:
             EvolveConfig(**{"t_end": 0.1, "adaptive": True, key: value})
         assert exc.value.key == key
@@ -335,7 +355,7 @@ class TestSpectralStateLoop:
     def test_grad_ladder_snapshots_match_reference(self, amplitude, width):
         s = drawn_gaussian(amplitude, width)
         cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, keep_snapshots=True,
-                           snapshot_mode="grad_ladder", snapshot_grad_ratio=2.0**0.25)
+                           snapshot_grad_ratio=2.0**0.25)
         got = run(s, cfg)
         assert got.stop_reason == "grad_guard"
         assert len(got.snapshots) >= 3
@@ -348,6 +368,32 @@ class TestSpectralStateLoop:
         cfg = EvolveConfig(t_end=1.0, guard=1.5 * amplitude, sample_interval=1.0)
         got = run(s, cfg)
         assert got.stop_reason == "sup_guard"
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
+
+    def test_sup_guard_on_sampling_step_records_once(self):
+        # a bump on a flat background: sup|u| crosses the guard while the
+        # gradient is still below guard^2, on a step that is also a sample
+        g = Grid2D(64, 12.0)
+        s = SimulationState.initial(Field(g, 1.5 + gaussian(g, 0.3).values),
+                                    OperatorParams(1, 1.0))
+        cfg = EvolveConfig(t_end=1.0, dt0=2e-3, sample_interval=2e-3, guard=2.0,
+                           keep_snapshots=True)
+        got = run(s, cfg)
+        assert got.stop_reason == "sup_guard"
+        assert len(got.records) == got.state.step_index + 1
+        assert len(got.snapshots) == len(got.records)
+        assert got.records[-1].t == got.snapshots[-1][0] == got.state.t
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
+
+    def test_grad_guard_at_record_keeps_its_snapshot(self):
+        s = drawn_gaussian(2.0, 1.2)
+        cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, sample_interval=0.01,
+                           keep_snapshots=True)
+        got = run(s, cfg)
+        assert got.stop_reason == "grad_guard"
+        assert got.records[-1].gradient_norm_sq > cfg.guard**2
+        assert len(got.snapshots) == len(got.records)
+        assert got.records[-1].t == got.snapshots[-1][0] == got.state.t
         assert_same_run(got, reference_run(s, cfg), cfg.t_end)
 
     def test_initial_state_and_snapshots_left_untouched(self):
@@ -369,8 +415,11 @@ class TestSpectralStateLoop:
             with pytest.raises(DomainError, match="non-finite"):
                 driver(s, cfg)
 
-    def test_nonfinite_step_records_last_finite_state(self, monkeypatch):
-        step = evolution._spectral_step
+    @pytest.fixture
+    def fail_third_step(self, monkeypatch):
+        """Both drivers fail on their third step: ``run`` on a NaN in the new
+        field, ``reference_run`` on strang_step's BlowupOverflowError."""
+        step, ref_step = evolution._spectral_step, oracles.strang_step
         calls = []
 
         def failing_third_step(uhat, *args):
@@ -380,7 +429,15 @@ class TestSpectralStateLoop:
                 u[5, 7] = np.nan
             return u
 
+        def failing_third_ref_step(state, *args, **kwargs):
+            if state.step_index == 2:
+                raise BlowupOverflowError("non-finite values", state)
+            return ref_step(state, *args, **kwargs)
+
         monkeypatch.setattr(evolution, "_spectral_step", failing_third_step)
+        monkeypatch.setattr(oracles, "strang_step", failing_third_ref_step)
+
+    def test_nonfinite_step_records_last_finite_state(self, fail_third_step):
         s = drawn_gaussian(1.0, 1.0)
         cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1.0)
         got = run(s, cfg)
@@ -392,6 +449,15 @@ class TestSpectralStateLoop:
         last = got.records[-1]
         assert last.t == got.state.t and last.dt_used == 1e-3
         assert np.isfinite([last.mass, last.energy, last.gradient_norm_sq]).all()
+
+    def test_nonfinite_step_keeps_last_finite_snapshot(self, fail_third_step):
+        s = drawn_gaussian(1.0, 1.0)
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1e-3, keep_snapshots=True)
+        got = run(s, cfg)
+        assert got.stop_reason == "non_finite" and got.state.step_index == 2
+        assert [t for t, _ in got.snapshots] == [r.t for r in got.records[:-1]]
+        assert got.snapshots[-1][1].values.tobytes() == got.state.u.values.tobytes()
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
 
 
 class FFTCounter:
