@@ -22,7 +22,7 @@ from .errors import DomainError, DsbuError, GridMismatchError, UsageError
 from .evolution import ConservationRecord, SimulationState, estimate_t_star, run
 from .exact import eval_pc_blowup, eval_standing_wave, pde_residual
 from .ground_state import solve_ground_state
-from .snapshot_io import SnapshotMeta, read_snapshot, write_snapshot
+from .snapshot_io import SnapshotMeta, atomic_write, read_snapshot, write_snapshot
 from .spectral import (
     PHYSICAL,
     Field,
@@ -49,29 +49,38 @@ _RECORD_FIELDS = [f.name for f in fields(ConservationRecord)]
 ANALYSIS_COLUMNS = "t,lambda,best_mass,yx,yy,rho,rescaled_energy,rescaled_quartic"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x: float | None) -> str:
+    """A number to 17 significant digits, which round-trips a float64; None as nan."""
+    return "nan" if x is None else f"{x:.17g}"
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _csv(header: str, rows) -> str:
+    """The text of a CSV file: ``header``, then each row's cells through ``_fmt``."""
+    return "".join([f"{header}\n", *(",".join(map(_fmt, row)) + "\n" for row in rows)])
+
+
+def _report(path: str | None, pairs: list[tuple[str, object]]) -> None:
+    """Print ``key = value`` lines, one per pair, and write them to ``path`` if given.
+
+    Floats (np.float64 too) are written with ``_fmt``, every other value with str.
+    """
+    text = "".join(f"{key} = {_fmt(v) if isinstance(v, float) else v}\n" for key, v in pairs)
+    if path is not None:
+        atomic_write(path, text)
+    print(text, end="")
 
 
 def _output_dir(cfg: RunConfig) -> str:
     out = os.environ.get("DSBU_OUTPUT_DIR", cfg.output_dir)
     os.makedirs(out, exist_ok=True)
     # resolved-config record: one config fully determines a run
-    _atomic_write_text(os.path.join(out, "run_config.txt"), config_summary(cfg) + "\n")
+    atomic_write(os.path.join(out, "run_config.txt"), config_summary(cfg) + "\n")
     return out
 
 
 def _records_csv(records: list[ConservationRecord]) -> str:
     # moment_valid, a bool, formats as 1 or 0
-    rows = [",".join(_fmt(getattr(r, name)) for name in _RECORD_FIELDS) for r in records]
-    return "\n".join([RECORD_COLUMNS, *rows]) + "\n"
+    return _csv(RECORD_COLUMNS, ([getattr(r, name) for name in _RECORD_FIELDS] for r in records))
 
 
 def _read_records_csv(path: str) -> list[ConservationRecord]:
@@ -134,18 +143,14 @@ def _cmd_ground_state(cfg: RunConfig) -> int:
     gs = solve_ground_state(grid, cfg.operator_params(), cfg.ground_state_config())
     snap_path = os.path.join(out, "ground_state.dsbu")
     write_snapshot(snap_path, gs.profile, SnapshotMeta(0.0, cfg.nu, cfg.gamma))
-    report = "\n".join(
-        [
-            f"mass = {_fmt(mass(gs.profile))}",
-            f"c_opt = {_fmt(gs.c_opt)}",
-            f"residual = {_fmt(gs.residual)}",
-            f"iterations = {gs.iterations}",
-            f"sharpness_ratio = {_fmt(gs.sharpness_ratio)}",
-            f"profile = {snap_path}",
-        ]
-    )
-    _atomic_write_text(os.path.join(out, "ground_state_report.txt"), report + "\n")
-    print(report)
+    _report(os.path.join(out, "ground_state_report.txt"), [
+        ("mass", mass(gs.profile)),
+        ("c_opt", gs.c_opt),
+        ("residual", gs.residual),
+        ("iterations", gs.iterations),
+        ("sharpness_ratio", gs.sharpness_ratio),
+        ("profile", snap_path),
+    ])
     return 0
 
 
@@ -161,26 +166,26 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     state = SimulationState.initial(u0, params)
     result = run(state, cfg.evolve_config())
-    _atomic_write_text(os.path.join(out, "records.csv"), _records_csv(result.records))
+    atomic_write(os.path.join(out, "records.csv"), _records_csv(result.records))
     for index, (t, field) in enumerate(result.snapshots):
         write_snapshot(
             os.path.join(out, f"snap_{index:06d}.dsbu"),
             field,
             SnapshotMeta(t, params.nu, params.gamma),
         )
-    lines = [f"stop_reason = {result.stop_reason}",
-             f"steps = {result.state.step_index}",
-             f"t_final = {_fmt(result.state.t)}"]
-    if result.blowup is not None:
-        lines += [
-            f"t_star_estimate = {_fmt(result.blowup.t_star_estimate)}",
-            f"fit_window = {_fmt(result.blowup.fit_window[0])} .. {_fmt(result.blowup.fit_window[1])}",
-            f"fit_residual = {_fmt(result.blowup.fit_residual)}",
-            f"method = {result.blowup.method}",
-        ]
-        _atomic_write_text(os.path.join(out, "blowup.txt"), "\n".join(lines[3:]) + "\n")
-    summary = "\n".join(lines)
-    print(summary)
+    _report(None, [
+        ("stop_reason", result.stop_reason),
+        ("steps", result.state.step_index),
+        ("t_final", result.state.t),
+    ])
+    est = result.blowup
+    if est is not None:
+        _report(os.path.join(out, "blowup.txt"), [
+            ("t_star_estimate", est.t_star_estimate),
+            ("fit_window", f"{_fmt(est.fit_window[0])} .. {_fmt(est.fit_window[1])}"),
+            ("fit_residual", est.fit_residual),
+            ("method", est.method),
+        ])
     return 0
 
 
@@ -215,55 +220,38 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         records, summary = disk_concentration_trace(
             snapshots, cfg.lambda_schedule(t_star), cfg.c_opt, params
         )
-        summary_lines = [
-            "trace = disk",
-            f"t_star = {_fmt(t_star)}",
-            f"threshold_mass = {_fmt(summary.threshold_mass)}",
-            f"terminal_min_mass = {_fmt(summary.terminal_min_mass)}",
-            f"terminal_final_mass = {_fmt(summary.terminal_final_mass)}",
-            f"min_ratio = {_fmt(summary.min_ratio)}",
-            f"final_ratio = {_fmt(summary.final_ratio)}",
-            f"lambda_grad_growing = {summary.lambda_grad_growing}",
-            f"energy_trend_ok = {summary.energy_trend_ok}",
-            f"terminal_quartic_dev = {_fmt(summary.terminal_quartic_dev)}",
-            f"sensitivity = {summary.sensitivity}",
-            f"skipped = {summary.skipped_times}",
+        verdicts = [
+            ("threshold_mass", summary.threshold_mass),
+            ("terminal_min_mass", summary.terminal_min_mass),
+            ("terminal_final_mass", summary.terminal_final_mass),
+            ("min_ratio", summary.min_ratio),
+            ("final_ratio", summary.final_ratio),
+            ("lambda_grad_growing", summary.lambda_grad_growing),
+            ("energy_trend_ok", summary.energy_trend_ok),
+            ("terminal_quartic_dev", summary.terminal_quartic_dev),
+            ("sensitivity", summary.sensitivity),
         ]
     else:
         records, summary = square_concentration_trace(
             snapshots, cfg.c_side, t_star, eta=cfg.eta
         )
-        summary_lines = [
-            "trace = square",
-            f"t_star = {_fmt(t_star)}",
-            f"max_sqrt_mass = {_fmt(summary.max_sqrt_mass)}",
-            f"terminal_min_sqrt_mass = {_fmt(summary.terminal_min_sqrt_mass)}",
-            f"terminal_max_sqrt_mass = {_fmt(summary.terminal_max_sqrt_mass)}",
-            f"eta = {_fmt(summary.eta)}",
-            f"above_eta = {summary.above_eta}",
-            f"skipped = {summary.skipped_times}",
+        verdicts = [
+            ("max_sqrt_mass", summary.max_sqrt_mass),
+            ("terminal_min_sqrt_mass", summary.terminal_min_sqrt_mass),
+            ("terminal_max_sqrt_mass", summary.terminal_max_sqrt_mass),
+            ("eta", summary.eta),
+            ("above_eta", summary.above_eta),
         ]
 
-    lines = [ANALYSIS_COLUMNS]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.t),
-                    _fmt(r.window.size),
-                    _fmt(r.best_mass),
-                    _fmt(r.best_center[0]),
-                    _fmt(r.best_center[1]),
-                    _fmt(r.rho) if r.rho is not None else "nan",
-                    _fmt(r.rescaled_energy) if r.rescaled_energy is not None else "nan",
-                    _fmt(r.rescaled_quartic) if r.rescaled_quartic is not None else "nan",
-                ]
-            )
-        )
-    _atomic_write_text(os.path.join(out, "analysis.csv"), "\n".join(lines) + "\n")
-    summary_text = "\n".join(summary_lines)
-    _atomic_write_text(os.path.join(out, "analysis_summary.txt"), summary_text + "\n")
-    print(summary_text)
+    rows = ([r.t, r.window.size, r.best_mass, *r.best_center, r.rho, r.rescaled_energy,
+             r.rescaled_quartic] for r in records)
+    atomic_write(os.path.join(out, "analysis.csv"), _csv(ANALYSIS_COLUMNS, rows))
+    _report(os.path.join(out, "analysis_summary.txt"), [
+        ("trace", cfg.trace),
+        ("t_star", t_star),
+        *verdicts,
+        ("skipped", summary.skipped_times),
+    ])
     return 0
 
 

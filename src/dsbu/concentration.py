@@ -279,8 +279,6 @@ def disk_concentration_trace(
         for earlier, later in zip(energies, energies[1:])
     )
     quartic_dev = max(abs(r.rescaled_quartic - 2.0) / 2.0 for r in terminal)
-    min_mass = min(r.best_mass for r in terminal)
-    final_mass = terminal[-1].best_mass
     sensitivity = {
         tag: _mass_ratios(_terminal_segment(recs), threshold) if recs else None
         for tag, recs in rows.items()
@@ -288,10 +286,9 @@ def disk_concentration_trace(
 
     summary = DiskTraceSummary(
         threshold_mass=threshold,
-        terminal_min_mass=min_mass,
-        terminal_final_mass=final_mass,
-        min_ratio=min_mass / threshold,
-        final_ratio=final_mass / threshold,
+        terminal_min_mass=min(r.best_mass for r in terminal),
+        terminal_final_mass=terminal[-1].best_mass,
+        **_mass_ratios(terminal, threshold),
         lambda_grad_products=products,
         lambda_grad_growing=products[-1] > products[0],
         energy_trend_ok=trend_ok,

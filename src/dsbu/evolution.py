@@ -36,7 +36,7 @@ reference oracle that the spectral-state loop is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -72,13 +72,13 @@ class SimulationState:
     t: float
     u: Field
     params: OperatorParams
+    l4_last: float  # integral of |u|^4 at time t
     step_index: int = 0
     l4_accum: float = 0.0
-    l4_last: float | None = None  # cached integral of |u|^4 at time t
 
     @classmethod
-    def initial(cls, u: Field, params: OperatorParams, t: float = 0.0):
-        return cls(t=t, u=u.to_physical(), params=params, l4_last=l4_norm_4(u))
+    def initial(cls, u: Field, params: OperatorParams):
+        return cls(t=0.0, u=u.to_physical(), params=params, l4_last=l4_norm_4(u))
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,12 @@ def strang_step(
 
     u_new = Field(grid, vals, PHYSICAL)
     l4_new = l4_norm_4(u_new)
-    l4_prev = state.l4_last if state.l4_last is not None else l4_norm_4(u)
     return SimulationState(
         t=state.t + dt,
         u=u_new,
         params=p,
         step_index=state.step_index + 1,
-        l4_accum=state.l4_accum + 0.5 * dt * (l4_prev + l4_new),
+        l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + l4_new),
         l4_last=l4_new,
     )
 
@@ -165,10 +164,12 @@ class EvolveConfig:
 
     With ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|). With
     ``keep_snapshots`` a snapshot (deep field copy) is kept at every record,
-    or, when ``snapshot_grad_ratio`` is set, whenever gradient_norm_sq has
-    grown by another factor of it -- the natural cadence for blow-up runs,
-    where everything happens in the last few per cent of the lifespan.
-    Values on which ``run`` would hang raise UsageError at construction.
+    or, when ``snapshot_grad_ratio`` is also set, whenever gradient_norm_sq
+    has grown by another factor of it -- the natural cadence for blow-up
+    runs, where everything happens in the last few per cent of the lifespan.
+    Values on which ``run`` would hang, and a ratio without
+    ``keep_snapshots`` (it would do nothing), raise UsageError at
+    construction.
     """
 
     t_end: float
@@ -191,6 +192,10 @@ class EvolveConfig:
         if ratio is not None and not ratio > 1:
             raise UsageError(
                 f"snapshot_grad_ratio must exceed 1, got {ratio}", key="snapshot_grad_ratio"
+            )
+        if ratio is not None and not self.keep_snapshots:
+            raise UsageError(
+                "snapshot_grad_ratio needs keep_snapshots", key="snapshot_grad_ratio"
             )
 
 
@@ -337,14 +342,12 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     if not np.all(np.isfinite(u0)):
         raise DomainError("run: initial field contains non-finite values")
     bnd = _Boundary(u0, np.fft.fft2(u0), grid)
-    ladder = cfg.snapshot_grad_ratio if cfg.keep_snapshots else None
+    ladder = cfg.snapshot_grad_ratio
     if ladder is not None:
         if not bnd.grad > 0.0:
             raise DomainError("run: snapshot ladder undefined for gradient-free fields")
         rung = bnd.grad * ladder
     spare = np.empty_like(u0)
-    if state.l4_last is None:
-        state = replace(state, l4_last=bnd.l4)
     records = [_record(state, 0.0, bnd)]
     snapshots = [(state.t, state.u.copy())] if cfg.keep_snapshots else []
     next_sample = state.t + sample_dt
@@ -468,9 +471,7 @@ class VirialFit(NamedTuple):
     leading_coeff_error: float
 
 
-def virial_check(
-    records: list[ConservationRecord], e0: float, eps: float = 1e-12
-) -> VirialFit:
+def virial_check(records: list[ConservationRecord], e0: float) -> VirialFit:
     """Fit second_moment(t) by a quadratic in t and report the coefficients.
 
     While the field stays contained the flow satisfies
@@ -480,7 +481,7 @@ def virial_check(
     (the free limit pins the lead: for amplitude -> 0 it is exactly
     4 ||grad u0||^2 = 8 E). ``leading_coeff_error`` is the relative deviation
     of the fitted lead ``coeffs[0]`` from 8*e0, the denominator floored at
-    ``eps`` so that e0 = 0 stays finite. Every record in the window must carry
+    1e-12 so that e0 = 0 stays finite. Every record in the window must carry
     a valid moment flag.
     """
     for r in records:
@@ -495,21 +496,15 @@ def virial_check(
     design = np.column_stack([t**2, t, np.ones_like(t)])
     coeffs, *_ = np.linalg.lstsq(design, v, rcond=None)
     lead = float(coeffs[0])
-    err = abs(lead - 8.0 * e0) / max(abs(8.0 * e0), eps)
+    err = abs(lead - 8.0 * e0) / max(abs(8.0 * e0), 1e-12)
     return VirialFit(tuple(float(c) for c in coeffs), float(err))
 
 
-def negative_energy_gaussian(
-    grid: Grid2D,
-    p: OperatorParams,
-    width: float = 1.0,
-    aspects: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125),
-    max_amplitude: float = 64.0,
-) -> Field:
+def negative_energy_gaussian(grid: Grid2D, p: OperatorParams) -> Field:
     """Construct well-localized data with negative energy, or prove it impossible.
 
-    Scans amplitude over Gaussians exp(-(x1^2 + (a x2)^2) / (2 width^2)) for
-    each aspect a. Radial data alone cannot reach E < 0 in the whole range
+    Scans amplitude from 1 to 64 over Gaussians exp(-(x1^2 + (a x2)^2) / 2)
+    for each aspect a in 1, 1/2, 1/4, 1/8. Radial data alone cannot reach E < 0 in the whole range
     -nu < gamma (the interaction average of B over radial fields is 1/2, so
     they need nu + gamma/2 > 0); squeezing the spectrum onto the xi1 axis by
     elongating along x2 pushes that average toward 1, which is what makes the
@@ -523,10 +518,10 @@ def negative_energy_gaussian(
             f"gamma={p.gamma} (energy is nonnegative for every field)"
         )
     x1, x2 = grid.coords()
-    for aspect in aspects:
-        base = np.exp(-(x1**2 + (aspect * x2) ** 2) / (2 * width**2))
+    for aspect in (1.0, 0.5, 0.25, 0.125):
+        base = np.exp(-(x1**2 + (aspect * x2) ** 2) / 2)
         amp = 1.0
-        while amp <= max_amplitude:
+        while amp <= 64.0:
             u = Field(grid, amp * base, PHYSICAL)
             if energy(u, p) < 0:
                 return u

@@ -12,7 +12,8 @@ Layout (all little-endian):
     payload  16*n*n bytes: complex128 samples, row-major, x2 fastest
     crc32   u32      checksum of the payload
 
-Writes go through a temp file and an atomic rename; reads validate magic,
+Writes go through ``atomic_write`` (a temp file and an atomic rename, also
+used for every text file the CLI writes); reads validate magic,
 version, structural sizes, the header values (n and box_length by
 ``Grid2D``, nu and gamma by ``OperatorParams``, t finite), and the checksum.
 """
@@ -50,6 +51,18 @@ class SnapshotMeta:
     gamma: float
 
 
+def atomic_write(path: str, *chunks: bytes | str) -> None:
+    """Write ``chunks`` in order to ``path`` through a temp file and an atomic rename.
+
+    str chunks are written as UTF-8. A reader sees the old file or the whole new one.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+    os.replace(tmp, path)
+
+
 def write_snapshot(path: str, field: Field, meta: SnapshotMeta) -> None:
     """Write a physical-space snapshot atomically."""
     phys = field.to_physical()
@@ -59,12 +72,7 @@ def write_snapshot(path: str, field: Field, meta: SnapshotMeta) -> None:
     )
     payload = np.ascontiguousarray(phys.values, dtype="<c16").tobytes()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
-    os.replace(tmp, path)
+    atomic_write(path, header, payload, struct.pack("<I", crc))
 
 
 def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:

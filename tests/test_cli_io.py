@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dsbu import Field, Grid2D, cli
 from dsbu.cli import main
 from dsbu.config import RunConfig, parse_config
 from dsbu.errors import ConfigError, SnapshotFormatError
-from dsbu.evolution import ConservationRecord, EvolveConfig
+from dsbu.evolution import BlowupEstimate, ConservationRecord, EvolveConfig, RunResult
 from dsbu.ground_state import GroundStateConfig
 from dsbu.snapshot_io import _HEADER, MAGIC, VERSION, SnapshotMeta, read_snapshot, write_snapshot
 
@@ -262,6 +263,11 @@ output_dir = {out}
 """
 
 
+def report_pairs(text):
+    """The (key, value) pairs of a ``key = value`` report, in file order."""
+    return [tuple(line.split(" = ", 1)) for line in text.splitlines()]
+
+
 class TestCli:
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
@@ -426,7 +432,56 @@ class TestCli:
         lines = (an_out / "analysis.csv").read_text().splitlines()
         assert lines[0] == "t,lambda,best_mass,yx,yy,rho,rescaled_energy,rescaled_quartic"
         assert len(lines) >= 4
-        assert (an_out / "analysis_summary.txt").exists()
+        # the square trace has no rescaled diagnostics
+        assert all(line.split(",")[5:] == ["nan"] * 3 for line in lines[1:])
+        pairs = report_pairs((an_out / "analysis_summary.txt").read_text())
+        assert [key for key, _ in pairs] == [
+            "trace", "t_star", "max_sqrt_mass", "terminal_min_sqrt_mass",
+            "terminal_max_sqrt_mass", "eta", "above_eta", "skipped"]
+        assert pairs[0] == ("trace", "square") and pairs[1] == ("t_star", "0.5")
+
+    def test_blowup_report_format(self, tmp_path, monkeypatch, capsys):
+        est = BlowupEstimate(t_star_estimate=0.3 + 1 / 3, method="linear_inverse_gradient",
+                             fit_window=(0.1, 0.2 + 1 / 7), fit_residual=1 / 9)
+
+        def fake_run(state, cfg):
+            end = replace(state, t=0.1 + 0.2, step_index=7)
+            return RunResult(state=end, records=[], stop_reason="grad_guard", blowup=est)
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        out = tmp_path / "run_out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG.format(out=out))
+        assert main(["evolve", str(cfg)]) == 0
+        text = (out / "blowup.txt").read_text()
+        pairs = report_pairs(text)
+        assert [key for key, _ in pairs] == [
+            "t_star_estimate", "fit_window", "fit_residual", "method"]
+        values = dict(pairs)
+        assert float(values["t_star_estimate"]) == est.t_star_estimate
+        assert tuple(map(float, values["fit_window"].split(" .. "))) == est.fit_window
+        assert float(values["fit_residual"]) == est.fit_residual
+        assert values["method"] == est.method
+        stdout = capsys.readouterr().out
+        head = report_pairs(stdout)[:3]
+        assert head[:2] == [("stop_reason", "grad_guard"), ("steps", "7")]
+        assert head[2][0] == "t_final" and float(head[2][1]) == 0.1 + 0.2
+        assert stdout.splitlines()[3:] == text.splitlines()
+
+    def test_ground_state_report_format(self, tmp_path, capsys):
+        out = tmp_path / "gs"
+        cfg = tmp_path / "gs.cfg"
+        cfg.write_text(f"mode = ground-state\nn = 64\nbox_length = 20\noutput_dir = {out}\n")
+        assert main(["ground-state", str(cfg)]) == 0
+        text = (out / "ground_state_report.txt").read_text()
+        assert capsys.readouterr().out == text
+        pairs = report_pairs(text)
+        assert [key for key, _ in pairs] == [
+            "mass", "c_opt", "residual", "iterations", "sharpness_ratio", "profile"]
+        values = dict(pairs)
+        assert 2.0 / float(values["mass"]) == float(values["c_opt"])
+        assert int(values["iterations"]) >= 1
+        assert values["profile"] == str(out / "ground_state.dsbu")
 
     def test_analyze_rejects_mixed_couplings(self, tmp_path):
         from dsbu import Field, Grid2D

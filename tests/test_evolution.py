@@ -270,10 +270,11 @@ class TestEvolveConfig:
     @pytest.mark.parametrize("key,value", [
         ("t_end", np.inf), ("t_end", np.nan), ("dt0", -1e-3), ("dt0", np.nan),
         ("c_adapt", 0.0), ("guard", 0.0), ("sample_interval", np.nan),
-        ("snapshot_grad_ratio", 1.0),
+        ("snapshot_grad_ratio", 1.0), ("snapshot_grad_ratio", 2.0),
     ])
     def test_rejected_at_construction(self, key, value):
-        # run would hang on these; it is never called
+        # run would hang on these, or ignore a ratio without keep_snapshots;
+        # it is never called
         with pytest.raises(UsageError, match=key) as exc:
             EvolveConfig(**{"t_end": 0.1, "adaptive": True, key: value})
         assert exc.value.key == key
