@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -102,39 +103,47 @@ def _read_records_csv(path: str) -> list[ConservationRecord]:
     return records
 
 
-def _load_config(path: str) -> RunConfig:
+@contextmanager
+def _reading(what: str, path: str):
+    """An input the block cannot read (any OSError) is a usage error naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        yield
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_config(path: str) -> RunConfig:
+    with _reading("config", path), open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     return parse_config(text)
 
 
 def _initial_condition(cfg: RunConfig) -> tuple[Field, OperatorParams]:
     params = cfg.operator_params()
-    if cfg.ic == "snapshot":
-        field, meta = read_snapshot(cfg.snapshot_path)
-        # run_config.txt records the config's couplings; the run must use them
-        if (meta.nu, meta.gamma) != (cfg.nu, cfg.gamma):
-            raise UsageError(
-                f"snapshot {cfg.snapshot_path} carries nu = {meta.nu}, gamma = {meta.gamma} "
-                f"but the config sets nu = {cfg.nu}, gamma = {cfg.gamma}; set nu and "
-                "gamma to the snapshot's couplings"
-            )
-        return field, params
-    if cfg.ic in ("standing_wave", "pc_blowup"):
-        profile, _meta = read_snapshot(cfg.profile_path)
-        if cfg.ic == "standing_wave":
-            return eval_standing_wave(profile, 0.0), params
+    if cfg.ic == "gaussian":
+        grid = Grid2D(cfg.n, cfg.box_length)
+        x1, x2 = grid.coords()
+        values = cfg.amplitude * np.exp(
+            -(x1**2 + (cfg.aspect * x2) ** 2) / (2 * cfg.width**2)
+        )
+        return Field(grid, values, PHYSICAL), params
+    key = "snapshot_path" if cfg.ic == "snapshot" else "profile_path"
+    path = getattr(cfg, key)
+    with _reading(key, path):
+        field, meta = read_snapshot(path)
+    # run_config.txt records the config's couplings; the run must use them
+    if (meta.nu, meta.gamma) != (cfg.nu, cfg.gamma):
+        raise UsageError(
+            f"{key} {path} carries nu = {meta.nu}, gamma = {meta.gamma} "
+            f"but the config sets nu = {cfg.nu}, gamma = {cfg.gamma}; set nu and "
+            "gamma to the file's couplings"
+        )
+    if cfg.ic == "standing_wave":
+        return eval_standing_wave(field, 0.0), params
+    if cfg.ic == "pc_blowup":
         target = Grid2D(cfg.n, cfg.box_length)
-        return eval_pc_blowup(profile, cfg.pc_start_time, target), params
-    grid = Grid2D(cfg.n, cfg.box_length)
-    x1, x2 = grid.coords()
-    values = cfg.amplitude * np.exp(
-        -(x1**2 + (cfg.aspect * x2) ** 2) / (2 * cfg.width**2)
-    )
-    return Field(grid, values, PHYSICAL), params
+        return eval_pc_blowup(field, cfg.pc_start_time, target), params
+    return field, params
 
 
 def _cmd_ground_state(cfg: RunConfig) -> int:
@@ -190,31 +199,30 @@ def _cmd_evolve(cfg: RunConfig) -> int:
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    out = _output_dir(cfg)
-    names = sorted(
-        f for f in os.listdir(cfg.snapshot_dir)
-        if f.startswith("snap_") and f.endswith(".dsbu")
-    )
-    if not names:
-        raise DomainError(f"no snap_*.dsbu files in {cfg.snapshot_dir}")
-    snapshots: list[tuple[float, Field]] = []
-    metas: list[SnapshotMeta] = []
-    for name in names:
-        field, meta = read_snapshot(os.path.join(cfg.snapshot_dir, name))
-        snapshots.append((meta.t, field))
-        metas.append(meta)
-    if any((m.nu, m.gamma) != (metas[0].nu, metas[0].gamma) for m in metas):
-        raise DomainError(f"{cfg.snapshot_dir}: snapshots carry mixed operator couplings")
-    params = OperatorParams(metas[0].nu, metas[0].gamma)
+    # every input is read before any output is written
+    with _reading("snapshot_dir", cfg.snapshot_dir):
+        names = sorted(
+            f for f in os.listdir(cfg.snapshot_dir)
+            if f.startswith("snap_") and f.endswith(".dsbu")
+        )
+        if not names:
+            raise DomainError(f"no snap_*.dsbu files in {cfg.snapshot_dir}")
+        files = [read_snapshot(os.path.join(cfg.snapshot_dir, name)) for name in names]
+        snapshots = [(meta.t, field) for field, meta in files]
+        couplings = {(meta.nu, meta.gamma) for _, meta in files}
+        if len(couplings) > 1:
+            raise DomainError(f"{cfg.snapshot_dir}: snapshots carry mixed operator couplings")
+        params = OperatorParams(*couplings.pop())
 
-    t_star = cfg.t_star
-    if t_star is None:
-        records_path = os.path.join(cfg.snapshot_dir, "records.csv")
-        if not os.path.exists(records_path):
-            raise DomainError(
-                "analyze needs t_star in the config or records.csv next to the snapshots"
-            )
-        t_star = estimate_t_star(_read_records_csv(records_path)).t_star_estimate
+        t_star = cfg.t_star
+        if t_star is None:
+            records_path = os.path.join(cfg.snapshot_dir, "records.csv")
+            if not os.path.exists(records_path):
+                raise DomainError(
+                    "analyze needs t_star in the config or records.csv next to the snapshots"
+                )
+            t_star = estimate_t_star(_read_records_csv(records_path)).t_star_estimate
+    out = _output_dir(cfg)
 
     if cfg.trace == "disk":
         records, summary = disk_concentration_trace(

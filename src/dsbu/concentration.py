@@ -36,12 +36,11 @@ from .errors import DomainError
 from .spectral import (
     PHYSICAL,
     Field,
+    FieldTerms,
     Grid2D,
     OperatorParams,
-    density,
     gradient_norm_sq,
     hamiltonian,
-    quartic_from_density,
 )
 
 DISK = "disk"
@@ -91,16 +90,16 @@ def windowed_mass_sup(u: Field, w: WindowSpec, w_half: np.ndarray | None = None)
 
     Ties break toward the lexicographically smallest index. A window at
     least as large as the box captures everything; the result is then the
-    total mass with ``clamped`` set. ``w_half`` is ``rfft2(density(u))``
-    when the caller already has it (the disk trace shares one per snapshot
-    across its windows); the result is bitwise the same either way.
+    total mass with ``clamped`` set. ``w_half`` is ``FieldTerms.rho_half``
+    of u when the caller already has it (the disk trace shares one per
+    snapshot across its windows); the result is bitwise the same either way.
     """
     grid = u.grid
     if not w.size > grid.dx:
         raise DomainError(f"window size {w.size} must exceed one cell (dx={grid.dx})")
     kernel = _window_kernel(grid, w)
     if w_half is None:
-        w_half = np.fft.rfft2(density(u.to_physical().values))
+        w_half = FieldTerms.of(u).rho_half
     captured = np.fft.irfft2(w_half * np.fft.rfft2(kernel), s=kernel.shape)
     captured *= grid.dx**2
     idx = np.unravel_index(np.argmax(captured), captured.shape)
@@ -111,9 +110,8 @@ def windowed_mass_sup(u: Field, w: WindowSpec, w_half: np.ndarray | None = None)
     )
 
 
-def _unit_gradient_scale(u: Field) -> float:
-    """rho = 1/||grad u||, the scale of the unit-gradient rescaling."""
-    grad = gradient_norm_sq(u)
+def _unit_gradient_scale(grad: float) -> float:
+    """rho = 1/||grad u|| from grad = gradient_norm_sq(u): the unit-gradient scale."""
     if grad <= 0.0:
         raise DomainError("rescaled snapshot undefined for gradient-free fields")
     return grad**-0.5
@@ -126,7 +124,7 @@ def rescaled_snapshot(u: Field) -> tuple[Field, float]:
     where the sample points coincide with the originals, so mass(v) = mass(u)
     and gradient_norm_sq(v) = 1 hold to roundoff.
     """
-    rho = _unit_gradient_scale(u)
+    rho = _unit_gradient_scale(gradient_norm_sq(u))
     v_grid = Grid2D(u.grid.n, u.grid.box_length / rho)
     return Field(v_grid, rho * u.to_physical().values, PHYSICAL), rho
 
@@ -236,7 +234,8 @@ def disk_concentration_trace(
     with t_star shifted by +-2% of the trace span, traced in the same pass.
     The rescaled diagnostics do not depend on the schedule: each snapshot's
     are computed once, when the first schedule keeps it, from the scaling
-    identities and the one transform of |u|^2 that its windows share.
+    identities and the ``FieldTerms`` of u, whose one transform of |u|^2 its
+    windows share.
     """
     if not snapshots:
         raise DomainError("no snapshots to trace")
@@ -248,21 +247,20 @@ def disk_concentration_trace(
     rows: dict[str, list[ConcentrationRecord]] = {tag: [] for tag in schedules}
     skipped: list[float] = []
     for t, u in snapshots:
-        w_half = None
+        terms = None
         for tag, sched in schedules.items():
             lam = sched(t)
             if lam <= u.grid.dx:
                 if tag == "main":
                     skipped.append(t)
                 continue
-            if w_half is None:
-                rho = _unit_gradient_scale(u)
-                w = density(u.to_physical().values)
-                w_half = np.fft.rfft2(w)
-                quartic = rho**2 * quartic_from_density(w, u.grid, params, w_half)
+            if terms is None:
+                terms = FieldTerms.of(u)
+                rho = _unit_gradient_scale(terms.grad)
+                quartic = rho**2 * terms.quartic(params)
                 en = hamiltonian(1.0, quartic)
             window = WindowSpec(DISK, lam)
-            wm = windowed_mass_sup(u, window, w_half)
+            wm = windowed_mass_sup(u, window, terms.rho_half)
             rows[tag].append(ConcentrationRecord(t, window, *wm, rho, quartic, en))
     records = rows.pop("main")
     if not records:

@@ -24,11 +24,11 @@ with E = exp(-i|xi|^2 dt/2) = e(k1) e(k2) applied as two broadcast
 multiplies, all in place on u_hat and on the buffer of the replaced field.
 That is 3 complex transforms plus the real pair inside L: 4
 complex-FFT-equivalents per step, 5 with the adaptive rate L(|u|^2), and
-one more per run for the spectrum of the initial field. The sup guard, the
-L4 trapezoid and the adaptive rate read the boundary field u, as in
-``strang_step``. A diagnostic record reads u_hat (gradient by Parseval) and
-the boundary density |u|^2; its one transform, the half spectrum of |u|^2
-for the interaction term, is shared with the adaptive rate. ``strang_step``
+one more per run for the spectrum of the initial field. Each step boundary
+is one ``spectral.FieldTerms`` of u and the loop's u_hat: the sup guard, the
+L4 trapezoid, the adaptive rate L(|u|^2) and the diagnostic record all read
+it. A record's one transform, the half spectrum of |u|^2 for the
+interaction term, is shared with the adaptive rate. ``strang_step``
 is the same scheme one step at a time on a physical state; it is the
 reference oracle that the spectral-state loop is tested against.
 """
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -50,18 +49,14 @@ from .errors import (
 )
 from .spectral import (
     PHYSICAL,
-    SPECTRAL,
     Field,
+    FieldTerms,
     Grid2D,
     OperatorParams,
     density,
     energy,
-    gradient_norm_sq,
-    hamiltonian,
     interaction_potential,
     l4_norm_4,
-    quartic_from_density,
-    second_moment_from_density,
 )
 
 
@@ -219,57 +214,15 @@ def grid_defaults(dx: float, span: float) -> tuple[float, float, float]:
     return 0.25 * dx**2, 0.5 / dx, span / 50
 
 
-class _Boundary:
-    """The field at a step boundary: its spectrum u_hat and density |u|^2.
-
-    ``sup`` = max|u| and ``l4`` = integral of |u|^4 come from the density.
-    ``grad`` = gradient_norm_sq from u_hat by Parseval and ``rho_half`` =
-    rfft2(|u|^2) are made on first use and then shared: the gradient by the
-    snapshot ladder and the record, the half spectrum by the record's
-    interaction term and the adaptive rate L(|u|^2). A boundary computes
-    each quantity at most once.
-    """
-
-    def __init__(self, u: np.ndarray, uhat: np.ndarray, grid: Grid2D):
-        self.uhat = uhat
-        self.grid = grid
-        self.rho = density(u)
-        self.sup = math.sqrt(self.rho.max())
-        self.l4 = grid.dx**2 * float(np.sum(np.square(self.rho)))
-
-    @cached_property
-    def grad(self) -> float:
-        return gradient_norm_sq(Field(self.grid, self.uhat, SPECTRAL))
-
-    @cached_property
-    def rho_half(self) -> np.ndarray:
-        return np.fft.rfft2(self.rho)
-
-
 def _record(
-    state: SimulationState, dt_used: float, bnd: _Boundary | None = None
+    state: SimulationState, dt_used: float, terms: FieldTerms | None = None
 ) -> ConservationRecord:
-    """Diagnostics of ``state``; ``bnd`` is its boundary data when ``run`` has it.
-
-    Mass, the second moment and sup|u| come from the density, the gradient
-    from u_hat by Parseval, the energy from those and the interaction term.
-    """
-    g = state.u.grid
-    if bnd is None:
-        u = state.u.to_physical().values
-        bnd = _Boundary(u, np.fft.fft2(u), g)
-    quartic = quartic_from_density(bnd.rho, g, state.params, bnd.rho_half)
-    sm = second_moment_from_density(bnd.rho, g)
+    """Diagnostics of ``state``; ``terms`` are its field terms when ``run`` has them."""
+    if terms is None:
+        terms = FieldTerms.of(state.u)
     return ConservationRecord(
-        t=state.t,
-        mass=float(g.dx**2 * bnd.rho.sum()),
-        energy=hamiltonian(bnd.grad, quartic),
-        gradient_norm_sq=bnd.grad,
-        second_moment=sm.value,
-        moment_valid=sm.boundary_ok,
-        sup_abs_u=bnd.sup,
-        l4_accum=state.l4_accum,
-        dt_used=dt_used,
+        state.t, terms.mass, terms.energy(state.params), terms.grad, *terms.second_moment,
+        terms.sup, state.l4_accum, dt_used,
     )
 
 
@@ -341,14 +294,14 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     u0 = state.u.to_physical().values
     if not np.all(np.isfinite(u0)):
         raise DomainError("run: initial field contains non-finite values")
-    bnd = _Boundary(u0, np.fft.fft2(u0), grid)
+    terms = FieldTerms(u0, grid, np.fft.fft2(u0))
     ladder = cfg.snapshot_grad_ratio
     if ladder is not None:
-        if not bnd.grad > 0.0:
+        if not terms.grad > 0.0:
             raise DomainError("run: snapshot ladder undefined for gradient-free fields")
-        rung = bnd.grad * ladder
+        rung = terms.grad * ladder
     spare = np.empty_like(u0)
-    records = [_record(state, 0.0, bnd)]
+    records = [_record(state, 0.0, terms)]
     snapshots = [(state.t, state.u.copy())] if cfg.keep_snapshots else []
     next_sample = state.t + sample_dt
     stop = None
@@ -356,20 +309,19 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
 
     while state.t < cfg.t_end - t_eps:
         if cfg.adaptive:
-            phase = interaction_potential(bnd.rho, grid, p, bnd.rho_half)
-            rate = float(np.abs(phase).max())
+            rate = float(np.abs(terms.potential(p)).max())
             dt = min(dt0, cfg.c_adapt / rate) if rate > 0 else dt0
         else:
             dt = dt0
         dt = min(dt, cfg.t_end - state.t)
         e = e_dt0 if dt == dt0 else _half_step_factor(grid, dt)
 
-        # The step advances uhat in place; the spent boundary is dropped
-        # first so that its density is not held through the step.
-        uhat, bnd = bnd.uhat, None
+        # The step advances uhat in place; the spent terms are dropped
+        # first so that their density is not held through the step.
+        uhat, terms = terms.uhat, None
         u = _spectral_step(uhat, spare, dt, e, grid, p)
         if not np.all(np.isfinite(u)):
-            # state stays the last finite one; with no boundary, _record
+            # state stays the last finite one; with no terms, _record
             # transforms it afresh.
             stop = "non_finite"
         else:
@@ -377,28 +329,28 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
             # the caller's initial field.
             own = state.step_index > state0.step_index
             spare = state.u.values if own else np.empty_like(u)
-            bnd = _Boundary(u, uhat, grid)
+            terms = FieldTerms(u, grid, uhat)
             state = SimulationState(
                 t=state.t + dt,
                 u=Field(grid, u, PHYSICAL),
                 params=p,
                 step_index=state.step_index + 1,
-                l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + bnd.l4),
-                l4_last=bnd.l4,
+                l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + terms.l4),
+                l4_last=terms.l4,
             )
-            if bnd.sup > guard:
+            if terms.sup > guard:
                 stop = "sup_guard"
             elif ladder is not None:
-                if bnd.grad >= rung:
+                if terms.grad >= rung:
                     snapshots.append((state.t, state.u.copy()))
-                    while rung <= bnd.grad:
+                    while rung <= terms.grad:
                         rung *= ladder
-                if bnd.grad > guard**2:
+                if terms.grad > guard**2:
                     stop = "grad_guard"
 
         due = state.t >= next_sample - t_eps or state.t >= cfg.t_end - t_eps
         if stop or due:
-            records.append(_record(state, dt, bnd))
+            records.append(_record(state, dt, terms))
             if not stop and cfg.keep_snapshots and ladder is None:
                 snapshots.append((state.t, state.u.copy()))
             next_sample += sample_dt

@@ -34,12 +34,10 @@ from .errors import DomainError, NonConvergenceError, UsageError
 from .spectral import (
     PHYSICAL,
     Field,
+    FieldTerms,
     Grid2D,
     OperatorParams,
-    gradient_norm_sq,
     interaction_potential,
-    mass,
-    quartic_term,
 )
 
 
@@ -137,15 +135,14 @@ def solve_ground_state(
     r = np.roll(r, (center - peak[0], center - peak[1]), axis=(0, 1))
 
     profile = Field(grid, r, PHYSICAL)
-    m = mass(profile)
-    grad = gradient_norm_sq(profile)
-    quartic = quartic_term(profile, p)
+    terms = FieldTerms.of(profile)
+    grad, m = terms.grad, terms.mass  # the gradient's transform is freed before rho is made
     return GroundStateResult(
         profile=profile,
         c_opt=2.0 / m,
         residual=history[-1],
         iterations=iteration,
-        sharpness_ratio=quartic / (grad * m),
+        sharpness_ratio=terms.quartic(p) / (grad * m),
         residual_history=history,
     )
 
@@ -169,9 +166,10 @@ def verify_sharp_inequality(
     """
     if p.nu != 1:
         raise DomainError("the sharp inequality is stated for nu = +1")
-    m = mass(u)
+    terms = FieldTerms.of(u)
+    grad, m = terms.grad, terms.mass
     if m == 0.0:
         raise DomainError("trial field is identically zero")
-    lhs = quartic_term(u, p)
-    rhs = gs.c_opt * gradient_norm_sq(u) * m
+    lhs = terms.quartic(p)
+    rhs = gs.c_opt * grad * m
     return SharpInequalityReport(lhs, rhs, lhs / rhs)

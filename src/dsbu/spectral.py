@@ -18,12 +18,15 @@ unique constant for which box quadratures of <B w, w> converge to their
 plane values at fourth order in 1/box_length instead of second. ``L = nu*I
 + gamma*B`` acts on the real field |u|^2 inside the cubic nonlinearity;
 ``interaction_potential`` is its one implementation, with real transforms.
+``FieldTerms`` is the one implementation of the functionals of a field; the
+module-level functionals read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -159,38 +162,34 @@ def _check_real(values: np.ndarray, what: str) -> None:
         )
 
 
-def _b_action(w: np.ndarray, grid: Grid2D, w_half: np.ndarray | None = None) -> np.ndarray:
-    """Multiplier action of B on real samples, through the half spectrum.
+def _b_action(w_hat: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """B w from the half spectrum ``w_hat`` = rfft2(w) of a real w, scaled in place.
 
     The symbol is even in xi1 and in xi2, so keeping its columns
     0..n/2 with ``rfft2``/``irfft2`` is exact and the result is real.
-    ``w_half`` is ``rfft2(w)`` when the caller already has it.
     """
-    half = grid.b_symbol[:, : grid.n // 2 + 1]
-    if w_half is None:
-        w_half = np.fft.rfft2(w)
-        w_half *= half
-    else:  # the caller's half spectrum may be shared; leave it unscaled
-        w_half = half * w_half
-    return np.fft.irfft2(w_half, s=w.shape)
+    w_hat *= grid.b_symbol[:, : grid.n // 2 + 1]
+    return np.fft.irfft2(w_hat, s=(grid.n, grid.n))
 
 
-def interaction_potential(
-    w: np.ndarray, grid: Grid2D, p: OperatorParams, w_half: np.ndarray | None = None
-) -> np.ndarray:
+def _l_from_b(w: np.ndarray, b_w: np.ndarray, p: OperatorParams) -> np.ndarray:
+    """L(w) = nu*w + gamma*B w, written over ``b_w`` = B w."""
+    b_w *= p.gamma
+    if p.nu == 1:  # nu is +1 or -1
+        b_w += w
+    else:
+        b_w -= w
+    return b_w
+
+
+def interaction_potential(w: np.ndarray, grid: Grid2D, p: OperatorParams) -> np.ndarray:
     """L(w) = nu*w + gamma*B w for a real array w; the result is real.
 
     This is the one kernel for L: the Strang nonlinear phase L(|u|^2), the
-    ground-state equation L(R^2) R and the equation residuals all call it.
-    ``w_half`` is ``rfft2(w)`` when the caller already has it.
+    ground-state equation L(R^2) R and the equation residuals all call it,
+    and ``FieldTerms.potential`` is the same kernel on a shared half spectrum.
     """
-    out = _b_action(w, grid, w_half)
-    out *= p.gamma
-    if p.nu == 1:  # nu is +1 or -1
-        out += w
-    else:
-        out -= w
-    return out
+    return _l_from_b(w, _b_action(np.fft.rfft2(w), grid), p)
 
 
 def apply_b(f: Field) -> Field:
@@ -202,7 +201,7 @@ def apply_b(f: Field) -> Field:
     """
     f = f.to_physical()
     _check_real(f.values, "apply_b")
-    return Field(f.grid, _b_action(f.values.real, f.grid), PHYSICAL)
+    return Field(f.grid, _b_action(np.fft.rfft2(f.values.real), f.grid), PHYSICAL)
 
 
 def apply_l(f: Field, p: OperatorParams) -> Field:
@@ -212,22 +211,6 @@ def apply_l(f: Field, p: OperatorParams) -> Field:
     return Field(f.grid, interaction_potential(f.values.real, f.grid, p), PHYSICAL)
 
 
-def mass(u: Field) -> float:
-    """Squared L2 norm: integral of |u|^2 over the box.
-
-    Evaluated in whichever representation the field carries; the physical
-    quadrature and the Parseval sum agree to roundoff.
-    """
-    g = u.grid
-    if u.space == PHYSICAL:
-        total = np.sum(np.abs(u.values) ** 2)
-    else:
-        total = np.sum(np.abs(u.values) ** 2) / g.n**2
-    if not np.isfinite(total):
-        raise DomainError("mass: field contains non-finite values")
-    return float(g.dx**2 * total)
-
-
 def density(values: np.ndarray) -> np.ndarray:
     """|u|^2 of complex samples, as re^2 + im^2."""
     rho = np.square(values.real)
@@ -235,54 +218,9 @@ def density(values: np.ndarray) -> np.ndarray:
     return rho
 
 
-def gradient_norm_sq(u: Field) -> float:
-    """Integral of |grad u|^2, evaluated as sum |xi|^2 |u_hat|^2.
-
-    |xi|^2 = k1^2 + k2^2 is summed axis by axis against the row and column
-    sums of |u_hat|^2, so no n x n weight array is formed. A spectral field
-    costs no transform.
-    """
-    g = u.grid
-    a = density(u.to_spectral().values)
-    k_sq = g.k**2
-    return float(g.dx**2 / g.n**2 * (k_sq @ a.sum(axis=1) + k_sq @ a.sum(axis=0)))
-
-
-def quartic_from_density(
-    w: np.ndarray, grid: Grid2D, p: OperatorParams, w_half: np.ndarray | None = None
-) -> float:
-    """Integral of L(w) w for a real density w (``w_half`` = ``rfft2(w)`` if known).
-
-    The spectral quadratic form nu*sum w^2 + gamma*sum m(xi)|w_hat|^2 is
-    summed over the half spectrum: each column 1..n/2-1 stands for itself
-    and its Hermitian mirror, so it counts twice; columns 0 and n/2 once.
-    """
-    n = grid.n
-    if w_half is None:
-        w_half = np.fft.rfft2(w)
-    s = grid.b_symbol[:, : n // 2 + 1] * density(w_half)
-    b_part = (2.0 * s.sum() - s[:, 0].sum() - s[:, n // 2].sum()) / n**2
-    return float(grid.dx**2 * (p.nu * np.sum(np.square(w)) + p.gamma * b_part))
-
-
-def quartic_term(u: Field, p: OperatorParams) -> float:
-    """Interaction functional: integral of L(|u|^2) |u|^2.
-
-    Computed as the spectral quadratic form nu*sum w^2 + gamma*sum m(xi)|w_hat|^2
-    with w = |u|^2, which is manifestly real and keeps the gamma part inside
-    [0, gamma * integral of |u|^4] (the symbol is bounded by [0, 1]).
-    """
-    return quartic_from_density(density(u.to_physical().values), u.grid, p)
-
-
 def hamiltonian(grad_sq: float, quartic: float) -> float:
     """Energy from its terms: (1/2) ``gradient_norm_sq`` - (1/4) ``quartic_term``."""
     return 0.5 * grad_sq - 0.25 * quartic
-
-
-def energy(u: Field, p: OperatorParams) -> float:
-    """Hamiltonian: (1/2) integral |grad u|^2 - (1/4) integral L(|u|^2)|u|^2."""
-    return hamiltonian(gradient_norm_sq(u), quartic_term(u, p))
 
 
 class SecondMoment(NamedTuple):
@@ -292,37 +230,138 @@ class SecondMoment(NamedTuple):
     boundary_ok: bool
 
 
+class FieldTerms:
+    """The functionals of one field u, each computed on first use and cached.
+
+    ``values`` are u's physical samples and ``uhat`` its spectrum fft2(u)
+    when the caller holds it (``run`` keeps it from step to step); without
+    it the gradient transforms u and keeps no spectrum. The density
+    rho = re^2 + im^2 gives the mass, sup|u|, the L4 integral and the second
+    moment; its half spectrum rfft2(rho), made once, gives the interaction
+    term and the potential L(rho); the gradient comes from the spectrum by
+    Parseval. These are the package's only formulas for those quantities:
+    the functionals below, the records and step boundaries of ``run``, the
+    ground-state report and the concentration trace all read them here.
+    """
+
+    def __init__(self, values: np.ndarray, grid: Grid2D, uhat: np.ndarray | None = None):
+        self.values = values
+        self.grid = grid
+        self.uhat = uhat
+
+    @classmethod
+    def of(cls, u: Field) -> "FieldTerms":
+        """The terms of a field; a spectral field's values are its uhat."""
+        return cls(u.to_physical().values, u.grid, u.values if u.space == SPECTRAL else None)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return density(self.values)
+
+    @cached_property
+    def rho_half(self) -> np.ndarray:
+        """rfft2(rho), shared by the interaction term, L(rho) and windowed masses."""
+        return np.fft.rfft2(self.rho)
+
+    @cached_property
+    def mass(self) -> float:
+        """Squared L2 norm: integral of |u|^2, as dx^2 sum rho."""
+        total = self.rho.sum()
+        if not np.isfinite(total):
+            raise DomainError("mass: field contains non-finite values")
+        return float(self.grid.dx**2 * total)
+
+    @cached_property
+    def sup(self) -> float:
+        return math.sqrt(self.rho.max())
+
+    @cached_property
+    def _rho_sq_sum(self) -> float:
+        return float(np.sum(np.square(self.rho)))
+
+    @property
+    def l4(self) -> float:
+        """Integral of |u|^4, as dx^2 sum rho^2."""
+        return self.grid.dx**2 * self._rho_sq_sum
+
+    @cached_property
+    def grad(self) -> float:
+        """Integral of |grad u|^2, as dx^2/n^2 sum |xi|^2 |u_hat|^2.
+
+        |xi|^2 = k1^2 + k2^2 is summed axis by axis against the row and
+        column sums of |u_hat|^2, so no n x n weight array is formed.
+        """
+        g = self.grid
+        a = density(np.fft.fft2(self.values) if self.uhat is None else self.uhat)
+        k_sq = g.k**2
+        return float(g.dx**2 / g.n**2 * (k_sq @ a.sum(axis=1) + k_sq @ a.sum(axis=0)))
+
+    @cached_property
+    def second_moment(self) -> SecondMoment:
+        """Integral of |x|^2 |u|^2 with centered coordinates, and the boundary flag.
+
+        The value is only meaningful while the field is contained well inside
+        the box (|x|^2 is not periodic); ``boundary_ok`` is False once the
+        amplitude on the outermost cells exceeds 1e-10 of its maximum. |x|^2 =
+        x1^2 + x2^2 is summed axis by axis against the row and column sums of rho.
+        """
+        g, rho = self.grid, self.rho
+        edge = math.sqrt(max(rho[0, :].max(), rho[-1, :].max(), rho[:, 0].max(), rho[:, -1].max()))
+        ok = bool(self.sup == 0.0 or edge <= BOUNDARY_DECAY_TOL * self.sup)
+        x_sq = g.x**2
+        value = float(g.dx**2 * (x_sq @ rho.sum(axis=1) + x_sq @ rho.sum(axis=0)))
+        return SecondMoment(value, ok)
+
+    def quartic(self, p: OperatorParams) -> float:
+        """Integral of L(rho) rho, as nu*sum rho^2 + gamma*sum m(xi)|rho_hat|^2.
+
+        The form is manifestly real and keeps the gamma part inside
+        [0, gamma * integral of |u|^4] (the symbol is bounded by [0, 1]). The
+        B part is summed over the half spectrum: each column 1..n/2-1 stands
+        for itself and its Hermitian mirror, so it counts twice; columns 0
+        and n/2 once.
+        """
+        g, n = self.grid, self.grid.n
+        s = g.b_symbol[:, : n // 2 + 1] * density(self.rho_half)
+        b_part = (2.0 * s.sum() - s[:, 0].sum() - s[:, n // 2].sum()) / n**2
+        return float(g.dx**2 * (p.nu * self._rho_sq_sum + p.gamma * b_part))
+
+    def energy(self, p: OperatorParams) -> float:
+        return hamiltonian(self.grad, self.quartic(p))
+
+    def potential(self, p: OperatorParams) -> np.ndarray:
+        """L(rho), from a copy of the shared half spectrum."""
+        return _l_from_b(self.rho, _b_action(self.rho_half.copy(), self.grid), p)
+
+
+def mass(u: Field) -> float:
+    """Squared L2 norm: integral of |u|^2 over the box."""
+    return FieldTerms.of(u).mass
+
+
+def gradient_norm_sq(u: Field) -> float:
+    """Integral of |grad u|^2, by Parseval from the spectrum of u."""
+    return FieldTerms.of(u).grad
+
+
+def quartic_term(u: Field, p: OperatorParams) -> float:
+    """Interaction functional: integral of L(|u|^2) |u|^2."""
+    return FieldTerms.of(u).quartic(p)
+
+
+def energy(u: Field, p: OperatorParams) -> float:
+    """Hamiltonian: (1/2) integral |grad u|^2 - (1/4) integral L(|u|^2)|u|^2."""
+    return FieldTerms.of(u).energy(p)
+
+
 def second_moment(u: Field) -> SecondMoment:
-    """Integral of |x|^2 |u|^2 with centered coordinates.
-
-    The quantity is only meaningful while the field is contained well inside
-    the box (|x|^2 is not periodic); ``boundary_ok`` is False once the field
-    amplitude on the outermost cells exceeds 1e-10 of its maximum.
-    """
-    return second_moment_from_density(density(u.to_physical().values), u.grid)
-
-
-def second_moment_from_density(rho: np.ndarray, grid: Grid2D) -> SecondMoment:
-    """``second_moment`` of a field given its density rho = |u|^2.
-
-    |x|^2 = x1^2 + x2^2 is summed axis by axis against the row and column
-    sums of rho; the boundary flag compares amplitudes, sqrt(rho).
-    """
-    sup = math.sqrt(rho.max())
-    edge = math.sqrt(
-        max(rho[0, :].max(), rho[-1, :].max(), rho[:, 0].max(), rho[:, -1].max())
-    )
-    ok = bool(sup == 0.0 or edge <= BOUNDARY_DECAY_TOL * sup)
-    x_sq = grid.x**2
-    value = float(grid.dx**2 * (x_sq @ rho.sum(axis=1) + x_sq @ rho.sum(axis=0)))
-    return SecondMoment(value, ok)
+    """Integral of |x|^2 |u|^2 with centered coordinates, and its boundary flag."""
+    return FieldTerms.of(u).second_moment
 
 
 def l4_norm_4(u: Field) -> float:
     """Integral of |u|^4 over the box."""
-    g = u.grid
-    vals = u.to_physical().values
-    return float(g.dx**2 * np.sum(np.abs(vals) ** 4))
+    return FieldTerms.of(u).l4
 
 
 def sample_scaled(field: Field, target_grid: Grid2D, scale: float) -> np.ndarray:

@@ -369,6 +369,39 @@ class TestCli:
         assert "nu = 1, gamma = 1.0" in err
         assert not (tmp_path / "out").exists()
 
+    def test_profile_ic_with_other_couplings_exits_2(self, tmp_path, capsys):
+        # a standing wave of the gamma = 1 equation does not solve the gamma = 0.5 one
+        g = Grid2D(64, 16.0)
+        x1, x2 = g.coords()
+        profile = tmp_path / "profile.dsbu"
+        write_snapshot(str(profile), Field(g, np.exp(-(x1**2 + x2**2) / 2)),
+                       SnapshotMeta(0.0, 1, 1.0))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = evolve\nn = 64\nbox_length = 16\nt_end = 0.01\ngamma = 0.5\n"
+                       f"ic = standing_wave\nprofile_path = {profile}\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["evolve", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"profile_path {profile} carries nu = 1, gamma = 1.0" in err
+        assert "nu = 1, gamma = 0.5" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["snapshot_dir", "snapshot_path", "profile_path"])
+    def test_unreadable_input_exits_2_before_output(self, key, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        if key == "snapshot_dir":
+            command, head = "analyze", "mode = analyze\ntrace = square\nt_star = 1.0\n"
+        else:
+            ic = "snapshot" if key == "snapshot_path" else "standing_wave"
+            command, head = "evolve", f"mode = evolve\nt_end = 0.1\nic = {ic}\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{head}{key} = {missing}\noutput_dir = {tmp_path / 'out'}\n")
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {key} {missing}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_analyze_corrupt_header_exits_1(self, tmp_path, capsys):
         (tmp_path / "snap_000000.dsbu").write_bytes(snapshot_blob(n=4))
         cfg = tmp_path / "an.cfg"

@@ -1,6 +1,7 @@
 """Windowed-mass and rescaled-snapshot diagnostics tests."""
 
 from dataclasses import fields
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from dsbu.concentration import (
     windowed_mass_sup,
 )
 from dsbu.errors import DomainError
-from dsbu.spectral import density
+from dsbu.spectral import FieldTerms, density
 from dsbu.exact import eval_pc_blowup, eval_standing_wave
 
 from oracles import brute_force_windowed_mass, reference_disk_trace
@@ -322,18 +323,19 @@ class TestDiskTraceOnePass:
             raise AssertionError("the disk trace built a grid")
 
         grads = []
-        original = concentration.gradient_norm_sq
 
-        def counting(u):
-            grads.append(id(u))
-            return original(u)
+        class CountingTerms(FieldTerms):
+            @cached_property
+            def grad(self):
+                grads.append(id(self.values))
+                return FieldTerms.grad.func(self)
 
         snaps = edge_snapshots()
         monkeypatch.setattr(Grid2D, "__init__", no_grid)
-        monkeypatch.setattr(concentration, "gradient_norm_sq", counting)
+        monkeypatch.setattr(concentration, "FieldTerms", CountingTerms)
         disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, OperatorParams(1, 1.0))
         # every snapshot kept by some schedule (all but t = 0.995 and 1.01), once
-        assert sorted(grads) == sorted(id(u) for t, u in snaps if t < 0.99)
+        assert sorted(grads) == sorted(id(u.values) for t, u in snaps if t < 0.99)
 
 
 class TestSquareTrace:

@@ -1,11 +1,22 @@
 """Time stepper, run driver, blow-up extrapolation, and virial tests."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsbu import Field, Grid2D, OperatorParams, energy, gradient_norm_sq, l4_norm_4, mass
+from dsbu import (
+    Field,
+    Grid2D,
+    OperatorParams,
+    energy,
+    gradient_norm_sq,
+    l4_norm_4,
+    mass,
+    second_moment,
+)
 from dsbu import evolution
 from dsbu.errors import BlowupOverflowError, DomainError, NoBlowupError, UsageError
 from dsbu.evolution import (
@@ -19,7 +30,7 @@ from dsbu.evolution import (
     virial_check,
 )
 from dsbu.ground_state import solve_ground_state
-from dsbu.spectral import interaction_potential
+from dsbu.spectral import FieldTerms, interaction_potential
 
 import oracles
 from oracles import reference_run
@@ -257,13 +268,37 @@ class TestRun:
         # the ladder check and the record share the boundary's gradient:
         # one for the initial field and one per step
         calls = []
-        counted = lambda u: calls.append(1) or gradient_norm_sq(u)
-        monkeypatch.setattr(evolution, "gradient_norm_sq", counted)
+
+        class CountingTerms(FieldTerms):
+            @cached_property
+            def grad(self):
+                calls.append(1)
+                return FieldTerms.grad.func(self)
+
+        monkeypatch.setattr(evolution, "FieldTerms", CountingTerms)
         cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=2e-3, guard=50.0,
                            keep_snapshots=True, snapshot_grad_ratio=2.0**0.25)
         res = run(drawn_gaussian(1.5, 1.0), cfg)
         assert res.stop_reason == "t_end" and res.state.step_index == 10
         assert len(calls) == 10 + 1
+
+    def test_record_and_functionals_share_one_formula(self):
+        # Draw 12 of default_rng(0) is one where |u|^2 as abs()**2 and as
+        # re^2 + im^2 give different mass and L4 sums in the last bit.
+        g = Grid2D(64, 10.0)
+        p = OperatorParams(1, 1.0)
+        rng = np.random.default_rng(0)
+        for _ in range(12 + 1):
+            values = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        u = Field(g, values)
+        state = SimulationState.initial(u, p)
+        rec = evolution._record(state, 0.0)
+        assert rec.mass == mass(u)
+        assert rec.gradient_norm_sq == gradient_norm_sq(u)
+        assert rec.energy == energy(u, p)
+        assert rec.second_moment == second_moment(u).value
+        rho = values.real**2 + values.imag**2
+        assert state.l4_last == l4_norm_4(u) == g.dx**2 * float(np.sum(np.square(rho)))
 
 
 class TestEvolveConfig:

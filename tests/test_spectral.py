@@ -19,7 +19,7 @@ from dsbu import (
     second_moment,
 )
 from dsbu.errors import DomainError, GridMismatchError, UsageError
-from dsbu.spectral import interaction_potential
+from dsbu.spectral import FieldTerms, density, interaction_potential
 
 from oracles import (
     direct_b_multiplier,
@@ -348,11 +348,16 @@ class TestReducedFormulas:
             assert gradient_norm_sq(spectral) == gradient_norm_sq(u)
 
     def test_potential_from_given_half_spectrum(self):
+        # FieldTerms.potential reads the shared rfft2(|u|^2) and leaves it as it was
         g = Grid2D(64, 10.0)
-        w = np.random.default_rng(5).random((64, 64))
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         p = OperatorParams(-1, 1.5)
-        given = interaction_potential(w, g, p, np.fft.rfft2(w))
-        assert np.array_equal(given, interaction_potential(w, g, p))
+        terms = FieldTerms(values, g)
+        shared = terms.rho_half.copy()
+        given = terms.potential(p)
+        assert np.array_equal(given, interaction_potential(density(values), g, p))
+        assert np.array_equal(terms.rho_half, shared)
 
 
 class TestScalingLaws:
