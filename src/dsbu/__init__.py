@@ -4,8 +4,6 @@ Strang-split time evolution with conservation monitors, exact reference
 solutions, and windowed mass-concentration diagnostics."""
 
 from .spectral import (
-    PHYSICAL,
-    SPECTRAL,
     Field,
     Grid2D,
     OperatorParams,
@@ -24,8 +22,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PHYSICAL",
-    "SPECTRAL",
     "Field",
     "Grid2D",
     "OperatorParams",

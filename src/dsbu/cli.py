@@ -25,7 +25,6 @@ from .exact import eval_pc_blowup, eval_standing_wave, pde_residual
 from .ground_state import solve_ground_state
 from .snapshot_io import SnapshotMeta, atomic_write, read_snapshot, write_snapshot
 from .spectral import (
-    PHYSICAL,
     Field,
     Grid2D,
     OperatorParams,
@@ -126,7 +125,7 @@ def _initial_condition(cfg: RunConfig) -> tuple[Field, OperatorParams]:
         values = cfg.amplitude * np.exp(
             -(x1**2 + (cfg.aspect * x2) ** 2) / (2 * cfg.width**2)
         )
-        return Field(grid, values, PHYSICAL), params
+        return Field(grid, values), params
     key = "snapshot_path" if cfg.ic == "snapshot" else "profile_path"
     path = getattr(cfg, key)
     with _reading(key, path):
@@ -270,18 +269,18 @@ def _cmd_verify(cfg: RunConfig) -> int:
     checks: list[tuple[str, float, float]] = []  # (name, value, bound)
 
     x1, x2 = grid.coords()
-    gauss = Field(grid, np.exp(-(x1**2 + x2**2) / 2), PHYSICAL)
+    gauss = Field(grid, np.exp(-(x1**2 + x2**2) / 2))
     checks.append(("gaussian mass vs pi", abs(mass(gauss) - np.pi) / np.pi, 1e-10))
 
     a = 2 * np.pi * round(0.2 * box) / box
-    cc = Field(grid, np.cos(a * x1) * np.cos(a * x2) + 0j, PHYSICAL)
+    cc = Field(grid, np.cos(a * x1) * np.cos(a * x2) + 0j)
     dev = np.max(np.abs(apply_b(cc).values - 0.5 * cc.values))
     checks.append(("B on cos*cos equals f/2", float(dev), 1e-12))
 
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(20):
-        f = Field(grid, rng.standard_normal((n, n)) + 0j, PHYSICAL)
+        f = Field(grid, rng.standard_normal((n, n)) + 0j)
         ratio = np.linalg.norm(apply_l(f, params).values) / np.linalg.norm(f.values)
         worst = max(worst, ratio / (1 + gamma))
     checks.append(("operator bound ||Lf|| <= (1+gamma)||f||", worst, 1.0 + 1e-12))
@@ -319,7 +318,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     slices = [eval_pc_blowup(gs.profile, t0 + k * hh, target) for k in (-1, 0, 1)]
     clean = pde_residual(slices[0], slices[1], slices[2], hh, params)
     checks.append(("pc-solution equation residual", clean, 5e-2))
-    corrupted = Field(target, slices[1].values * 1.01, PHYSICAL)
+    corrupted = Field(target, slices[1].values * 1.01)
     neg = pde_residual(slices[0], corrupted, slices[2], hh, params)
     checks.append(("corrupted-field residual exceeds 1e-2 (negative control)",
                    1e-2 / neg, 1.0))

@@ -27,14 +27,13 @@ shared by quartic(u) and every window of the three schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .spectral import (
-    PHYSICAL,
     Field,
     FieldTerms,
     Grid2D,
@@ -126,7 +125,7 @@ def rescaled_snapshot(u: Field) -> tuple[Field, float]:
     """
     rho = _unit_gradient_scale(gradient_norm_sq(u))
     v_grid = Grid2D(u.grid.n, u.grid.box_length / rho)
-    return Field(v_grid, rho * u.to_physical().values, PHYSICAL), rho
+    return Field(v_grid, rho * u.values), rho
 
 
 PARABOLIC_MINUS_EPS = "parabolic_minus_eps"
@@ -174,7 +173,7 @@ class ConcentrationRecord:
     window: WindowSpec
     best_mass: float
     best_center: tuple[float, float]
-    clamped: bool = False
+    clamped: bool
     rho: float | None = None
     rescaled_quartic: float | None = None
     rescaled_energy: float | None = None
@@ -202,7 +201,7 @@ class DiskTraceSummary:
     final_quartic_dev: float
     final_rescaled_energy: float
     sensitivity: dict
-    skipped_times: list[float] = field(default_factory=list)
+    skipped_times: list[float]
 
 
 def _terminal_segment(records: list[ConcentrationRecord]) -> list[ConcentrationRecord]:
@@ -313,7 +312,7 @@ class SquareTraceSummary:
     terminal_max_sqrt_mass: float
     eta: float | None
     above_eta: bool | None
-    skipped_times: list[float] = field(default_factory=list)
+    skipped_times: list[float]
 
 
 def square_concentration_trace(

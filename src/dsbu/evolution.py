@@ -48,7 +48,6 @@ from .errors import (
     UsageError,
 )
 from .spectral import (
-    PHYSICAL,
     Field,
     FieldTerms,
     Grid2D,
@@ -68,12 +67,12 @@ class SimulationState:
     u: Field
     params: OperatorParams
     l4_last: float  # integral of |u|^4 at time t
-    step_index: int = 0
-    l4_accum: float = 0.0
+    step_index: int
+    l4_accum: float
 
     @classmethod
     def initial(cls, u: Field, params: OperatorParams):
-        return cls(t=0.0, u=u.to_physical(), params=params, l4_last=l4_norm_4(u))
+        return cls(t=0.0, u=u, params=params, l4_last=l4_norm_4(u), step_index=0, l4_accum=0.0)
 
 
 @dataclass(frozen=True)
@@ -126,14 +125,14 @@ def strang_step(
     """
     if dt == 0.0:
         raise UsageError("dt must be nonzero")
-    u = state.u.to_physical()
+    u = state.u
     grid = u.grid
     p = state.params
     if _lin_half is None:
         _lin_half = np.exp(-1j * grid.ksq * (dt / 2))
 
     vals = np.fft.ifft2(_lin_half * np.fft.fft2(u.values))
-    vals = vals * np.exp(1j * dt * interaction_potential(np.abs(vals) ** 2, grid, p))
+    vals = vals * np.exp(1j * dt * interaction_potential(density(vals), grid, p))
     vals = np.fft.ifft2(_lin_half * np.fft.fft2(vals))
 
     if not np.all(np.isfinite(vals)):
@@ -141,7 +140,7 @@ def strang_step(
             f"non-finite values after step to t={state.t + dt}", state
         )
 
-    u_new = Field(grid, vals, PHYSICAL)
+    u_new = Field(grid, vals)
     l4_new = l4_norm_4(u_new)
     return SimulationState(
         t=state.t + dt,
@@ -291,7 +290,7 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     sample_dt = cfg.sample_interval if cfg.sample_interval is not None else sample_dt
     e_dt0 = _half_step_factor(grid, dt0)
 
-    u0 = state.u.to_physical().values
+    u0 = state.u.values
     if not np.all(np.isfinite(u0)):
         raise DomainError("run: initial field contains non-finite values")
     terms = FieldTerms(u0, grid, np.fft.fft2(u0))
@@ -332,7 +331,7 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
             terms = FieldTerms(u, grid, uhat)
             state = SimulationState(
                 t=state.t + dt,
-                u=Field(grid, u, PHYSICAL),
+                u=Field(grid, u),
                 params=p,
                 step_index=state.step_index + 1,
                 l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + terms.l4),
@@ -474,7 +473,7 @@ def negative_energy_gaussian(grid: Grid2D, p: OperatorParams) -> Field:
         base = np.exp(-(x1**2 + (aspect * x2) ** 2) / 2)
         amp = 1.0
         while amp <= 64.0:
-            u = Field(grid, amp * base, PHYSICAL)
+            u = Field(grid, amp * base)
             if energy(u, p) < 0:
                 return u
             amp *= 1.25

@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, ResolutionError
 from .spectral import (
-    PHYSICAL,
     Field,
     Grid2D,
     OperatorParams,
+    density,
     interaction_potential,
     sample_scaled,
 )
@@ -36,8 +36,7 @@ from .spectral import (
 
 def eval_standing_wave(profile: Field, t: float) -> Field:
     """Standing wave profile * e^{it} on the profile's own grid."""
-    p = profile.to_physical()
-    return Field(p.grid, p.values * np.exp(1j * t), PHYSICAL)
+    return Field(profile.grid, profile.values * np.exp(1j * t))
 
 
 def eval_pc_blowup(profile: Field, t: float, target_grid: Grid2D) -> Field:
@@ -50,18 +49,17 @@ def eval_pc_blowup(profile: Field, t: float, target_grid: Grid2D) -> Field:
     """
     if not (-1.0 <= t < 0.0):
         raise DomainError(f"pseudo-conformal snapshot needs t in [-1, 0), got {t}")
-    src = profile.to_physical()
-    min_abs_t = target_grid.dx / src.grid.dx
+    min_abs_t = target_grid.dx / profile.grid.dx
     if abs(t) < min_abs_t * (1 - 1e-12):
         raise ResolutionError(
             f"target grid too coarse at t={t}: needs |t| >= {min_abs_t:.6g} "
             f"(dx_target <= |t| * dx_profile)",
             min_abs_t,
         )
-    rescaled = sample_scaled(src, target_grid, 1.0 / t)
+    rescaled = sample_scaled(profile, target_grid, 1.0 / t)
     x1, x2 = target_grid.coords()
     phase = np.exp(1j * (x1**2 + x2**2) / (4 * t) - 1j / t)
-    return Field(target_grid, phase * rescaled / abs(t), PHYSICAL)
+    return Field(target_grid, phase * rescaled / abs(t))
 
 
 def pde_residual(
@@ -81,10 +79,10 @@ def pde_residual(
     if not h > 0:
         raise DomainError(f"slice spacing must be positive, got h={h}")
     grid = u_center.grid
-    uc = u_center.to_physical().values
-    du_dt = (u_plus.to_physical().values - u_minus.to_physical().values) / (2 * h)
+    uc = u_center.values
+    du_dt = (u_plus.values - u_minus.values) / (2 * h)
     lap = np.fft.ifft2(-grid.ksq * np.fft.fft2(uc))
-    nonlin = interaction_potential(np.abs(uc) ** 2, grid, p) * uc
+    nonlin = interaction_potential(density(uc), grid, p) * uc
     num = np.linalg.norm(1j * du_dt + lap + nonlin)
     den = np.linalg.norm(uc)
     if den == 0.0:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, UsageError
 from .spectral import (
-    PHYSICAL,
     Field,
     FieldTerms,
     Grid2D,
@@ -76,7 +75,7 @@ class GroundStateResult:
     residual: float
     iterations: int
     sharpness_ratio: float
-    residual_history: list = field(default_factory=list, repr=False)
+    residual_history: list = field(repr=False)
 
 
 def solve_ground_state(
@@ -134,7 +133,7 @@ def solve_ground_state(
     center = grid.n // 2
     r = np.roll(r, (center - peak[0], center - peak[1]), axis=(0, 1))
 
-    profile = Field(grid, r, PHYSICAL)
+    profile = Field(grid, r)
     terms = FieldTerms.of(profile)
     grad, m = terms.grad, terms.mass  # the gradient's transform is freed before rho is made
     return GroundStateResult(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SnapshotFormatError, UsageError
-from .spectral import PHYSICAL, Field, Grid2D, OperatorParams
+from .spectral import Field, Grid2D, OperatorParams
 
 MAGIC = b"DSBU"
 VERSION = 1
@@ -64,13 +64,11 @@ def atomic_write(path: str, *chunks: bytes | str) -> None:
 
 
 def write_snapshot(path: str, field: Field, meta: SnapshotMeta) -> None:
-    """Write a physical-space snapshot atomically."""
-    phys = field.to_physical()
-    n = phys.grid.n
+    """Write a snapshot of the field's physical samples atomically."""
     header = _HEADER.pack(
-        MAGIC, VERSION, n, meta.nu, phys.grid.box_length, meta.t, meta.gamma
+        MAGIC, VERSION, field.grid.n, meta.nu, field.grid.box_length, meta.t, meta.gamma
     )
-    payload = np.ascontiguousarray(phys.values, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(field.values, dtype="<c16").tobytes()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     atomic_write(path, header, payload, struct.pack("<I", crc))
 
@@ -112,5 +110,5 @@ def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:
             f"[{_HEADER.size}, {len(blob) - 4})"
         )
     values = np.frombuffer(payload, dtype="<c16").reshape(n, n)
-    field = Field(grid, values.copy(), PHYSICAL)
+    field = Field(grid, values.copy())
     return field, SnapshotMeta(t=t, nu=nu, gamma=gamma)

@@ -25,7 +25,7 @@ module-level functionals read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DomainError, UsageError
 
 PHYSICAL = "physical"
-SPECTRAL = "spectral"
 
 #: Relative magnitude of the imaginary part above which a field no longer
 #: counts as real-valued input to B and L.
@@ -103,37 +102,29 @@ class Grid2D:
 
 @dataclass
 class Field:
-    """Complex samples of a field on a grid, tagged physical or spectral.
+    """Complex physical samples of a field on a grid.
 
-    Spectral values follow the unnormalized fft2 convention, so the
-    round trip physical -> spectral -> physical is exact to roundoff.
+    The optional third argument ``space`` is taken at construction and not
+    stored; only ``PHYSICAL`` is accepted, so the call form
+    ``Field(grid, values, PHYSICAL)`` keeps working. The benchmark-harness
+    rewrite (ROADMAP item 1) deletes both the argument and the constant.
     """
 
     grid: Grid2D
     values: np.ndarray
-    space: str = PHYSICAL
+    space: InitVar[str] = PHYSICAL
 
-    def __post_init__(self):
+    def __post_init__(self, space: str):
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.grid.n, self.grid.n):
             raise UsageError(
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"
             )
-        if self.space not in (PHYSICAL, SPECTRAL):
-            raise UsageError(f"unknown space tag {self.space!r}")
-
-    def to_physical(self) -> "Field":
-        if self.space == PHYSICAL:
-            return self
-        return Field(self.grid, np.fft.ifft2(self.values), PHYSICAL)
-
-    def to_spectral(self) -> "Field":
-        if self.space == SPECTRAL:
-            return self
-        return Field(self.grid, np.fft.fft2(self.values), SPECTRAL)
+        if space != PHYSICAL:
+            raise UsageError(f"a Field holds physical samples only, got space {space!r}")
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.space)
+        return Field(self.grid, self.values.copy())
 
 
 @dataclass(frozen=True)
@@ -195,20 +186,18 @@ def interaction_potential(w: np.ndarray, grid: Grid2D, p: OperatorParams) -> np.
 def apply_b(f: Field) -> Field:
     """Apply the multiplier B with symbol xi1^2/|xi|^2 to a real field.
 
-    Input must be physical and real up to roundoff (B acts on |u|^2 in the
-    evolution, which is real); the output is real because the symbol is real
-    and even in each wavenumber.
+    Input must be real up to roundoff (B acts on |u|^2 in the evolution,
+    which is real); the output is real because the symbol is real and even
+    in each wavenumber.
     """
-    f = f.to_physical()
     _check_real(f.values, "apply_b")
-    return Field(f.grid, _b_action(np.fft.rfft2(f.values.real), f.grid), PHYSICAL)
+    return Field(f.grid, _b_action(np.fft.rfft2(f.values.real), f.grid))
 
 
 def apply_l(f: Field, p: OperatorParams) -> Field:
     """Apply L = nu*I + gamma*B to a real field."""
-    f = f.to_physical()
     _check_real(f.values, "apply_l")
-    return Field(f.grid, interaction_potential(f.values.real, f.grid, p), PHYSICAL)
+    return Field(f.grid, interaction_potential(f.values.real, f.grid, p))
 
 
 def density(values: np.ndarray) -> np.ndarray:
@@ -251,8 +240,8 @@ class FieldTerms:
 
     @classmethod
     def of(cls, u: Field) -> "FieldTerms":
-        """The terms of a field; a spectral field's values are its uhat."""
-        return cls(u.to_physical().values, u.grid, u.values if u.space == SPECTRAL else None)
+        """The terms of a field, with no spectrum held."""
+        return cls(u.values, u.grid)
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -373,9 +362,8 @@ def sample_scaled(field: Field, target_grid: Grid2D, scale: float) -> np.ndarray
     roundoff; at source grid points the interpolant reproduces the samples
     exactly. Points outside the source box see its periodic extension.
     """
-    src = field.to_spectral()
-    g = src.grid
-    coeff = src.values / g.n**2
+    g = field.grid
+    coeff = np.fft.fft2(field.values) / g.n**2
     # DFT phases are anchored at the first sample point x0 = -L/2.
     shifted = scale * target_grid.x - g.x[0]
     phase = np.exp(1j * np.outer(shifted, g.k))

@@ -1,5 +1,6 @@
 """Config parsing, snapshot format, and CLI surface tests."""
 
+import os
 import re
 import struct
 import subprocess
@@ -532,9 +533,12 @@ class TestCli:
         assert main(["analyze", str(cfg)]) == 1
 
     def test_console_script_usage_exit(self):
+        # The child imports the dsbu this test imports, installed or not.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dsbu.cli", "bogus"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr

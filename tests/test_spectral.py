@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dsbu import (
-    SPECTRAL,
     Field,
     Grid2D,
     OperatorParams,
@@ -19,7 +18,7 @@ from dsbu import (
     second_moment,
 )
 from dsbu.errors import DomainError, GridMismatchError, UsageError
-from dsbu.spectral import FieldTerms, density, interaction_potential
+from dsbu.spectral import PHYSICAL, FieldTerms, density, interaction_potential
 
 from oracles import (
     direct_b_multiplier,
@@ -62,16 +61,16 @@ class TestGrid:
 
 
 class TestField:
-    def test_roundtrip(self):
-        g = Grid2D(32, 7.0)
-        rng = np.random.default_rng(0)
-        u = Field(g, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
-        back = u.to_spectral().to_physical()
-        assert np.max(np.abs(back.values - u.values)) <= 1e-12 * np.max(np.abs(u.values))
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(UsageError):
             Field(Grid2D(16, 1.0), np.zeros((8, 8)))
+
+    def test_space_tag_other_than_physical_rejected(self):
+        g = Grid2D(16, 1.0)
+        assert np.array_equal(Field(g, np.ones((16, 16)), PHYSICAL).values, np.ones((16, 16)))
+        for tag in ("spectral", "", None):
+            with pytest.raises(UsageError):
+                Field(g, np.ones((16, 16)), tag)
 
     def test_params_validation(self):
         with pytest.raises(UsageError):
@@ -212,7 +211,7 @@ class TestFunctionals:
         rng = np.random.default_rng(21)
         u = Field(g, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         phys = mass(u)
-        spec = mass(u.to_spectral())
+        spec = g.dx**2 / g.n**2 * np.sum(np.abs(np.fft.fft2(u.values)) ** 2)
         assert abs(phys - spec) <= 1e-12 * phys
 
     def test_gradient_norm(self):
@@ -344,8 +343,7 @@ class TestReducedFormulas:
             uh = np.fft.fft2(u.values)
             expected = g.dx**2 / g.n**2 * np.sum(g.ksq * np.abs(uh) ** 2)
             assert abs(gradient_norm_sq(u) - expected) <= 1e-13 * expected
-            spectral = Field(g, uh, SPECTRAL)
-            assert gradient_norm_sq(spectral) == gradient_norm_sq(u)
+            assert FieldTerms(u.values, g, uh).grad == gradient_norm_sq(u)
 
     def test_potential_from_given_half_spectrum(self):
         # FieldTerms.potential reads the shared rfft2(|u|^2) and leaves it as it was
