@@ -239,9 +239,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
             ("sensitivity", summary.sensitivity),
         ]
     else:
-        records, summary = square_concentration_trace(
-            snapshots, cfg.c_side, t_star, eta=cfg.eta
-        )
+        records, summary = square_concentration_trace(snapshots, cfg.c_side, t_star, cfg.eta)
         verdicts = [
             ("max_sqrt_mass", summary.max_sqrt_mass),
             ("terminal_min_sqrt_mass", summary.terminal_min_sqrt_mass),

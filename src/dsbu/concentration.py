@@ -310,8 +310,8 @@ class SquareTraceSummary:
     max_sqrt_mass: float
     terminal_min_sqrt_mass: float
     terminal_max_sqrt_mass: float
-    eta: float | None
-    above_eta: bool | None
+    eta: float
+    above_eta: bool
     skipped_times: list[float]
 
 
@@ -319,7 +319,7 @@ def square_concentration_trace(
     snapshots: list[tuple[float, Field]],
     c_side: float,
     t_star: float,
-    eta: float | None = None,
+    eta: float,
 ) -> tuple[list[ConcentrationRecord], SquareTraceSummary]:
     """Square-window trace with sidelength c_side * sqrt(t_star - t).
 
@@ -352,7 +352,7 @@ def square_concentration_trace(
         terminal_min_sqrt_mass=float(min(term_sqrts)),
         terminal_max_sqrt_mass=float(max(term_sqrts)),
         eta=eta,
-        above_eta=None if eta is None else bool(min(term_sqrts) > eta),
+        above_eta=bool(min(term_sqrts) > eta),
         skipped_times=skipped,
     )
     return records, summary

@@ -107,6 +107,11 @@ _MODE_KEYS = {
 }
 
 
+def _applies(key: str, mode: str) -> bool:
+    """Whether ``key`` is a key of ``mode``: a shared key or one of that mode's own."""
+    return not any(key in keys for other, keys in _MODE_KEYS.items() if other != mode)
+
+
 def _convert(key: str, raw: str, line: int):
     kind = _TYPES[key]
     try:
@@ -207,7 +212,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(0, "missing required key 'mode'")
     mode = values["mode"]
     for key, lineno in lines_seen.items():
-        if any(key in keys for other, keys in _MODE_KEYS.items() if other != mode):
+        if not _applies(key, mode):
             raise ConfigError(lineno, f"key {key!r} does not apply to mode {mode!r}")
 
     cfg = RunConfig(**values)  # type: ignore[arg-type]
@@ -225,11 +230,10 @@ def parse_config(text: str) -> RunConfig:
 
 
 def config_summary(cfg: RunConfig) -> str:
-    """Canonical one-line-per-key rendering of a resolved config."""
-    parts = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        parts.append(f"{f.name} = {value}")
-    return "\n".join(parts)
+    """Canonical one-line-per-key rendering of a resolved config.
+
+    It holds the set keys of ``cfg.mode``, so ``parse_config`` reads it back
+    to ``cfg``.
+    """
+    pairs = ((f.name, getattr(cfg, f.name)) for f in fields(cfg) if _applies(f.name, cfg.mode))
+    return "\n".join(f"{key} = {value}" for key, value in pairs if value is not None)

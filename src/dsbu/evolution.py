@@ -161,6 +161,7 @@ class EvolveConfig:
     or, when ``snapshot_grad_ratio`` is also set, whenever gradient_norm_sq
     has grown by another factor of it -- the natural cadence for blow-up
     runs, where everything happens in the last few per cent of the lifespan.
+    The initial field and the run's last state are kept as well.
     Values on which ``run`` would hang, and a ratio without
     ``keep_snapshots`` (it would do nothing), raise UsageError at
     construction.
@@ -264,14 +265,15 @@ def _spectral_step(
 def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     """Step from state0 until t_end or until a stop criterion fires.
 
-    Stop criteria: sup|u| above the resolution guard (checked every step on
-    the step-boundary field), gradient_norm_sq above guard^2 (checked at
-    every record, and every step on the snapshot ladder), or non-finite
-    values, which record the last finite state (a non-finite initial field
-    raises DomainError, and so does a gradient-free one on the ladder, whose
-    rungs would all be 0). Every stop and every sample go through one record
-    site at the end of the step. Guard terminations are normal blow-up
-    outcomes and come back with a BlowupEstimate when the records support one.
+    Stop criteria, in the order each step tests them: non-finite values,
+    which record the last finite state; sup|u| above the resolution guard;
+    gradient_norm_sq above guard^2, read where the step knows the gradient
+    anyway: at a record, and on every step of the snapshot ladder. A
+    non-finite initial field raises DomainError, and so does a gradient-free
+    one on the ladder, whose rungs would all be 0. After the stop reason the
+    step has one record site and one snapshot site. Guard terminations are
+    normal blow-up outcomes and come back with a BlowupEstimate when the
+    records support one.
 
     The loop is the spectral-state form of ``strang_step`` described in the
     module docstring: it keeps u_hat from step to step, transforms the
@@ -319,11 +321,8 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
         # first so that their density is not held through the step.
         uhat, terms = terms.uhat, None
         u = _spectral_step(uhat, spare, dt, e, grid, p)
-        if not np.all(np.isfinite(u)):
-            # state stays the last finite one; with no terms, _record
-            # transforms it afresh.
-            stop = "non_finite"
-        else:
+        finite = np.all(np.isfinite(u))
+        if finite:
             # The replaced field's buffer takes the next step, unless it is
             # the caller's initial field.
             own = state.step_index > state0.step_index
@@ -337,29 +336,30 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
                 l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + terms.l4),
                 l4_last=terms.l4,
             )
-            if terms.sup > guard:
-                stop = "sup_guard"
-            elif ladder is not None:
-                if terms.grad >= rung:
-                    snapshots.append((state.t, state.u.copy()))
-                    while rung <= terms.grad:
-                        rung *= ladder
-                if terms.grad > guard**2:
-                    stop = "grad_guard"
-
-        due = state.t >= next_sample - t_eps or state.t >= cfg.t_end - t_eps
+        end = state.t >= cfg.t_end - t_eps
+        due = end or state.t >= next_sample - t_eps
+        # Stop reason, record, then snapshot: the copy comes after the record's temporaries.
+        if not finite:
+            stop = "non_finite"  # state stays the last finite one, terms None
+        elif terms.sup > guard:
+            stop = "sup_guard"
+        elif (due or ladder is not None) and terms.grad > guard**2:
+            stop = "grad_guard"
         if stop or due:
             records.append(_record(state, dt, terms))
-            if not stop and cfg.keep_snapshots and ladder is None:
-                snapshots.append((state.t, state.u.copy()))
             next_sample += sample_dt
-            if not stop and records[-1].gradient_norm_sq > guard**2:
-                stop = "grad_guard"
-            if stop:
-                break
-
-    if cfg.keep_snapshots and state.t > snapshots[-1][0]:
-        snapshots.append((state.t, state.u.copy()))
+        if stop or end:
+            keep = cfg.keep_snapshots and state.t > snapshots[-1][0]
+        elif ladder is None:
+            keep = cfg.keep_snapshots and due
+        else:
+            keep = terms.grad >= rung
+            while rung <= terms.grad:
+                rung *= ladder
+        if keep:
+            snapshots.append((state.t, state.u.copy()))
+        if stop:
+            break
 
     estimate = None
     if stop:

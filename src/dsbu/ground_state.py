@@ -19,14 +19,13 @@ The converged profile optimizes the interaction inequality
     integral L(|u|^2)|u|^2 <= C_opt * ||grad u||_2^2 * ||u||_2^2
 
 with C_opt = 2 / mass(R). Uniqueness of the positive profile is open, so
-C_opt is defined operationally from the computed branch and cross-checked by
-``verify_sharp_inequality`` on trial fields.
+C_opt is defined operationally from the computed branch; the report's
+``sharpness_ratio`` is the quotient at R, which matches C_opt there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -129,7 +128,6 @@ def solve_ground_state(
     peak = np.unravel_index(np.argmax(np.abs(r)), r.shape)
     if r[peak] < 0:
         r = -r
-        peak = np.unravel_index(np.argmax(np.abs(r)), r.shape)
     center = grid.n // 2
     r = np.roll(r, (center - peak[0], center - peak[1]), axis=(0, 1))
 
@@ -144,31 +142,3 @@ def solve_ground_state(
         sharpness_ratio=terms.quartic(p) / (grad * m),
         residual_history=history,
     )
-
-
-class SharpInequalityReport(NamedTuple):
-    """Both sides of the interaction inequality for a trial field."""
-
-    lhs: float
-    rhs: float
-    ratio: float
-
-
-def verify_sharp_inequality(
-    u: Field, gs: GroundStateResult, p: OperatorParams
-) -> SharpInequalityReport:
-    """Evaluate the interaction inequality on a trial field.
-
-    Returns lhs = integral L(|u|^2)|u|^2, rhs = c_opt * grad * mass and their
-    ratio, which lies in (0, 1] up to discretization noise and equals 1 for
-    the optimizer itself.
-    """
-    if p.nu != 1:
-        raise DomainError("the sharp inequality is stated for nu = +1")
-    terms = FieldTerms.of(u)
-    grad, m = terms.grad, terms.mass
-    if m == 0.0:
-        raise DomainError("trial field is identically zero")
-    lhs = terms.quartic(p)
-    rhs = gs.c_opt * grad * m
-    return SharpInequalityReport(lhs, rhs, lhs / rhs)

@@ -7,17 +7,21 @@ import subprocess
 import sys
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dsbu import Field, Grid2D, cli
 from dsbu.cli import main
-from dsbu.config import RunConfig, parse_config
+from dsbu.config import RunConfig, config_summary, parse_config
 from dsbu.errors import ConfigError, SnapshotFormatError
 from dsbu.evolution import BlowupEstimate, ConservationRecord, EvolveConfig, RunResult
 from dsbu.ground_state import GroundStateConfig
 from dsbu.snapshot_io import _HEADER, MAGIC, VERSION, SnapshotMeta, read_snapshot, write_snapshot
+
+
+CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
 class TestParseConfig:
@@ -70,6 +74,13 @@ class TestParseConfig:
     def test_mode_scoped_keys_rejected_elsewhere(self):
         with pytest.raises(ConfigError, match="does not apply"):
             parse_config("mode = ground-state\nt_end = 1\n")
+
+    @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
+    def test_run_config_record_reads_back(self, path):
+        # run_config.txt holds config_summary of the resolved config; it
+        # must parse back to the same config, keys of other modes left out
+        cfg = parse_config(path.read_text())
+        assert parse_config(config_summary(cfg)) == cfg
 
     def test_type_errors_carry_line(self):
         with pytest.raises(ConfigError, match="line 2"):

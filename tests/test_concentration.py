@@ -366,7 +366,7 @@ class TestSquareTrace:
         norms = []
         for side in (2.0, 1.0, 0.5):
             records, summary = square_concentration_trace(
-                snaps, c_side=side, t_star=1.0
+                snaps, c_side=side, t_star=1.0, eta=0.1
             )
             bound = 1e-3 * (records[0].window.size + g.dx)
             assert summary.max_sqrt_mass <= bound * (1 + 1e-12)
@@ -376,7 +376,7 @@ class TestSquareTrace:
     def test_late_snapshots_skipped(self, ground_state_256):
         r = ground_state_256.profile
         snaps = [(0.2, eval_standing_wave(r, 0.2)), (-1.0, eval_pc_blowup(r, -1.0, r.grid))]
-        records, summary = square_concentration_trace(snaps, c_side=3.0, t_star=0.0)
+        records, summary = square_concentration_trace(snaps, c_side=3.0, t_star=0.0, eta=0.1)
         assert summary.skipped_times == [0.2]
         assert len(records) == 1
 
@@ -384,4 +384,4 @@ class TestSquareTrace:
         r = ground_state_256.profile
         snaps = [(0.2, eval_standing_wave(r, 0.2))]
         with pytest.raises(DomainError):
-            square_concentration_trace(snaps, c_side=3.0, t_star=0.0)
+            square_concentration_trace(snaps, c_side=3.0, t_star=0.0, eta=0.1)

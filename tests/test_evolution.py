@@ -360,6 +360,10 @@ def assert_same_run(got, ref, t_end, rel=1e-12):
         assert np.max(np.abs(fa.values - fb.values)) <= rel * np.max(np.abs(fb.values))
 
 
+# The two snapshot cadences of ``run``: at every record, and on the gradient ladder.
+cadences = pytest.mark.parametrize("ratio", [None, 2.0**0.25], ids=["record", "ladder"])
+
+
 def drawn_gaussian(amplitude, width, n=64, box=12.0):
     g = Grid2D(n, box)
     return SimulationState.initial(gaussian(g, amplitude, width), OperatorParams(1, 1.0))
@@ -406,18 +410,20 @@ class TestSpectralStateLoop:
         assert got.stop_reason == "sup_guard"
         assert_same_run(got, reference_run(s, cfg), cfg.t_end)
 
-    def test_sup_guard_on_sampling_step_records_once(self):
+    @cadences
+    def test_sup_guard_on_sampling_step_records_once(self, ratio):
         # a bump on a flat background: sup|u| crosses the guard while the
         # gradient is still below guard^2, on a step that is also a sample
         g = Grid2D(64, 12.0)
         s = SimulationState.initial(Field(g, 1.5 + gaussian(g, 0.3).values),
                                     OperatorParams(1, 1.0))
         cfg = EvolveConfig(t_end=1.0, dt0=2e-3, sample_interval=2e-3, guard=2.0,
-                           keep_snapshots=True)
+                           keep_snapshots=True, snapshot_grad_ratio=ratio)
         got = run(s, cfg)
         assert got.stop_reason == "sup_guard"
         assert len(got.records) == got.state.step_index + 1
-        assert len(got.snapshots) == len(got.records)
+        if ratio is None:
+            assert len(got.snapshots) == len(got.records)
         assert got.records[-1].t == got.snapshots[-1][0] == got.state.t
         assert_same_run(got, reference_run(s, cfg), cfg.t_end)
 
@@ -432,13 +438,16 @@ class TestSpectralStateLoop:
         assert got.records[-1].t == got.snapshots[-1][0] == got.state.t
         assert_same_run(got, reference_run(s, cfg), cfg.t_end)
 
-    def test_initial_state_and_snapshots_left_untouched(self):
+    @cadences
+    def test_initial_state_and_snapshots_left_untouched(self, ratio):
         # the loop reuses its own field buffers, never the caller's, and
-        # interval snapshots are copies that later steps do not overwrite
+        # kept snapshots are copies that later steps do not overwrite
         s = drawn_gaussian(1.5, 1.0)
         before = s.u.values.copy()
-        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, keep_snapshots=True, sample_interval=2e-3)
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, keep_snapshots=True, sample_interval=2e-3,
+                           snapshot_grad_ratio=ratio)
         res = run(s, cfg)
+        assert res.stop_reason == "t_end" and res.snapshots[-1][0] == res.state.t
         assert s.u.values.tobytes() == before.tobytes()
         assert res.snapshots[0][1].values.tobytes() == before.tobytes()
         assert_same_run(res, reference_run(s, cfg), cfg.t_end)
@@ -486,12 +495,15 @@ class TestSpectralStateLoop:
         assert last.t == got.state.t and last.dt_used == 1e-3
         assert np.isfinite([last.mass, last.energy, last.gradient_norm_sq]).all()
 
-    def test_nonfinite_step_keeps_last_finite_snapshot(self, fail_third_step):
+    @cadences
+    def test_nonfinite_step_keeps_last_finite_snapshot(self, fail_third_step, ratio):
         s = drawn_gaussian(1.0, 1.0)
-        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1e-3, keep_snapshots=True)
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1e-3, keep_snapshots=True,
+                           snapshot_grad_ratio=ratio)
         got = run(s, cfg)
         assert got.stop_reason == "non_finite" and got.state.step_index == 2
-        assert [t for t, _ in got.snapshots] == [r.t for r in got.records[:-1]]
+        if ratio is None:
+            assert [t for t, _ in got.snapshots] == [r.t for r in got.records[:-1]]
         assert got.snapshots[-1][1].values.tobytes() == got.state.u.values.tobytes()
         assert_same_run(got, reference_run(s, cfg), cfg.t_end)
 

@@ -10,11 +10,7 @@ import pytest
 
 from dsbu import Field, Grid2D, OperatorParams, energy, gradient_norm_sq, mass, quartic_term
 from dsbu.errors import DomainError, NonConvergenceError, UsageError
-from dsbu.ground_state import (
-    GroundStateConfig,
-    solve_ground_state,
-    verify_sharp_inequality,
-)
+from dsbu.ground_state import GroundStateConfig, solve_ground_state
 from dsbu.spectral import interaction_potential
 
 from oracles import townes_mass
@@ -124,21 +120,21 @@ class TestSolver:
             GroundStateConfig(max_iter=max_iter)
 
 
+def sharp_ratio(u, gs, p):
+    """The interaction quotient over its sharp bound: quartic / (c_opt * grad * mass)."""
+    return quartic_term(u, p) / (gs.c_opt * gradient_norm_sq(u) * mass(u))
+
+
 class TestSharpInequality:
     def test_optimizer_saturates(self, ground_state_256, params_focusing):
-        report = verify_sharp_inequality(
-            ground_state_256.profile, ground_state_256, params_focusing
-        )
-        assert report.ratio == pytest.approx(1.0, abs=1e-4)
+        ratio = sharp_ratio(ground_state_256.profile, ground_state_256, params_focusing)
+        assert ratio == pytest.approx(1.0, abs=1e-4)
 
     def test_gaussian_strictly_below(self, ground_state_256, params_focusing):
         g = ground_state_256.profile.grid
         x1, x2 = g.coords()
         trial = Field(g, np.exp(-(x1**2 + x2**2) / 2))
-        report = verify_sharp_inequality(trial, ground_state_256, params_focusing)
-        assert 0.0 < report.ratio < 1.0
-        # both sides recomputed by the package quadratures
-        assert report.lhs == pytest.approx(quartic_term(trial, params_focusing))
+        assert 0.0 < sharp_ratio(trial, ground_state_256, params_focusing) < 1.0
 
     def test_phase_tilt_decreases_ratio(self, ground_state_256, params_focusing):
         gs = ground_state_256
@@ -146,27 +142,24 @@ class TestSharpInequality:
         x1, _ = g.coords()
         a = 2 * np.pi * 4 / g.box_length
         tilted = Field(g, gs.profile.values * np.exp(1j * a * x1))
-        base = verify_sharp_inequality(gs.profile, gs, params_focusing)
-        tilt = verify_sharp_inequality(tilted, gs, params_focusing)
-        assert tilt.lhs == pytest.approx(base.lhs, rel=1e-12)
-        assert tilt.ratio < base.ratio
+        assert quartic_term(tilted, params_focusing) == pytest.approx(
+            quartic_term(gs.profile, params_focusing), rel=1e-12
+        )
+        base = sharp_ratio(gs.profile, gs, params_focusing)
+        assert sharp_ratio(tilted, gs, params_focusing) < base
 
     def test_ratio_scale_invariance(self, ground_state_256, params_focusing):
         gs = ground_state_256
         g = gs.profile.grid
         x1, x2 = g.coords()
         trial = Field(g, (1.1 + 0.4j) * np.exp(-(x1**2 + x2**2) / 1.7))
-        base = verify_sharp_inequality(trial, gs, params_focusing)
+        base = sharp_ratio(trial, gs, params_focusing)
         scaled_amp = Field(g, 3.7 * trial.values)
-        assert verify_sharp_inequality(scaled_amp, gs, params_focusing).ratio == pytest.approx(
-            base.ratio, rel=1e-10
-        )
+        assert sharp_ratio(scaled_amp, gs, params_focusing) == pytest.approx(base, rel=1e-10)
         rho = 2.0
         dil_grid = Grid2D(g.n, g.box_length / rho)
         dilated = Field(dil_grid, rho * trial.values)
-        assert verify_sharp_inequality(dilated, gs, params_focusing).ratio == pytest.approx(
-            base.ratio, rel=1e-10
-        )
+        assert sharp_ratio(dilated, gs, params_focusing) == pytest.approx(base, rel=1e-10)
 
     def test_random_battery_stays_below_one(self, ground_state_256, params_focusing):
         g = ground_state_256.profile.grid
@@ -177,20 +170,5 @@ class TestSharpInequality:
             vals = envelope * (
                 rng.standard_normal((g.n, g.n)) + 1j * rng.standard_normal((g.n, g.n))
             )
-            report = verify_sharp_inequality(
-                Field(g, vals), ground_state_256, params_focusing
-            )
-            assert report.ratio <= 1.0 + 1e-6
-
-    def test_zero_field_rejected(self, ground_state_256, params_focusing):
-        g = ground_state_256.profile.grid
-        with pytest.raises(DomainError):
-            verify_sharp_inequality(
-                Field(g, np.zeros((g.n, g.n))), ground_state_256, params_focusing
-            )
-
-    def test_defocusing_rejected(self, ground_state_256):
-        with pytest.raises(DomainError):
-            verify_sharp_inequality(
-                ground_state_256.profile, ground_state_256, OperatorParams(-1, 1.0)
-            )
+            ratio = sharp_ratio(Field(g, vals), ground_state_256, params_focusing)
+            assert ratio <= 1.0 + 1e-6
