@@ -13,7 +13,7 @@ rho = 1/||grad u||_2 on a grid scaled by rho, so that mass(v) = mass(u) and
 like rho^2 and its interaction term approaches 2, since
 quartic(v) = 2 ||grad v||^2 - 4 E(v) and the rescaled energy vanishes.
 
-The two trace drivers turn a snapshot sequence into concentration records:
+The two trace drivers walk a snapshot sequence once, in increasing t:
 disk windows follow a shrinking schedule lambda(t) toward the blow-up time
 (mass captured must approach at least 2/c_opt), square windows have
 sidelength C*sqrt(t_star - t) and track the captured L2 norm. The disk
@@ -27,8 +27,8 @@ shared by quartic(u) and every window of the three schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -216,14 +216,27 @@ def _mass_ratios(terminal: list[ConcentrationRecord], threshold: float) -> dict:
     }
 
 
+def _in_time_order(snapshots: Iterable[tuple[float, Field]]) -> Iterator[tuple[float, Field]]:
+    """The (t, u) pairs of ``snapshots``; DomainError if there are none or t fails to increase."""
+    last = None
+    for t, u in snapshots:
+        if last is not None and not t > last:
+            raise DomainError(f"snapshot at t = {t} follows t = {last}; traces need increasing t")
+        last = t
+        yield t, u
+    if last is None:
+        raise DomainError("no snapshots to trace")
+
+
 def disk_concentration_trace(
-    snapshots: list[tuple[float, Field]],
+    snapshots: Iterable[tuple[float, Field]],
     schedule: LambdaSchedule,
     c_opt: float,
     params: OperatorParams,
 ) -> tuple[list[ConcentrationRecord], DiskTraceSummary]:
     """Disk-window concentration measurements along a blow-up run.
 
+    ``snapshots`` is any iterable of (t, u) in increasing t, walked once.
     Snapshots with a nonpositive or sub-cell schedule value are skipped and
     reported. The summary compares captured mass against 2/c_opt over the
     terminal segment, checks that lambda * ||grad u|| grows (the window
@@ -236,16 +249,14 @@ def disk_concentration_trace(
     identities and the ``FieldTerms`` of u, whose one transform of |u|^2 its
     windows share.
     """
-    if not snapshots:
-        raise DomainError("no snapshots to trace")
-    snapshots = sorted(snapshots, key=lambda pair: pair[0])
-    span = schedule.t_star - snapshots[0][0]
-    schedules = {"main": schedule}
-    for tag, shift in (("minus_2pct", -0.02 * span), ("plus_2pct", 0.02 * span)):
-        schedules[tag] = LambdaSchedule(schedule.kind, schedule.epsilon, schedule.t_star + shift)
-    rows: dict[str, list[ConcentrationRecord]] = {tag: [] for tag in schedules}
+    rows: dict[str, list[ConcentrationRecord]] = {"main": [], "minus_2pct": [], "plus_2pct": []}
+    schedules: dict[str, LambdaSchedule] = {}
     skipped: list[float] = []
-    for t, u in snapshots:
+    for t, u in _in_time_order(snapshots):
+        if not schedules:  # the first t sets the trace span
+            shift = 0.02 * (schedule.t_star - t)
+            schedules = {tag: replace(schedule, t_star=schedule.t_star + s)
+                         for tag, s in zip(rows, (0.0, -shift, shift))}
         terms = None
         for tag, sched in schedules.items():
             lam = sched(t)
@@ -316,22 +327,22 @@ class SquareTraceSummary:
 
 
 def square_concentration_trace(
-    snapshots: list[tuple[float, Field]],
+    snapshots: Iterable[tuple[float, Field]],
     c_side: float,
     t_star: float,
     eta: float,
 ) -> tuple[list[ConcentrationRecord], SquareTraceSummary]:
     """Square-window trace with sidelength c_side * sqrt(t_star - t).
 
-    Needs no gradient data (suits mass-only runs). Snapshots at or beyond
+    Needs no gradient data (suits mass-only runs). ``snapshots`` is any
+    iterable of (t, u) in increasing t, walked once. Snapshots at or beyond
     t_star, or with sub-cell windows, are skipped with their times reported.
     """
     if not c_side > 0:
         raise DomainError(f"c_side must be positive, got {c_side}")
-    snapshots = sorted(snapshots, key=lambda pair: pair[0])
     records: list[ConcentrationRecord] = []
     skipped: list[float] = []
-    for t, u in snapshots:
+    for t, u in _in_time_order(snapshots):
         if t >= t_star:
             skipped.append(t)
             continue

@@ -157,7 +157,7 @@ class EvolveConfig:
     """Controls for ``run``; None fields resolve to ``grid_defaults``.
 
     With ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|). With
-    ``keep_snapshots`` a snapshot (deep field copy) is kept at every record,
+    ``keep_snapshots`` a snapshot goes to ``run``'s sink at every record,
     or, when ``snapshot_grad_ratio`` is also set, whenever gradient_norm_sq
     has grown by another factor of it -- the natural cadence for blow-up
     runs, where everything happens in the last few per cent of the lifespan.
@@ -202,7 +202,7 @@ class RunResult:
     records: list[ConservationRecord]
     stop_reason: str  # t_end | sup_guard | grad_guard | non_finite
     blowup: BlowupEstimate | None = None
-    snapshots: list[tuple[float, Field]] = field(default_factory=list)
+    snapshots: list[tuple[float, Field]] = field(default_factory=list)  # run's default sink
 
 
 def grid_defaults(dx: float, span: float) -> tuple[float, float, float]:
@@ -262,7 +262,7 @@ def _spectral_step(
     return _ifft2_in_place(u_out)
 
 
-def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
+def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResult:
     """Step from state0 until t_end or until a stop criterion fires.
 
     Stop criteria, in the order each step tests them: non-finite values,
@@ -274,6 +274,12 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
     step has one record site and one snapshot site. Guard terminations are
     normal blow-up outcomes and come back with a BlowupEstimate when the
     records support one.
+
+    Each kept snapshot is handed, in time order, to ``on_snapshot(t, u)``
+    with the run's live field u, whose buffer the next step may reuse: a
+    sink that keeps the samples past the call must copy them. The default
+    sink appends (t, u.copy()) to ``RunResult.snapshots``; with a sink
+    given, that list stays empty.
 
     The loop is the spectral-state form of ``strang_step`` described in the
     module docstring: it keeps u_hat from step to step, transforms the
@@ -303,7 +309,12 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
         rung = terms.grad * ladder
     spare = np.empty_like(u0)
     records = [_record(state, 0.0, terms)]
-    snapshots = [(state.t, state.u.copy())] if cfg.keep_snapshots else []
+    snapshots = []
+    if on_snapshot is None:
+        on_snapshot = lambda t, u: snapshots.append((t, u.copy()))
+    if cfg.keep_snapshots:
+        on_snapshot(state.t, state.u)
+    kept_t = state.t
     next_sample = state.t + sample_dt
     stop = None
     t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
@@ -338,7 +349,7 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
             )
         end = state.t >= cfg.t_end - t_eps
         due = end or state.t >= next_sample - t_eps
-        # Stop reason, record, then snapshot: the copy comes after the record's temporaries.
+        # Stop reason, record, then snapshot: the sink runs after the record's temporaries.
         if not finite:
             stop = "non_finite"  # state stays the last finite one, terms None
         elif terms.sup > guard:
@@ -349,7 +360,7 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
             records.append(_record(state, dt, terms))
             next_sample += sample_dt
         if stop or end:
-            keep = cfg.keep_snapshots and state.t > snapshots[-1][0]
+            keep = cfg.keep_snapshots and state.t > kept_t
         elif ladder is None:
             keep = cfg.keep_snapshots and due
         else:
@@ -357,7 +368,8 @@ def run(state0: SimulationState, cfg: EvolveConfig) -> RunResult:
             while rung <= terms.grad:
                 rung *= ladder
         if keep:
-            snapshots.append((state.t, state.u.copy()))
+            on_snapshot(state.t, state.u)
+            kept_t = state.t
         if stop:
             break
 

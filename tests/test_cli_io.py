@@ -1,10 +1,12 @@
 """Config parsing, snapshot format, and CLI surface tests."""
 
 import os
+import platform
 import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +20,18 @@ from dsbu.config import RunConfig, config_summary, parse_config
 from dsbu.errors import ConfigError, SnapshotFormatError
 from dsbu.evolution import BlowupEstimate, ConservationRecord, EvolveConfig, RunResult
 from dsbu.ground_state import GroundStateConfig
-from dsbu.snapshot_io import _HEADER, MAGIC, VERSION, SnapshotMeta, read_snapshot, write_snapshot
+from dsbu.snapshot_io import (
+    _HEADER,
+    MAGIC,
+    VERSION,
+    SnapshotMeta,
+    read_snapshot,
+    read_header,
+    write_snapshot,
+)
+
+#: Both snapshot readers make the same header checks.
+READERS = (read_snapshot, read_header)
 
 
 CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -214,14 +227,19 @@ class TestSnapshotFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotFormatError, match="checksum"):
             read_snapshot(str(path))
+        # the header alone is still valid; only the full read checks the payload
+        assert read_header(str(path)) == SnapshotMeta(0.0, 1, 1.0)
 
     def test_truncated_file_rejected(self, tmp_path):
         field = self.make_field()
         path = tmp_path / "field.dsbu"
         write_snapshot(str(path), field, SnapshotMeta(0.0, 1, 1.0))
-        path.write_bytes(path.read_bytes()[:200])
-        with pytest.raises(SnapshotFormatError, match="size mismatch"):
-            read_snapshot(str(path))
+        blob = path.read_bytes()
+        for cut, message in ((200, "size mismatch"), (20, "truncated file")):
+            path.write_bytes(blob[:cut])
+            for reader in READERS:
+                with pytest.raises(SnapshotFormatError, match=message):
+                    reader(str(path))
 
     def test_header_payload_mismatch_rejected(self, tmp_path):
         import struct
@@ -232,8 +250,9 @@ class TestSnapshotFormat:
         blob = bytearray(path.read_bytes())
         blob[8:12] = struct.pack("<I", 64)  # lie about n
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotFormatError, match="structural"):
-            read_snapshot(str(path))
+        for reader in READERS:
+            with pytest.raises(SnapshotFormatError, match="structural"):
+                reader(str(path))
 
     @pytest.mark.parametrize("key,value", [
         ("n", 4), ("n", 0), ("n", 9),
@@ -245,20 +264,23 @@ class TestSnapshotFormat:
     def test_bad_header_values_rejected(self, key, value, tmp_path):
         path = tmp_path / "bad.dsbu"
         path.write_bytes(snapshot_blob(**{key: value}))
-        with pytest.raises(SnapshotFormatError, match=rf"bad header: .*\b{key}\b"):
-            read_snapshot(str(path))
+        for reader in READERS:
+            with pytest.raises(SnapshotFormatError, match=rf"bad header: .*\b{key}\b"):
+                reader(str(path))
 
     def test_crafted_blob_is_valid_by_default(self, tmp_path):
         path = tmp_path / "good.dsbu"
         path.write_bytes(snapshot_blob())
         field, meta = read_snapshot(str(path))
         assert field.grid.n == 8 and meta == SnapshotMeta(0.5, 1, 1.0)
+        assert read_header(str(path)) == meta
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "nope.dsbu"
         path.write_bytes(b"NOPE" + bytes(100))
-        with pytest.raises(SnapshotFormatError, match="magic"):
-            read_snapshot(str(path))
+        for reader in READERS:
+            with pytest.raises(SnapshotFormatError, match="magic"):
+                reader(str(path))
 
 
 EVOLVE_CFG = """
@@ -273,6 +295,15 @@ sample_interval = 0.05
 guard = 10.0
 output_dir = {out}
 """
+
+
+def run_cli_process(*args):
+    """``python -m dsbu.cli *args`` in a child that imports the dsbu this test
+    imports, installed or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dsbu.cli", *args],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def report_pairs(text):
@@ -485,11 +516,100 @@ class TestCli:
             "terminal_max_sqrt_mass", "eta", "above_eta", "skipped"]
         assert pairs[0] == ("trace", "square") and pairs[1] == ("t_star", "0.5")
 
+    def test_analyze_orders_snapshots_by_t_not_by_name(self, tmp_path):
+        out = tmp_path / "run_out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG.format(out=out))
+        assert main(["evolve", str(cfg)]) == 0
+        snaps = sorted(out.glob("snap_*.dsbu"))
+        renamed = tmp_path / "renamed"
+        renamed.mkdir()
+        for snap, name in zip(snaps, reversed([snap.name for snap in snaps])):
+            (renamed / name).write_bytes(snap.read_bytes())
+        outputs = []
+        for snapshot_dir in (out, renamed):
+            an_out = tmp_path / f"analysis_{snapshot_dir.name}"
+            an_cfg = tmp_path / "an.cfg"
+            an_cfg.write_text(f"mode = analyze\nsnapshot_dir = {snapshot_dir}\ntrace = disk\n"
+                              f"c_opt = 0.26\nt_star = 0.5\noutput_dir = {an_out}\n")
+            assert main(["analyze", str(an_cfg)]) == 0
+            outputs.append([(an_out / name).read_bytes()
+                            for name in ("analysis.csv", "analysis_summary.txt")])
+        assert len(snaps) >= 4 and outputs[0] == outputs[1]
+
+    def test_analyze_corrupt_last_snapshot_leaves_no_output(self, tmp_path, capsys):
+        # the fields are read one at a time, all of them before any output
+        g = Grid2D(16, 4.0)
+        for k in range(4):
+            write_snapshot(str(tmp_path / f"snap_{k:06d}.dsbu"),
+                           Field(g, np.full((16, 16), 1.0 + k)), SnapshotMeta(0.1 * k, 1, 1.0))
+        last = tmp_path / "snap_000003.dsbu"
+        blob = bytearray(last.read_bytes())
+        blob[100] ^= 0xFF
+        last.write_bytes(bytes(blob))
+        cfg = tmp_path / "an.cfg"
+        cfg.write_text(f"mode = analyze\nsnapshot_dir = {tmp_path}\ntrace = square\n"
+                       f"t_star = 1.0\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["analyze", str(cfg)]) == 1
+        assert f"{last}: checksum mismatch" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshots_stream_through_evolve_and_analyze(self, tmp_path):
+        """Neither command holds its snapshots. At n = 128, 51 snapshots raise
+        each command's peak traced memory by less than 4 field sizes over the
+        same command with 2 (same steps); each held field would add one."""
+        field_bytes = 16 * 128 * 128
+
+        def peak(*argv):
+            tracemalloc.start()
+            try:
+                assert main(list(argv)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peaks = {}
+        for name, interval in (("many", 0.004), ("two", 0.2)):
+            run_cfg = tmp_path / f"{name}.cfg"
+            run_cfg.write_text(f"mode = evolve\nn = 128\nbox_length = 16\namplitude = 1.2\n"
+                               f"t_end = 0.2\ndt0 = 0.004\nsample_interval = {interval}\n"
+                               f"guard = 10.0\noutput_dir = {tmp_path / name}\n")
+            peaks["evolve", name] = peak("evolve", str(run_cfg))
+        assert len(list((tmp_path / "many").glob("snap_*.dsbu"))) == 51
+        read_snapshot(str(tmp_path / "two" / "snap_000000.dsbu"))  # the shared grid, built once
+        for name in ("many", "two"):
+            an_cfg = tmp_path / f"an_{name}.cfg"
+            an_cfg.write_text(f"mode = analyze\nsnapshot_dir = {tmp_path / name}\ntrace = disk\n"
+                              f"c_opt = 0.26\nt_star = 0.5\n"
+                              f"output_dir = {tmp_path / ('analysis_' + name)}\n")
+            peaks["analyze", name] = peak("analyze", str(an_cfg))
+        for command in ("evolve", "analyze"):
+            extra = peaks[command, "many"] - peaks[command, "two"]
+            assert extra < 4 * field_bytes, (command, extra / field_bytes)
+
+    def test_time_steps_reuse_freed_memory(self, tmp_path):
+        """A step's n x n temporaries reuse freed heap: the CLI has glibc's
+        malloc keep it, so a fresh ``dsbu evolve`` faults in next to no pages
+        for 50 more adaptive steps at n = 256 (by default about 1000 a step,
+        as the freed heap top goes back to the OS)."""
+        resource = pytest.importorskip("resource")
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("the allocator setting is glibc's")
+        faults = {}
+        for steps in (10, 60):
+            cfg = tmp_path / f"run_{steps}.cfg"
+            cfg.write_text(f"mode = evolve\nadaptive = true\ndt0 = 0.001\nt_end = {steps / 1000}\n"
+                           f"sample_interval = {steps / 1000}\noutput_dir = {tmp_path / str(steps)}\n")
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            assert run_cli_process("evolve", str(cfg)).returncode == 0
+            faults[steps] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+        assert faults[60] - faults[10] < 50 * 20, faults
+
     def test_blowup_report_format(self, tmp_path, monkeypatch, capsys):
         est = BlowupEstimate(t_star_estimate=0.3 + 1 / 3, method="linear_inverse_gradient",
                              fit_window=(0.1, 0.2 + 1 / 7), fit_residual=1 / 9)
 
-        def fake_run(state, cfg):
+        def fake_run(state, cfg, on_snapshot=None):
             end = replace(state, t=0.1 + 0.2, step_index=7)
             return RunResult(state=end, records=[], stop_reason="grad_guard", blowup=est)
 
@@ -544,12 +664,6 @@ class TestCli:
         assert main(["analyze", str(cfg)]) == 1
 
     def test_console_script_usage_exit(self):
-        # The child imports the dsbu this test imports, installed or not.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dsbu.cli", "bogus"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_cli_process("bogus")
         assert proc.returncode == 2
         assert "usage" in proc.stderr

@@ -309,14 +309,23 @@ class TestDiskTraceOnePass:
         assert got[1].skipped_times == [0.975, 0.995, 1.01]
         assert set(got[1].sensitivity) == {"minus_2pct", "plus_2pct"}
 
-    def test_unsorted_input_matches_reference(self):
+    def test_unsorted_input_rejected(self):
+        # Both traces walk their input once, in the order given: a t that
+        # does not increase is an error, not a re-sort. Any iterable will do.
         params = OperatorParams(1, 1.0)
         snaps = edge_snapshots()
-        # the earliest snapshot, which sets the trace span, not in front
         shuffled = [snaps[i] for i in (4, 0, 7, 2, 8, 1, 6, 3, 5)]
-        got = disk_concentration_trace(shuffled, EDGE_SCHEDULE, 0.26, params)
-        assert_same_trace(got, reference_disk_trace(shuffled, EDGE_SCHEDULE, 0.26, params))
-        assert got == disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, params)
+        repeated = [snaps[0], snaps[1], snaps[1], snaps[2]]
+        for bad in (shuffled, repeated):
+            with pytest.raises(DomainError, match="traces need increasing t"):
+                disk_concentration_trace(bad, EDGE_SCHEDULE, 0.26, params)
+            with pytest.raises(DomainError, match="traces need increasing t"):
+                square_concentration_trace(bad, c_side=3.0, t_star=1.0, eta=0.1)
+        for trace, args in ((disk_concentration_trace, (EDGE_SCHEDULE, 0.26, params)),
+                            (square_concentration_trace, (3.0, 1.0, 0.1))):
+            assert trace(iter(snaps), *args) == trace(snaps, *args)
+            with pytest.raises(DomainError, match="no snapshots"):
+                trace(iter([]), *args)
 
     def test_no_grid_and_one_gradient_per_kept_snapshot(self, monkeypatch):
         def no_grid(*args):
@@ -375,7 +384,7 @@ class TestSquareTrace:
 
     def test_late_snapshots_skipped(self, ground_state_256):
         r = ground_state_256.profile
-        snaps = [(0.2, eval_standing_wave(r, 0.2)), (-1.0, eval_pc_blowup(r, -1.0, r.grid))]
+        snaps = [(-1.0, eval_pc_blowup(r, -1.0, r.grid)), (0.2, eval_standing_wave(r, 0.2))]
         records, summary = square_concentration_trace(snaps, c_side=3.0, t_star=0.0, eta=0.1)
         assert summary.skipped_times == [0.2]
         assert len(records) == 1

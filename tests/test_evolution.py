@@ -360,6 +360,15 @@ def assert_same_run(got, ref, t_end, rel=1e-12):
         assert np.max(np.abs(fa.values - fb.values)) <= rel * np.max(np.abs(fb.values))
 
 
+def assert_sink_sees_default_list(state, cfg, default):
+    """A recording sink sees the t values and field bytes of ``default.snapshots``,
+    in order, and with a sink given ``run`` returns no snapshot list."""
+    seen = []
+    got = run(state, cfg, lambda t, u: seen.append((t, u.values.tobytes())))
+    assert got.snapshots == []
+    assert seen == [(t, u.values.tobytes()) for t, u in default.snapshots]
+
+
 # The two snapshot cadences of ``run``: at every record, and on the gradient ladder.
 cadences = pytest.mark.parametrize("ratio", [None, 2.0**0.25], ids=["record", "ladder"])
 
@@ -400,6 +409,7 @@ class TestSpectralStateLoop:
         assert got.stop_reason == "grad_guard"
         assert len(got.snapshots) >= 3
         assert_same_run(got, reference_run(s, cfg), cfg.t_end)
+        assert_sink_sees_default_list(s, cfg, got)
 
     @settings(max_examples=6, deadline=None)
     @given(st.floats(1.8, 2.2), st.floats(1.1, 1.4))
@@ -426,6 +436,7 @@ class TestSpectralStateLoop:
             assert len(got.snapshots) == len(got.records)
         assert got.records[-1].t == got.snapshots[-1][0] == got.state.t
         assert_same_run(got, reference_run(s, cfg), cfg.t_end)
+        assert_sink_sees_default_list(s, cfg, got)
 
     def test_grad_guard_at_record_keeps_its_snapshot(self):
         s = drawn_gaussian(2.0, 1.2)
@@ -437,6 +448,7 @@ class TestSpectralStateLoop:
         assert len(got.snapshots) == len(got.records)
         assert got.records[-1].t == got.snapshots[-1][0] == got.state.t
         assert_same_run(got, reference_run(s, cfg), cfg.t_end)
+        assert_sink_sees_default_list(s, cfg, got)
 
     @cadences
     def test_initial_state_and_snapshots_left_untouched(self, ratio):
@@ -451,6 +463,7 @@ class TestSpectralStateLoop:
         assert s.u.values.tobytes() == before.tobytes()
         assert res.snapshots[0][1].values.tobytes() == before.tobytes()
         assert_same_run(res, reference_run(s, cfg), cfg.t_end)
+        assert_sink_sees_default_list(s, cfg, res)
 
     def test_nonfinite_initial_field_rejected(self):
         s = drawn_gaussian(1.0, 1.0)
@@ -463,7 +476,8 @@ class TestSpectralStateLoop:
     @pytest.fixture
     def fail_third_step(self, monkeypatch):
         """Both drivers fail on their third step: ``run`` on a NaN in the new
-        field, ``reference_run`` on strang_step's BlowupOverflowError."""
+        field, ``reference_run`` on strang_step's BlowupOverflowError. Returns
+        ``run``'s step calls; clear it before a second ``run``."""
         step, ref_step = evolution._spectral_step, oracles.strang_step
         calls = []
 
@@ -481,6 +495,7 @@ class TestSpectralStateLoop:
 
         monkeypatch.setattr(evolution, "_spectral_step", failing_third_step)
         monkeypatch.setattr(oracles, "strang_step", failing_third_ref_step)
+        return calls
 
     def test_nonfinite_step_records_last_finite_state(self, fail_third_step):
         s = drawn_gaussian(1.0, 1.0)
@@ -506,6 +521,8 @@ class TestSpectralStateLoop:
             assert [t for t, _ in got.snapshots] == [r.t for r in got.records[:-1]]
         assert got.snapshots[-1][1].values.tobytes() == got.state.u.values.tobytes()
         assert_same_run(got, reference_run(s, cfg), cfg.t_end)
+        fail_third_step.clear()
+        assert_sink_sees_default_list(s, cfg, got)
 
 
 class FFTCounter:
