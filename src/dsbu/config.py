@@ -80,7 +80,7 @@ class RunConfig:
         return GroundStateConfig(self.tol, self.max_iter, self.init_amplitude)
 
     def evolve_config(self) -> EvolveConfig:
-        """Run controls; the CLI keeps a snapshot at every record."""
+        """Run controls; the CLI's sink writes a snapshot at every record."""
         return EvolveConfig(
             t_end=self.t_end,
             dt0=self.dt0,
@@ -88,7 +88,6 @@ class RunConfig:
             c_adapt=self.c_adapt,
             guard=self.guard,
             sample_interval=self.sample_interval,
-            keep_snapshots=True,
         )
 
     def lambda_schedule(self, t_star: float) -> LambdaSchedule:

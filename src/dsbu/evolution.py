@@ -156,15 +156,13 @@ def strang_step(
 class EvolveConfig:
     """Controls for ``run``; None fields resolve to ``grid_defaults``.
 
-    With ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|). With
-    ``keep_snapshots`` a snapshot goes to ``run``'s sink at every record,
-    or, when ``snapshot_grad_ratio`` is also set, whenever gradient_norm_sq
-    has grown by another factor of it -- the natural cadence for blow-up
-    runs, where everything happens in the last few per cent of the lifespan.
-    The initial field and the run's last state are kept as well.
-    Values on which ``run`` would hang, and a ratio without
-    ``keep_snapshots`` (it would do nothing), raise UsageError at
-    construction.
+    With ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|). A
+    snapshot is kept at every record, or, with ``snapshot_grad_ratio``,
+    whenever gradient_norm_sq has grown by another factor of it -- the
+    natural cadence for blow-up runs, where everything happens in the last
+    few per cent of the lifespan. The initial field and the run's last
+    state are kept as well. Values on which ``run`` would hang raise
+    UsageError at construction.
     """
 
     t_end: float
@@ -173,7 +171,6 @@ class EvolveConfig:
     c_adapt: float = 0.1
     guard: float | None = None
     sample_interval: float | None = None
-    keep_snapshots: bool = False
     snapshot_grad_ratio: float | None = None
 
     def __post_init__(self):
@@ -188,21 +185,19 @@ class EvolveConfig:
             raise UsageError(
                 f"snapshot_grad_ratio must exceed 1, got {ratio}", key="snapshot_grad_ratio"
             )
-        if ratio is not None and not self.keep_snapshots:
-            raise UsageError(
-                "snapshot_grad_ratio needs keep_snapshots", key="snapshot_grad_ratio"
-            )
 
 
 @dataclass
 class RunResult:
-    """Final state plus everything measured along the way."""
+    """Final state plus everything measured along the way (snapshots go to ``run``'s sink)."""
 
     state: SimulationState
     records: list[ConservationRecord]
     stop_reason: str  # t_end | sup_guard | grad_guard | non_finite
     blowup: BlowupEstimate | None = None
-    snapshots: list[tuple[float, Field]] = field(default_factory=list)  # run's default sink
+    # Nothing in dsbu fills this list; the benchmark harness reads it, and its
+    # rewrite (ROADMAP item 1) deletes it together with PHYSICAL.
+    snapshots: list[tuple[float, Field]] = field(default_factory=list)
 
 
 def grid_defaults(dx: float, span: float) -> tuple[float, float, float]:
@@ -275,11 +270,13 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     normal blow-up outcomes and come back with a BlowupEstimate when the
     records support one.
 
-    Each kept snapshot is handed, in time order, to ``on_snapshot(t, u)``
-    with the run's live field u, whose buffer the next step may reuse: a
-    sink that keeps the samples past the call must copy them. The default
-    sink appends (t, u.copy()) to ``RunResult.snapshots``; with a sink
-    given, that list stays empty.
+    Each kept snapshot -- the initial field, each record step (or rung of
+    the ladder) and the stop or final step -- is handed, in time order, to
+    ``on_snapshot(t, u)`` with the run's live field u, whose buffer the next
+    step may reuse: a sink that keeps the samples past the call must copy
+    them. With no sink, ``run`` keeps and copies nothing; a
+    ``snapshot_grad_ratio`` then still has the gradient guard read on every
+    step.
 
     The loop is the spectral-state form of ``strang_step`` described in the
     module docstring: it keeps u_hat from step to step, transforms the
@@ -309,11 +306,9 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         rung = terms.grad * ladder
     spare = np.empty_like(u0)
     records = [_record(state, 0.0, terms)]
-    snapshots = []
     if on_snapshot is None:
-        on_snapshot = lambda t, u: snapshots.append((t, u.copy()))
-    if cfg.keep_snapshots:
-        on_snapshot(state.t, state.u)
+        on_snapshot = lambda t, u: None
+    on_snapshot(state.t, state.u)
     kept_t = state.t
     next_sample = state.t + sample_dt
     stop = None
@@ -360,9 +355,9 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
             records.append(_record(state, dt, terms))
             next_sample += sample_dt
         if stop or end:
-            keep = cfg.keep_snapshots and state.t > kept_t
+            keep = state.t > kept_t
         elif ladder is None:
-            keep = cfg.keep_snapshots and due
+            keep = due
         else:
             keep = terms.grad >= rung
             while rung <= terms.grad:
@@ -384,7 +379,6 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         records=records,
         stop_reason=stop or "t_end",
         blowup=estimate,
-        snapshots=snapshots,
     )
 
 
@@ -397,7 +391,8 @@ def estimate_t_star(records: list[ConservationRecord]) -> BlowupEstimate:
     1/grad_sq ~ a(T* - t), the borderline rate compatible with the lower
     bound ||grad u(t)|| >= C/sqrt(T*-t); for faster-than-borderline blow-up
     1/grad_sq is convex, so a short terminal window keeps the extrapolated
-    root close to the true critical time.
+    root close to the true critical time. A root that is not beyond the
+    window is no estimate either: NoBlowupError, as for too little growth.
     """
     if not records:
         raise NoBlowupError("no records")
@@ -418,11 +413,14 @@ def estimate_t_star(records: list[ConservationRecord]) -> BlowupEstimate:
     (alpha, beta), *_ = np.linalg.lstsq(design, y, rcond=None)
     if beta >= 0:
         raise NoBlowupError("terminal 1/grad_sq is not decreasing")
+    t_star, fit_window = float(-alpha / beta), (float(t[0]), float(t[-1]))
+    if not t_star > fit_window[1]:
+        raise NoBlowupError(f"blow-up estimate {t_star} not beyond the fit window {fit_window}")
     resid = float(np.sqrt(np.mean((y - design @ [alpha, beta]) ** 2)) / np.mean(y))
     return BlowupEstimate(
-        t_star_estimate=float(-alpha / beta),
+        t_star_estimate=t_star,
         method="linear_inverse_gradient",
-        fit_window=(float(t[0]), float(t[-1])),
+        fit_window=fit_window,
         fit_residual=resid,
     )
 

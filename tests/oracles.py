@@ -183,12 +183,20 @@ def reference_record(state, dt_used):
     )
 
 
+class SnapshotList(list):
+    """A sink for ``evolution.run``: keeps each snapshot it is handed as (t, u.copy())."""
+
+    def __call__(self, t, u):
+        self.append((t, u.copy()))
+
+
 def reference_run(state0, cfg):
     """``evolution.run`` as repeated ``strang_step`` calls, one record at a time.
 
     Same stop rules, sampling, snapshots and adaptive rate max|L(|u|^2)| as
     ``run``, with the field transformed to and from physical space in every
-    step and every diagnostic recomputed from the physical field.
+    step and every diagnostic recomputed from the physical field. The
+    snapshots that ``run`` hands its sink come back in ``RunResult.snapshots``.
     """
     state = state0
     grid = state.u.grid
@@ -199,12 +207,10 @@ def reference_run(state0, cfg):
     lin_half = np.exp(-1j * grid.ksq * (dt0 / 2))
 
     records = [reference_record(state, 0.0)]
-    snapshots = []
-    grad_ladder_next = None
-    if cfg.keep_snapshots:
-        snapshots.append((state.t, state.u.copy()))
-        if cfg.snapshot_grad_ratio is not None:
-            grad_ladder_next = records[0].gradient_norm_sq * cfg.snapshot_grad_ratio
+    snapshots = [(state.t, state.u.copy())]
+    ratio = cfg.snapshot_grad_ratio
+    if ratio is not None:
+        grad_ladder_next = records[0].gradient_norm_sq * ratio
     next_sample = state.t + sample_dt
     stop_reason = "t_end"
     t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
@@ -233,12 +239,12 @@ def reference_run(state0, cfg):
             stop_reason = "sup_guard"
             break
 
-        if cfg.keep_snapshots and cfg.snapshot_grad_ratio is not None:
+        if ratio is not None:
             grad_now = gradient_norm_sq(state.u)
             if grad_now >= grad_ladder_next:
                 snapshots.append((state.t, state.u.copy()))
                 while grad_ladder_next <= grad_now:
-                    grad_ladder_next *= cfg.snapshot_grad_ratio
+                    grad_ladder_next *= ratio
             if grad_now > guard**2:
                 records.append(reference_record(state, dt))
                 stop_reason = "grad_guard"
@@ -247,14 +253,14 @@ def reference_run(state0, cfg):
         if state.t >= next_sample - t_eps or state.t >= cfg.t_end - t_eps:
             rec = reference_record(state, dt)
             records.append(rec)
-            if cfg.keep_snapshots and cfg.snapshot_grad_ratio is None:
+            if ratio is None:
                 snapshots.append((state.t, state.u.copy()))
             next_sample += sample_dt
             if rec.gradient_norm_sq > guard**2:
                 stop_reason = "grad_guard"
                 break
 
-    if cfg.keep_snapshots and state.t > snapshots[-1][0]:
+    if state.t > snapshots[-1][0]:
         snapshots.append((state.t, state.u.copy()))
 
     estimate = None

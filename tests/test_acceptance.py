@@ -53,7 +53,7 @@ from dsbu.exact import eval_pc_blowup, pde_residual
 from dsbu.ground_state import solve_ground_state
 from dsbu.snapshot_io import read_snapshot, write_snapshot
 
-from oracles import brute_force_windowed_mass, direct_b_multiplier, townes_mass
+from oracles import SnapshotList, brute_force_windowed_mass, direct_b_multiplier, townes_mass
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -103,17 +103,18 @@ def big_blowup_run():
     x1, x2 = grid.coords()
     u0 = Field(grid, 8.8 * np.exp(-(x1**2 + x2**2) / (2 * 0.225**2)))
     assert energy(u0, p) < 0
+    snapshots = SnapshotList()
     result = run(
         SimulationState.initial(u0, p),
         EvolveConfig(
             t_end=1.0,
             adaptive=True,
             sample_interval=6.25e-5,
-            keep_snapshots=True,
             snapshot_grad_ratio=2**0.25,
         ),
+        snapshots,
     )
-    return u0, p, result
+    return u0, p, result, snapshots
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +307,7 @@ def test_criterion_07_blowup_trichotomy(tmp_path, big_blowup_run):
             pass
 
     # (c) negative-energy Gaussian hits the resolution guard in finite time
-    _u0, _p, result = big_blowup_run
+    _u0, _p, result, _snapshots = big_blowup_run
     guard_ok = result.stop_reason in ("grad_guard", "sup_guard") and result.state.t < 2.0
 
     ok = global_ok and feasible_ok and infeasible_ok and guard_ok
@@ -319,12 +320,12 @@ def test_criterion_07_blowup_trichotomy(tmp_path, big_blowup_run):
 
 
 def test_criterion_08_disk_concentration(big_blowup_run, ground_state_256, params_focusing):
-    _u0, p, result = big_blowup_run
+    _u0, p, result, snapshots = big_blowup_run
     assert result.blowup is not None, "blow-up run must support a T* estimate"
     t_star = result.blowup.t_star_estimate
     schedule = LambdaSchedule(PARABOLIC_MINUS_EPS, 0.1, t_star)  # lambda = (T*-t)^0.4
     records, summary = disk_concentration_trace(
-        result.snapshots, schedule, ground_state_256.c_opt, p
+        snapshots, schedule, ground_state_256.c_opt, p
     )
     final_ratio = summary.final_ratio
     l4s = [r.l4_accum for r in result.records]

@@ -33,7 +33,7 @@ from dsbu.ground_state import solve_ground_state
 from dsbu.spectral import FieldTerms, interaction_potential
 
 import oracles
-from oracles import reference_run
+from oracles import SnapshotList, reference_run
 
 
 def gaussian(grid, amplitude=1.0, width=1.0):
@@ -246,12 +246,14 @@ class TestRun:
     def test_snapshot_ladder_mode(self):
         g = Grid2D(128, 15.0)
         p = OperatorParams(1, 1.0)
-        res = run(
+        kept = SnapshotList()
+        run(
             SimulationState.initial(gaussian(g, amplitude=1.8, width=1.3), p),
-            EvolveConfig(t_end=5.0, keep_snapshots=True, snapshot_grad_ratio=2.0**0.25),
+            EvolveConfig(t_end=5.0, snapshot_grad_ratio=2.0**0.25),
+            kept,
         )
-        assert len(res.snapshots) >= 3
-        times = [t for t, _ in res.snapshots]
+        assert len(kept) >= 3
+        times = [t for t, _ in kept]
         assert times == sorted(times)
 
     @pytest.mark.parametrize("value", [0.0, 1.0])
@@ -259,14 +261,13 @@ class TestRun:
         # every rung of a zero gradient is 0, so the ladder would never advance
         g = Grid2D(16, 10.0)
         s = SimulationState.initial(Field(g, np.full((16, 16), value)), OperatorParams(1, 1.0))
-        cfg = EvolveConfig(t_end=1e-3, dt0=1e-3, keep_snapshots=True,
-                           snapshot_grad_ratio=2.0**0.25)
+        cfg = EvolveConfig(t_end=1e-3, dt0=1e-3, snapshot_grad_ratio=2.0**0.25)
         with pytest.raises(DomainError, match="gradient-free"):
             run(s, cfg)
 
     def test_snapshot_ladder_takes_one_gradient_per_boundary(self, monkeypatch):
         # the ladder check and the record share the boundary's gradient:
-        # one for the initial field and one per step
+        # one for the initial field and one per step, with no sink as well
         calls = []
 
         class CountingTerms(FieldTerms):
@@ -277,7 +278,7 @@ class TestRun:
 
         monkeypatch.setattr(evolution, "FieldTerms", CountingTerms)
         cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=2e-3, guard=50.0,
-                           keep_snapshots=True, snapshot_grad_ratio=2.0**0.25)
+                           snapshot_grad_ratio=2.0**0.25)
         res = run(drawn_gaussian(1.5, 1.0), cfg)
         assert res.stop_reason == "t_end" and res.state.step_index == 10
         assert len(calls) == 10 + 1
@@ -305,11 +306,10 @@ class TestEvolveConfig:
     @pytest.mark.parametrize("key,value", [
         ("t_end", np.inf), ("t_end", np.nan), ("dt0", -1e-3), ("dt0", np.nan),
         ("c_adapt", 0.0), ("guard", 0.0), ("sample_interval", np.nan),
-        ("snapshot_grad_ratio", 1.0), ("snapshot_grad_ratio", 2.0),
+        ("snapshot_grad_ratio", 1.0),
     ])
     def test_rejected_at_construction(self, key, value):
-        # run would hang on these, or ignore a ratio without keep_snapshots;
-        # it is never called
+        # run would hang on these; it is never called
         with pytest.raises(UsageError, match=key) as exc:
             EvolveConfig(**{"t_end": 0.1, "adaptive": True, key: value})
         assert exc.value.key == key
@@ -325,8 +325,11 @@ def energy_terms(rec):
     return half_grad + abs(half_grad - rec.energy)
 
 
-def assert_same_run(got, ref, t_end, rel=1e-12):
+def assert_same_run(got, ref, t_end, kept=None, rel=1e-12):
     """``run`` against ``reference_run``: same path, records equal to roundoff.
+
+    ``kept`` is the ``SnapshotList`` that ``got``'s run handed its snapshots
+    to; when given, it must match ``ref.snapshots`` to roundoff.
 
     Every column is held to ``rel`` of its own size except the energy, which
     is held to ``rel`` of ``energy_terms``. E = (1/2) grad_sq - (1/4) Q is
@@ -354,19 +357,12 @@ def assert_same_run(got, ref, t_end, rel=1e-12):
                 scale = max(energy_terms(a), energy_terms(b))
             slack = rel * t_end if name == "dt_used" else 0.0
             assert abs(x - y) <= rel * scale + slack, (name, a.t, x, y)
-    assert len(got.snapshots) == len(ref.snapshots)
-    for (ta, fa), (tb, fb) in zip(got.snapshots, ref.snapshots):
+    if kept is None:
+        return
+    assert len(kept) == len(ref.snapshots)
+    for (ta, fa), (tb, fb) in zip(kept, ref.snapshots):
         assert abs(ta - tb) <= rel * max(abs(ta), abs(tb))
         assert np.max(np.abs(fa.values - fb.values)) <= rel * np.max(np.abs(fb.values))
-
-
-def assert_sink_sees_default_list(state, cfg, default):
-    """A recording sink sees the t values and field bytes of ``default.snapshots``,
-    in order, and with a sink given ``run`` returns no snapshot list."""
-    seen = []
-    got = run(state, cfg, lambda t, u: seen.append((t, u.values.tobytes())))
-    assert got.snapshots == []
-    assert seen == [(t, u.values.tobytes()) for t, u in default.snapshots]
 
 
 # The two snapshot cadences of ``run``: at every record, and on the gradient ladder.
@@ -403,13 +399,12 @@ class TestSpectralStateLoop:
     @given(st.floats(1.8, 2.2), st.floats(1.1, 1.4))
     def test_grad_ladder_snapshots_match_reference(self, amplitude, width):
         s = drawn_gaussian(amplitude, width)
-        cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, keep_snapshots=True,
-                           snapshot_grad_ratio=2.0**0.25)
-        got = run(s, cfg)
+        cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, snapshot_grad_ratio=2.0**0.25)
+        kept = SnapshotList()
+        got = run(s, cfg, kept)
         assert got.stop_reason == "grad_guard"
-        assert len(got.snapshots) >= 3
-        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
-        assert_sink_sees_default_list(s, cfg, got)
+        assert len(kept) >= 3
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end, kept)
 
     @settings(max_examples=6, deadline=None)
     @given(st.floats(1.8, 2.2), st.floats(1.1, 1.4))
@@ -428,42 +423,51 @@ class TestSpectralStateLoop:
         s = SimulationState.initial(Field(g, 1.5 + gaussian(g, 0.3).values),
                                     OperatorParams(1, 1.0))
         cfg = EvolveConfig(t_end=1.0, dt0=2e-3, sample_interval=2e-3, guard=2.0,
-                           keep_snapshots=True, snapshot_grad_ratio=ratio)
-        got = run(s, cfg)
+                           snapshot_grad_ratio=ratio)
+        kept = SnapshotList()
+        got = run(s, cfg, kept)
         assert got.stop_reason == "sup_guard"
         assert len(got.records) == got.state.step_index + 1
         if ratio is None:
-            assert len(got.snapshots) == len(got.records)
-        assert got.records[-1].t == got.snapshots[-1][0] == got.state.t
-        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
-        assert_sink_sees_default_list(s, cfg, got)
+            assert len(kept) == len(got.records)
+        assert got.records[-1].t == kept[-1][0] == got.state.t
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end, kept)
 
     def test_grad_guard_at_record_keeps_its_snapshot(self):
         s = drawn_gaussian(2.0, 1.2)
-        cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, sample_interval=0.01,
-                           keep_snapshots=True)
-        got = run(s, cfg)
+        cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, sample_interval=0.01)
+        kept = SnapshotList()
+        got = run(s, cfg, kept)
         assert got.stop_reason == "grad_guard"
         assert got.records[-1].gradient_norm_sq > cfg.guard**2
-        assert len(got.snapshots) == len(got.records)
-        assert got.records[-1].t == got.snapshots[-1][0] == got.state.t
-        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
-        assert_sink_sees_default_list(s, cfg, got)
+        assert len(kept) == len(got.records)
+        assert got.records[-1].t == kept[-1][0] == got.state.t
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end, kept)
 
     @cadences
     def test_initial_state_and_snapshots_left_untouched(self, ratio):
-        # the loop reuses its own field buffers, never the caller's, and
-        # kept snapshots are copies that later steps do not overwrite
+        # the loop reuses its own field buffers, never the caller's, so the
+        # initial field and the sink's copies are not overwritten by later steps
         s = drawn_gaussian(1.5, 1.0)
         before = s.u.values.copy()
-        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, keep_snapshots=True, sample_interval=2e-3,
-                           snapshot_grad_ratio=ratio)
-        res = run(s, cfg)
-        assert res.stop_reason == "t_end" and res.snapshots[-1][0] == res.state.t
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=2e-3, snapshot_grad_ratio=ratio)
+        kept = SnapshotList()
+        res = run(s, cfg, kept)
+        assert res.stop_reason == "t_end" and kept[-1][0] == res.state.t
         assert s.u.values.tobytes() == before.tobytes()
-        assert res.snapshots[0][1].values.tobytes() == before.tobytes()
-        assert_same_run(res, reference_run(s, cfg), cfg.t_end)
-        assert_sink_sees_default_list(s, cfg, res)
+        assert kept[0][1].values.tobytes() == before.tobytes()
+        assert_same_run(res, reference_run(s, cfg), cfg.t_end, kept)
+
+    @cadences
+    def test_run_without_sink_copies_nothing(self, monkeypatch, ratio):
+        def no_copy(field):
+            raise AssertionError("run copied a field")
+
+        monkeypatch.setattr(Field, "copy", no_copy)
+        cfg = EvolveConfig(t_end=0.02, dt0=1e-3, sample_interval=1e-3, snapshot_grad_ratio=ratio)
+        res = run(drawn_gaussian(1.5, 1.0), cfg)
+        assert res.stop_reason == "t_end" and len(res.records) == 21
+        assert res.snapshots == []
 
     def test_nonfinite_initial_field_rejected(self):
         s = drawn_gaussian(1.0, 1.0)
@@ -476,8 +480,7 @@ class TestSpectralStateLoop:
     @pytest.fixture
     def fail_third_step(self, monkeypatch):
         """Both drivers fail on their third step: ``run`` on a NaN in the new
-        field, ``reference_run`` on strang_step's BlowupOverflowError. Returns
-        ``run``'s step calls; clear it before a second ``run``."""
+        field, ``reference_run`` on strang_step's BlowupOverflowError."""
         step, ref_step = evolution._spectral_step, oracles.strang_step
         calls = []
 
@@ -495,7 +498,6 @@ class TestSpectralStateLoop:
 
         monkeypatch.setattr(evolution, "_spectral_step", failing_third_step)
         monkeypatch.setattr(oracles, "strang_step", failing_third_ref_step)
-        return calls
 
     def test_nonfinite_step_records_last_finite_state(self, fail_third_step):
         s = drawn_gaussian(1.0, 1.0)
@@ -513,16 +515,14 @@ class TestSpectralStateLoop:
     @cadences
     def test_nonfinite_step_keeps_last_finite_snapshot(self, fail_third_step, ratio):
         s = drawn_gaussian(1.0, 1.0)
-        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1e-3, keep_snapshots=True,
-                           snapshot_grad_ratio=ratio)
-        got = run(s, cfg)
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1e-3, snapshot_grad_ratio=ratio)
+        kept = SnapshotList()
+        got = run(s, cfg, kept)
         assert got.stop_reason == "non_finite" and got.state.step_index == 2
         if ratio is None:
-            assert [t for t, _ in got.snapshots] == [r.t for r in got.records[:-1]]
-        assert got.snapshots[-1][1].values.tobytes() == got.state.u.values.tobytes()
-        assert_same_run(got, reference_run(s, cfg), cfg.t_end)
-        fail_third_step.clear()
-        assert_sink_sees_default_list(s, cfg, got)
+            assert [t for t, _ in kept] == [r.t for r in got.records[:-1]]
+        assert kept[-1][1].values.tobytes() == got.state.u.values.tobytes()
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end, kept)
 
 
 class FFTCounter:
@@ -594,6 +594,13 @@ class TestEstimateTStar:
     def test_no_growth_rejected(self):
         records = [synthetic_record(t, 2.0) for t in np.linspace(0, 1, 30)]
         with pytest.raises(NoBlowupError):
+            estimate_t_star(records)
+
+    def test_root_inside_fit_window_rejected(self):
+        # at the pseudo-conformal rate 1/grad_sq = (1 - t)^2 is convex, and the
+        # line through the last 5 records meets 0 before the last of them
+        records = [synthetic_record(t, (1.0 - t) ** -2) for t in np.linspace(0, 0.999, 400)]
+        with pytest.raises(NoBlowupError, match="not beyond the fit window"):
             estimate_t_star(records)
 
     def test_too_few_terminal_records_rejected(self):
