@@ -14,6 +14,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
+from fnmatch import fnmatch
 
 import numpy as np
 
@@ -47,6 +48,8 @@ commands:
 RECORD_COLUMNS = "t,mass,energy,grad_sq,second_moment,moment_valid,sup_abs,l4_accum,dt"
 _RECORD_FIELDS = [f.name for f in fields(ConservationRecord)]
 ANALYSIS_COLUMNS = "t,lambda,best_mass,yx,yy,rho,rescaled_energy,rescaled_quartic"
+#: The snapshot files that evolve writes (snap_000000.dsbu, ...) and analyze reads.
+_SNAPSHOT_FILES = "snap_*.dsbu"
 
 
 def _fmt(x: float | None) -> str:
@@ -172,6 +175,10 @@ def _cmd_evolve(cfg: RunConfig) -> int:
             "to the field's grid"
         )
     out = _output_dir(cfg)
+    # analyze would read what an earlier run left here as part of this one
+    for name in os.listdir(out):
+        if name in ("records.csv", "blowup.txt") or fnmatch(name, _SNAPSHOT_FILES):
+            os.remove(os.path.join(out, name))
     written = 0
 
     def write(t: float, field: Field) -> None:
@@ -220,12 +227,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     # Every input is read before any output is written: the snapshot headers
     # here, each field inside the trace, which runs before _output_dir.
     with _reading("snapshot_dir", cfg.snapshot_dir):
-        names = sorted(
-            f for f in os.listdir(cfg.snapshot_dir)
-            if f.startswith("snap_") and f.endswith(".dsbu")
-        )
+        names = sorted(f for f in os.listdir(cfg.snapshot_dir) if fnmatch(f, _SNAPSHOT_FILES))
         if not names:
-            raise DomainError(f"no snap_*.dsbu files in {cfg.snapshot_dir}")
+            raise DomainError(f"no {_SNAPSHOT_FILES} files in {cfg.snapshot_dir}")
         metas = {f: read_header(os.path.join(cfg.snapshot_dir, f)) for f in names}
         names.sort(key=lambda f: metas[f].t)
         couplings = {(meta.nu, meta.gamma) for meta in metas.values()}

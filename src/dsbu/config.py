@@ -3,8 +3,8 @@
 One config file fully determines a run: '#' starts a comment, keys are
 validated against the chosen mode, unknown or duplicate keys and non-finite
 floats are rejected with their line number, and grid-derived defaults (dt0,
-guard, sampling interval) are resolved at parse time so the returned
-RunConfig is complete.
+guard, sampling interval) are resolved at parse time, by
+``EvolveConfig.resolved``, so the returned RunConfig is complete.
 
 Each value rule lives in the object that uses the value: ``Grid2D`` (n,
 box_length), ``OperatorParams`` (nu, gamma), ``GroundStateConfig`` (tol,
@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 from .concentration import PARABOLIC_MINUS_EPS, LambdaSchedule
 from .errors import ConfigError, DsbuError
-from .evolution import EvolveConfig, grid_defaults
+from .evolution import EvolveConfig
 from .ground_state import GroundStateConfig
 from .spectral import Grid2D, OperatorParams
 
@@ -218,13 +218,8 @@ def parse_config(text: str) -> RunConfig:
     _validate(cfg, lines_seen)
 
     if cfg.mode == "evolve":
-        dt0, guard, sample_interval = grid_defaults(cfg.box_length / cfg.n, cfg.t_end)
-        if cfg.dt0 is None:
-            cfg.dt0 = dt0
-        if cfg.guard is None:
-            cfg.guard = guard
-        if cfg.sample_interval is None:
-            cfg.sample_interval = sample_interval
+        ev = cfg.evolve_config().resolved(cfg.box_length / cfg.n, cfg.t_end)
+        cfg.dt0, cfg.guard, cfg.sample_interval = ev.dt0, ev.guard, ev.sample_interval
     return cfg
 
 

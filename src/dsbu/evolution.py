@@ -36,7 +36,7 @@ reference oracle that the spectral-state loop is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +61,7 @@ from .spectral import (
 
 @dataclass
 class SimulationState:
-    """Field, clock, and the accumulated space-time L4 integral of a run."""
+    """Field, clock, and the accumulated space-time L4 integral of a run; ``advanced`` steps it."""
 
     t: float
     u: Field
@@ -73,6 +73,11 @@ class SimulationState:
     @classmethod
     def initial(cls, u: Field, params: OperatorParams):
         return cls(t=0.0, u=u, params=params, l4_last=l4_norm_4(u), step_index=0, l4_accum=0.0)
+
+    def advanced(self, u: Field, dt: float, l4: float) -> SimulationState:
+        """The state dt later, with field u of |u|^4 integral l4, and the L4 trapezoid added."""
+        return replace(self, t=self.t + dt, u=u, l4_last=l4, step_index=self.step_index + 1,
+                       l4_accum=self.l4_accum + 0.5 * dt * (self.l4_last + l4))
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ def strang_step(
     This is the reference form of the scheme, from and to a physical state
     (two transform round trips per step). ``run`` takes the same steps in
     its spectral-state loop and is tested against repeated calls of this
-    function.
+    function; both build the next state with ``SimulationState.advanced``.
     """
     if dt == 0.0:
         raise UsageError("dt must be nonzero")
@@ -141,20 +146,12 @@ def strang_step(
         )
 
     u_new = Field(grid, vals)
-    l4_new = l4_norm_4(u_new)
-    return SimulationState(
-        t=state.t + dt,
-        u=u_new,
-        params=p,
-        step_index=state.step_index + 1,
-        l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + l4_new),
-        l4_last=l4_new,
-    )
+    return state.advanced(u_new, dt, l4_norm_4(u_new))
 
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Controls for ``run``; None fields resolve to ``grid_defaults``.
+    """Controls for ``run``; None fields take their grid defaults through ``resolved``.
 
     With ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|). A
     snapshot is kept at every record, or, with ``snapshot_grad_ratio``,
@@ -186,6 +183,16 @@ class EvolveConfig:
                 f"snapshot_grad_ratio must exceed 1, got {ratio}", key="snapshot_grad_ratio"
             )
 
+    def resolved(self, dx: float, span: float) -> EvolveConfig:
+        """This config with each None among dt0, guard and sample_interval set, for
+        grid spacing dx and a run over ``span``, to dx^2/4, 0.5/dx and span/50."""
+        return replace(
+            self,
+            dt0=0.25 * dx**2 if self.dt0 is None else self.dt0,
+            guard=0.5 / dx if self.guard is None else self.guard,
+            sample_interval=span / 50 if self.sample_interval is None else self.sample_interval,
+        )
+
 
 @dataclass
 class RunResult:
@@ -194,19 +201,10 @@ class RunResult:
     state: SimulationState
     records: list[ConservationRecord]
     stop_reason: str  # t_end | sup_guard | grad_guard | non_finite
-    blowup: BlowupEstimate | None = None
+    blowup: BlowupEstimate | None
     # Nothing in dsbu fills this list; the benchmark harness reads it, and its
     # rewrite (ROADMAP item 1) deletes it together with PHYSICAL.
     snapshots: list[tuple[float, Field]] = field(default_factory=list)
-
-
-def grid_defaults(dx: float, span: float) -> tuple[float, float, float]:
-    """Grid-derived defaults (dt0, guard, sample_interval) of a run.
-
-    dt0 = dx^2/4, the resolution guard 0.5/dx, and 50 records over the
-    span. The config parser and ``run`` both resolve their None values here.
-    """
-    return 0.25 * dx**2, 0.5 / dx, span / 50
 
 
 def _record(
@@ -282,18 +280,17 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     module docstring: it keeps u_hat from step to step, transforms the
     initial field once, and agrees with repeated ``strang_step`` to roundoff.
     The half-step factor e(k) for dt0 is built once; any other dt (adaptive
-    or the last, clipped step) costs one n-point exponential.
+    or the last, clipped step) costs one n-point exponential. Step k writes
+    into ``buffers[k % 2]``, one of two allocated up front: never the buffer
+    of the field it steps from, and never the caller's initial field.
     """
     state = state0
     grid = state.u.grid
     p = state.params
     if not cfg.t_end > state.t:
         raise UsageError("t_end must exceed the initial time")
-    dt0, guard, sample_dt = grid_defaults(grid.dx, cfg.t_end - state.t)
-    dt0 = cfg.dt0 if cfg.dt0 is not None else dt0
-    guard = cfg.guard if cfg.guard is not None else guard
-    sample_dt = cfg.sample_interval if cfg.sample_interval is not None else sample_dt
-    e_dt0 = _half_step_factor(grid, dt0)
+    cfg = cfg.resolved(grid.dx, cfg.t_end - state.t)
+    e_dt0 = _half_step_factor(grid, cfg.dt0)
 
     u0 = state.u.values
     if not np.all(np.isfinite(u0)):
@@ -304,56 +301,45 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         if not terms.grad > 0.0:
             raise DomainError("run: snapshot ladder undefined for gradient-free fields")
         rung = terms.grad * ladder
-    spare = np.empty_like(u0)
+    buffers = (np.empty_like(u0), np.empty_like(u0))
     records = [_record(state, 0.0, terms)]
     if on_snapshot is None:
         on_snapshot = lambda t, u: None
     on_snapshot(state.t, state.u)
     kept_t = state.t
-    next_sample = state.t + sample_dt
+    next_sample = state.t + cfg.sample_interval
     stop = None
     t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
 
     while state.t < cfg.t_end - t_eps:
         if cfg.adaptive:
             rate = float(np.abs(terms.potential(p)).max())
-            dt = min(dt0, cfg.c_adapt / rate) if rate > 0 else dt0
+            dt = min(cfg.dt0, cfg.c_adapt / rate) if rate > 0 else cfg.dt0
         else:
-            dt = dt0
+            dt = cfg.dt0
         dt = min(dt, cfg.t_end - state.t)
-        e = e_dt0 if dt == dt0 else _half_step_factor(grid, dt)
+        e = e_dt0 if dt == cfg.dt0 else _half_step_factor(grid, dt)
 
         # The step advances uhat in place; the spent terms are dropped
         # first so that their density is not held through the step.
         uhat, terms = terms.uhat, None
-        u = _spectral_step(uhat, spare, dt, e, grid, p)
+        u = _spectral_step(uhat, buffers[state.step_index % 2], dt, e, grid, p)
         finite = np.all(np.isfinite(u))
         if finite:
-            # The replaced field's buffer takes the next step, unless it is
-            # the caller's initial field.
-            own = state.step_index > state0.step_index
-            spare = state.u.values if own else np.empty_like(u)
             terms = FieldTerms(u, grid, uhat)
-            state = SimulationState(
-                t=state.t + dt,
-                u=Field(grid, u),
-                params=p,
-                step_index=state.step_index + 1,
-                l4_accum=state.l4_accum + 0.5 * dt * (state.l4_last + terms.l4),
-                l4_last=terms.l4,
-            )
+            state = state.advanced(Field(grid, u), dt, terms.l4)
         end = state.t >= cfg.t_end - t_eps
         due = end or state.t >= next_sample - t_eps
         # Stop reason, record, then snapshot: the sink runs after the record's temporaries.
         if not finite:
             stop = "non_finite"  # state stays the last finite one, terms None
-        elif terms.sup > guard:
+        elif terms.sup > cfg.guard:
             stop = "sup_guard"
-        elif (due or ladder is not None) and terms.grad > guard**2:
+        elif (due or ladder is not None) and terms.grad > cfg.guard**2:
             stop = "grad_guard"
         if stop or due:
             records.append(_record(state, dt, terms))
-            next_sample += sample_dt
+            next_sample += cfg.sample_interval
         if stop or end:
             keep = state.t > kept_t
         elif ladder is None:

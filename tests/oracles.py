@@ -32,7 +32,6 @@ from dsbu.evolution import (
     ConservationRecord,
     RunResult,
     estimate_t_star,
-    grid_defaults,
     strang_step,
 )
 from dsbu.spectral import (
@@ -200,10 +199,8 @@ def reference_run(state0, cfg):
     """
     state = state0
     grid = state.u.grid
-    dt0, guard, sample_dt = grid_defaults(grid.dx, cfg.t_end - state.t)
-    dt0 = cfg.dt0 if cfg.dt0 is not None else dt0
-    guard = cfg.guard if cfg.guard is not None else guard
-    sample_dt = cfg.sample_interval if cfg.sample_interval is not None else sample_dt
+    cfg = cfg.resolved(grid.dx, cfg.t_end - state.t)
+    dt0, guard, sample_dt = cfg.dt0, cfg.guard, cfg.sample_interval
     lin_half = np.exp(-1j * grid.ksq * (dt0 / 2))
 
     records = [reference_record(state, 0.0)]

@@ -375,6 +375,34 @@ class TestCli:
         for snap in sorted(a.glob("snap_*.dsbu")):
             assert snap.read_bytes() == (b / snap.name).read_bytes()
 
+    def test_evolve_rerun_replaces_the_earlier_run(self, tmp_path):
+        """A rerun into the same directory leaves none of the earlier run's
+        records, snapshots or blow-up report, and nothing else is deleted:
+        ``analyze`` then traces the rerun alone."""
+        out = tmp_path / "run_out"
+        cfg = tmp_path / "run.cfg"
+        text = ("mode = evolve\nn = 32\nbox_length = 10\ndt0 = 1e-3\nsample_interval = 2e-3\n"
+                f"guard = 100\noutput_dir = {out}\nt_end = ")
+        cfg.write_text(text + "0.02\n")
+        assert main(["evolve", str(cfg)]) == 0
+        assert len(list(out.glob("snap_*.dsbu"))) == 11
+        for name in ("blowup.txt", "notes.txt", "snap_000007.txt"):
+            (out / name).write_text("kept from before\n")  # blowup.txt as a blow-up run leaves it
+        cfg.write_text(text + "0.01\n")
+        assert main(["evolve", str(cfg)]) == 0
+        snaps = [f"snap_{k:06d}.dsbu" for k in range(6)]
+        assert sorted(f.name for f in out.iterdir()) == sorted(
+            ["notes.txt", "records.csv", "run_config.txt", "snap_000007.txt", *snaps])
+        an_out = tmp_path / "analysis"
+        an_cfg = tmp_path / "an.cfg"
+        an_cfg.write_text(f"mode = analyze\nsnapshot_dir = {out}\ntrace = square\n"
+                          f"t_star = 1\noutput_dir = {an_out}\n")
+        assert main(["analyze", str(an_cfg)]) == 0
+        traced = (an_out / "analysis.csv").read_text().splitlines()[1:]
+        recorded = (out / "records.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in traced] == [row.split(",")[0] for row in recorded]
+        assert float(recorded[-1].split(",")[0]) == pytest.approx(0.01)
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         override = tmp_path / "override"
         monkeypatch.setenv("DSBU_OUTPUT_DIR", str(override))

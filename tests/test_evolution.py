@@ -1,5 +1,6 @@
 """Time stepper, run driver, blow-up extrapolation, and virial tests."""
 
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -185,6 +186,15 @@ class TestRun:
         assert times == sorted(times)
         assert res.state.t == pytest.approx(0.05, abs=1e-10)
 
+    def test_none_values_run_as_their_resolved_twin(self):
+        g = Grid2D(64, 10.0)
+        s = SimulationState.initial(gaussian(g, amplitude=1.5), OperatorParams(1, 1.0))
+        cfg = EvolveConfig(t_end=0.05, adaptive=True)
+        twin = cfg.resolved(g.dx, cfg.t_end)
+        a, b = run(s, cfg), run(s, twin)
+        assert len(a.records) > 2 and a.records == b.records
+        assert a.state.step_index == b.state.step_index
+
     def test_l4_accum_nondecreasing(self):
         g = Grid2D(64, 10.0)
         p = OperatorParams(1, 1.0)
@@ -313,6 +323,21 @@ class TestEvolveConfig:
         with pytest.raises(UsageError, match=key) as exc:
             EvolveConfig(**{"t_end": 0.1, "adaptive": True, key: value})
         assert exc.value.key == key
+
+    @pytest.mark.parametrize("unset", [
+        (), ("dt0",), ("guard",), ("sample_interval",), ("dt0", "guard", "sample_interval"),
+    ])
+    def test_resolved_fills_each_none_with_its_grid_default(self, unset):
+        dx, span = 20.0 / 96, 0.3
+        given = {"dt0": 1e-3, "guard": 7.0, "sample_interval": 0.01}
+        defaults = {"dt0": dx**2 / 4, "guard": 0.5 / dx, "sample_interval": span / 50}
+        cfg = EvolveConfig(t_end=0.7, adaptive=True, c_adapt=0.3, snapshot_grad_ratio=2.0,
+                           **{key: None if key in unset else v for key, v in given.items()})
+        got = cfg.resolved(dx, span)
+        for key in given:
+            assert getattr(got, key) == (defaults if key in unset else given)[key]
+        cleared = dict.fromkeys(given)
+        assert replace(got, **cleared) == replace(cfg, **cleared)
 
 
 RECORD_COLUMNS = ("t", "mass", "energy", "gradient_norm_sq", "second_moment",
