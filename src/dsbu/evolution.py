@@ -22,15 +22,23 @@ step never transforms a field it already holds in the other space:
 
 with E = exp(-i|xi|^2 dt/2) = e(k1) e(k2) applied as two broadcast
 multiplies, all in place on u_hat and on the buffer of the replaced field.
-That is 3 complex transforms plus the real pair inside L: 4
-complex-FFT-equivalents per step, 5 with the adaptive rate L(|u|^2), and
-one more per run for the spectrum of the initial field. Each step boundary
-is one ``spectral.FieldTerms`` of u and the loop's u_hat: the sup guard, the
-L4 trapezoid, the adaptive rate L(|u|^2) and the diagnostic record all read
-it. A record's one transform, the half spectrum of |u|^2 for the
-interaction term, is shared with the adaptive rate. ``strang_step``
-is the same scheme one step at a time on a physical state; it is the
-reference oracle that the spectral-state loop is tested against.
+On the full grid that is 3 complex transforms plus the real pair inside L:
+4 complex-FFT-equivalents per step, 5 with the adaptive rate L(|u|^2), and
+one more per run for the spectrum of the initial field.
+
+A field even in x1 and in x2 about the grid origin stays even under the
+flow (|xi|^2 and the symbol of B are even in each component of xi), so
+``run`` steps such a field on its quarter, indices 0..n/2 of each axis,
+through ``spectral.Quarter``: every transform above takes two passes of
+n/2+1 lines instead of two of n, about half an FFT-equivalent, so a step
+costs about 2.3 FFT-equivalents (3 adaptive) on a quarter of the memory.
+Each step boundary is one ``spectral.FieldTerms`` of u and the loop's u_hat,
+on the grid or on the quarter: the sup guard, the L4 trapezoid, the
+adaptive rate L(|u|^2) and the diagnostic record all read it. A record's
+one transform, the half spectrum of |u|^2 for the interaction term, is
+shared with the adaptive rate. ``strang_step`` is the same scheme one step
+at a time on a physical state of the full grid; it is the reference oracle
+that the spectral-state loop is tested against, on either path.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .spectral import (
     FieldTerms,
     Grid2D,
     OperatorParams,
+    Quarter,
     density,
     energy,
     interaction_potential,
@@ -219,40 +228,36 @@ def _record(
     )
 
 
-def _half_step_factor(grid: Grid2D, dt: float) -> np.ndarray:
-    """e(k) = exp(-i k^2 dt/2); the half-step multiplier is e(k1) e(k2)."""
-    return np.exp(-1j * grid.k**2 * (dt / 2))
-
-
-def _ifft2_in_place(a: np.ndarray) -> np.ndarray:
-    """ifft2 written over ``a`` (numpy's 1-D ifft honours out=, its ifft2 does not)."""
-    np.fft.ifft(a, axis=1, out=a)
-    return np.fft.ifft(a, axis=0, out=a)
+def _half_step_factor(space: Grid2D | Quarter, dt: float) -> np.ndarray:
+    """e(k) = exp(-i k^2 dt/2) on an axis of ``space``; the half-step multiplier is e(k1) e(k2)."""
+    return np.exp(-1j * space.k**2 * (dt / 2))
 
 
 def _spectral_step(
-    uhat: np.ndarray, u_out: np.ndarray, dt: float, e: np.ndarray, grid: Grid2D,
+    uhat: np.ndarray, u_out: np.ndarray, dt: float, e: np.ndarray, space: Grid2D | Quarter,
     p: OperatorParams,
 ) -> np.ndarray:
     """One Strang step: advances ``uhat`` in place and writes the next u into ``u_out``.
 
-    ``uhat`` holds the half-step field between its two linear stages, and
-    ``u_out`` holds the phase exp(i dt L(|v|^2)) until it receives u, so a
-    step allocates no complex n x n array.
+    Both arrays have the shape of ``space``, the grid or the quarter of an
+    even field, whose transforms the step calls. ``uhat`` holds the
+    half-step field between its two linear stages, and ``u_out`` holds the
+    phase exp(i dt L(|v|^2)) until it receives u, so a step allocates no
+    complex array of the field's size.
     """
     uhat *= e[:, None]
     uhat *= e
-    v = _ifft2_in_place(uhat)
-    theta = interaction_potential(density(v), grid, p)
+    v = space.ifft_in_place(uhat)
+    theta = interaction_potential(density(v), space, p)
     theta *= dt
     np.cos(theta, out=u_out.real)
     np.sin(theta, out=u_out.imag)
     v *= u_out
-    np.fft.fft2(v, out=uhat)
+    space.fft(v, out=uhat)
     uhat *= e[:, None]
     uhat *= e
     np.copyto(u_out, uhat)
-    return _ifft2_in_place(u_out)
+    return space.ifft_in_place(u_out)
 
 
 def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResult:
@@ -283,6 +288,15 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     or the last, clipped step) costs one n-point exponential. Step k writes
     into ``buffers[k % 2]``, one of two allocated up front: never the buffer
     of the field it steps from, and never the caller's initial field.
+
+    An initial field equal sample for sample to its mirrors in x1 and in x2
+    (u[i, j] = u[(n-i) mod n, j] = u[i, (n-j) mod n]) is stepped on its
+    quarter (``spectral.Quarter``), any other field on the full grid; no
+    setting chooses. On the quarter the steps, the boundaries and the
+    records all stay there, and the run's states carry one n x n field,
+    ``live``, into which the quarter is unfolded only where a full field is
+    read: before the sink is handed it and, since the last state is always
+    the last one kept, in the result.
     """
     state = state0
     grid = state.u.grid
@@ -290,18 +304,22 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     if not cfg.t_end > state.t:
         raise UsageError("t_end must exceed the initial time")
     cfg = cfg.resolved(grid.dx, cfg.t_end - state.t)
-    e_dt0 = _half_step_factor(grid, cfg.dt0)
 
-    u0 = state.u.values
-    if not np.all(np.isfinite(u0)):
+    u = state.u.values
+    if not np.all(np.isfinite(u)):
         raise DomainError("run: initial field contains non-finite values")
-    terms = FieldTerms(u0, grid, np.fft.fft2(u0))
+    space, live = grid, None
+    if Quarter.holds(u):
+        space, live = Quarter(grid), Field(grid, np.empty_like(u))
+        u = u[: space.shape[0], : space.shape[1]].copy()
+    e_dt0 = _half_step_factor(space, cfg.dt0)
+    terms = FieldTerms(u, space, space.fft(u, np.empty_like(u)))
     ladder = cfg.snapshot_grad_ratio
     if ladder is not None:
         if not terms.grad > 0.0:
             raise DomainError("run: snapshot ladder undefined for gradient-free fields")
         rung = terms.grad * ladder
-    buffers = (np.empty_like(u0), np.empty_like(u0))
+    buffers = (np.empty_like(u), np.empty_like(u))
     records = [_record(state, 0.0, terms)]
     if on_snapshot is None:
         on_snapshot = lambda t, u: None
@@ -318,21 +336,23 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         else:
             dt = cfg.dt0
         dt = min(dt, cfg.t_end - state.t)
-        e = e_dt0 if dt == cfg.dt0 else _half_step_factor(grid, dt)
+        e = e_dt0 if dt == cfg.dt0 else _half_step_factor(space, dt)
 
         # The step advances uhat in place; the spent terms are dropped
         # first so that their density is not held through the step.
         uhat, terms = terms.uhat, None
-        u = _spectral_step(uhat, buffers[state.step_index % 2], dt, e, grid, p)
-        finite = np.all(np.isfinite(u))
+        stepped = _spectral_step(uhat, buffers[state.step_index % 2], dt, e, space, p)
+        finite = np.all(np.isfinite(stepped))
         if finite:
-            terms = FieldTerms(u, grid, uhat)
-            state = state.advanced(Field(grid, u), dt, terms.l4)
+            u = stepped
+            terms = FieldTerms(u, space, uhat)
+            state = state.advanced(Field(grid, u) if live is None else live, dt, terms.l4)
         end = state.t >= cfg.t_end - t_eps
         due = end or state.t >= next_sample - t_eps
         # Stop reason, record, then snapshot: the sink runs after the record's temporaries.
         if not finite:
-            stop = "non_finite"  # state stays the last finite one, terms None
+            stop = "non_finite"  # state and u stay the last finite ones
+            terms = FieldTerms(u, space)  # whose spectrum the step spent
         elif terms.sup > cfg.guard:
             stop = "sup_guard"
         elif (due or ladder is not None) and terms.grad > cfg.guard**2:
@@ -349,6 +369,8 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
             while rung <= terms.grad:
                 rung *= ladder
         if keep:
+            if live is not None:
+                space.unfold(u, live.values)
             on_snapshot(state.t, state.u)
             kept_t = state.t
         if stop:

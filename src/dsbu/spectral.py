@@ -86,6 +86,48 @@ class Grid2D:
         """Meshgrid (X1, X2) of physical coordinates, 'ij' indexing."""
         return np.meshgrid(self.x, self.x, indexing="ij")
 
+    # The grid is the transform object of the full n x n array; ``Quarter``
+    # is the same interface on the quarter of a field even in x1 and x2.
+    edge = -1  # index of the last row and column
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def b_half(self) -> np.ndarray:
+        """The symbol of B on the columns 0..n/2 that ``rfft`` keeps."""
+        return self.b_symbol[:, : self.n // 2 + 1]
+
+    def fft(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """fft2(v) written into ``out``, which may be v."""
+        return np.fft.fft2(v, out=out)
+
+    def ifft_in_place(self, a: np.ndarray) -> np.ndarray:
+        """ifft2 written over ``a`` (numpy's 1-D ifft honours out=, its ifft2 does not)."""
+        np.fft.ifft(a, axis=1, out=a)
+        return np.fft.ifft(a, axis=0, out=a)
+
+    def rfft(self, w: np.ndarray) -> np.ndarray:
+        """The half spectrum rfft2(w) of a real w."""
+        return np.fft.rfft2(w)
+
+    def irfft(self, s: np.ndarray) -> np.ndarray:
+        return np.fft.irfft2(s, s=self.shape)
+
+    def total(self, a: np.ndarray) -> float:
+        """Sum over the grid of a field given on this object."""
+        return a.sum()
+
+    def half_total(self, s: np.ndarray) -> float:
+        """Sum over the full spectrum of s given on ``rfft``'s half, for s even under
+        the Hermitian mirror: columns 1..n/2-1 count twice, columns 0 and n/2 once."""
+        return 2.0 * s.sum() - s[:, 0].sum() - s[:, self.n // 2].sum()
+
+    def moment(self, a: np.ndarray, c: np.ndarray) -> float:
+        """Sum over the grid of (c_i + c_j) a_ij, for c given along one axis."""
+        return c @ a.sum(axis=1) + c @ a.sum(axis=0)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Grid2D)
@@ -98,6 +140,99 @@ class Grid2D:
 
     def __repr__(self):
         return f"Grid2D(n={self.n}, box_length={self.box_length})"
+
+
+def _mirror(a: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = a[min(i, n-i)] along axis 0, for ``a`` of indices 0..n/2 and ``out`` of n."""
+    h = a.shape[0]
+    out[:h] = a
+    out[h:] = a[h - 2 : 0 : -1]
+
+
+class Quarter:
+    """The transform object of a grid's fields that are even in x1 and in x2.
+
+    A field with u[i, j] = u[(n-i) mod n, j] = u[i, (n-j) mod n] -- even about
+    the grid origin, which is evenness about x = 0 as well -- has a spectrum
+    even in the same way, so indices 0..n/2 of each axis, (n/2+1)^2 points,
+    carry it whole in both spaces. This object has the interface of the full
+    grid's (``Grid2D``) on that quarter:
+
+    * ``x``, ``k`` and ``b_half`` are the grid's ``x``, ``k`` and
+      ``b_symbol`` cut to the quarter, which the real pair keeps as well;
+    * a transform mirrors its input into buffers of shape (n/2+1, n) and
+      (n, n/2+1) and transforms one axis at a time, rows then columns as
+      ``fft2`` and ``rfft2`` do, so that it returns bitwise the quarter of the
+      full transform of the mirrored array;
+    * a sum weighs indices 0 and n/2 of each axis once and every other index
+      twice, for itself and its mirror, in both spaces.
+
+    The buffers belong to the object, so one object serves one caller at a time.
+    """
+
+    edge = 1  # the full grid's last row and column, index n-1, mirror index 1
+
+    def __init__(self, grid: Grid2D):
+        n, h = grid.n, grid.n // 2 + 1
+        self.n, self.dx, self.shape = n, grid.dx, (h, h)
+        self.x, self.k = grid.x[:h], grid.k[:h]
+        self.b_half = grid.b_symbol[:h, :h]
+        self.weight = np.full(h, 2.0)
+        self.weight[[0, -1]] = 1.0
+        self._rows = np.empty((h, n), dtype=np.complex128)
+        self._real_rows = np.empty((h, n))
+        self._cols = np.empty((n, h), dtype=np.complex128)
+
+    @staticmethod
+    def holds(u: np.ndarray) -> bool:
+        """Whether the n x n samples u equal their mirrors in x1 and in x2, each one."""
+        return np.array_equal(u[1:], u[:0:-1]) and np.array_equal(u[:, 1:], u[:, :0:-1])
+
+    def unfold(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The full n x n field of the quarter q, written into ``out``."""
+        h = self.shape[0]
+        _mirror(q.T, out[:h].T)
+        _mirror(out[:h], out)
+        return out
+
+    def _pass(self, a: np.ndarray, out: np.ndarray, transform) -> np.ndarray:
+        rows, cols = self._rows, self._cols
+        _mirror(a.T, rows.T)
+        transform(rows, axis=1, out=rows)
+        _mirror(rows[:, : self.shape[0]], cols)
+        transform(cols, axis=0, out=cols)
+        out[...] = cols[: self.shape[0]]
+        return out
+
+    def fft(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self._pass(v, out, np.fft.fft)
+
+    def ifft_in_place(self, a: np.ndarray) -> np.ndarray:
+        return self._pass(a, a, np.fft.ifft)
+
+    def rfft(self, w: np.ndarray) -> np.ndarray:
+        h, cols = self.shape[0], self._cols
+        _mirror(w.T, self._real_rows.T)
+        np.fft.rfft(self._real_rows, axis=1, out=cols[:h])
+        _mirror(cols[:h], cols)
+        np.fft.fft(cols, axis=0, out=cols)
+        return cols[:h].copy()
+
+    def irfft(self, s: np.ndarray) -> np.ndarray:
+        h, cols = self.shape[0], self._cols
+        _mirror(s, cols)
+        np.fft.ifft(cols, axis=0, out=cols)
+        np.fft.irfft(cols[:h], n=self.n, axis=1, out=self._real_rows)
+        return self._real_rows[:, :h].copy()
+
+    def total(self, a: np.ndarray) -> float:
+        return self.weight @ a @ self.weight
+
+    half_total = total
+
+    def moment(self, a: np.ndarray, c: np.ndarray) -> float:
+        cw = self.weight * c
+        return cw @ (a @ self.weight) + cw @ (self.weight @ a)
 
 
 @dataclass
@@ -153,14 +288,15 @@ def _check_real(values: np.ndarray, what: str) -> None:
         )
 
 
-def _b_action(w_hat: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """B w from the half spectrum ``w_hat`` = rfft2(w) of a real w, scaled in place.
+def _b_action(w_hat: np.ndarray, space: Grid2D | Quarter) -> np.ndarray:
+    """B w from ``w_hat`` = ``space.rfft(w)`` of a real w, scaled in place.
 
-    The symbol is even in xi1 and in xi2, so keeping its columns
-    0..n/2 with ``rfft2``/``irfft2`` is exact and the result is real.
+    The symbol is even in xi1 and in xi2, so keeping its columns 0..n/2 with
+    the real pair (and its rows 0..n/2 on the quarter) is exact and the
+    result is real.
     """
-    w_hat *= grid.b_symbol[:, : grid.n // 2 + 1]
-    return np.fft.irfft2(w_hat, s=(grid.n, grid.n))
+    w_hat *= space.b_half
+    return space.irfft(w_hat)
 
 
 def _l_from_b(w: np.ndarray, b_w: np.ndarray, p: OperatorParams) -> np.ndarray:
@@ -179,8 +315,9 @@ def interaction_potential(w: np.ndarray, grid: Grid2D, p: OperatorParams) -> np.
     This is the one kernel for L: the Strang nonlinear phase L(|u|^2), the
     ground-state equation L(R^2) R and the equation residuals all call it,
     and ``FieldTerms.potential`` is the same kernel on a shared half spectrum.
+    ``grid`` may be a ``Quarter`` holding w's quarter, as in ``run``'s step.
     """
-    return _l_from_b(w, _b_action(np.fft.rfft2(w), grid), p)
+    return _l_from_b(w, _b_action(grid.rfft(w), grid), p)
 
 
 def apply_b(f: Field) -> Field:
@@ -191,7 +328,7 @@ def apply_b(f: Field) -> Field:
     in each wavenumber.
     """
     _check_real(f.values, "apply_b")
-    return Field(f.grid, _b_action(np.fft.rfft2(f.values.real), f.grid))
+    return Field(f.grid, _b_action(f.grid.rfft(f.values.real), f.grid))
 
 
 def apply_l(f: Field, p: OperatorParams) -> Field:
@@ -222,20 +359,25 @@ class SecondMoment(NamedTuple):
 class FieldTerms:
     """The functionals of one field u, each computed on first use and cached.
 
-    ``values`` are u's physical samples and ``uhat`` its spectrum fft2(u)
-    when the caller holds it (``run`` keeps it from step to step); without
-    it the gradient transforms u and keeps no spectrum. The density
-    rho = re^2 + im^2 gives the mass, sup|u|, the L4 integral and the second
-    moment; its half spectrum rfft2(rho), made once, gives the interaction
-    term and the potential L(rho); the gradient comes from the spectrum by
-    Parseval. These are the package's only formulas for those quantities:
-    the functionals below, the records and step boundaries of ``run``, the
-    ground-state report and the concentration trace all read them here.
+    ``values`` are u's samples on ``space`` -- the grid, or the ``Quarter``
+    of a field even in x1 and x2 -- and ``uhat`` its spectrum
+    ``space.fft(u)`` when the caller holds it (``run`` keeps it from step to
+    step); without it the gradient transforms u and keeps no spectrum. The
+    density rho = re^2 + im^2 gives the mass, sup|u|, the L4 integral and
+    the second moment; its half spectrum ``space.rfft(rho)``, made once,
+    gives the interaction term and the potential L(rho); the gradient comes
+    from the spectrum by Parseval. Every sum is the space's: plain on the
+    grid, and on the quarter weighted by 1 at indices 0 and n/2 of an axis
+    and 2 elsewhere, so both give the integral over the whole box. These are
+    the package's only formulas for those quantities: the functionals below,
+    the records and step boundaries of ``run``, the ground-state report and
+    the concentration trace all read them here.
     """
 
-    def __init__(self, values: np.ndarray, grid: Grid2D, uhat: np.ndarray | None = None):
+    def __init__(self, values: np.ndarray, space: Grid2D | Quarter,
+                 uhat: np.ndarray | None = None):
         self.values = values
-        self.grid = grid
+        self.space = space
         self.uhat = uhat
 
     @classmethod
@@ -249,16 +391,16 @@ class FieldTerms:
 
     @cached_property
     def rho_half(self) -> np.ndarray:
-        """rfft2(rho), shared by the interaction term, L(rho) and windowed masses."""
-        return np.fft.rfft2(self.rho)
+        """rfft(rho), shared by the interaction term, L(rho) and windowed masses."""
+        return self.space.rfft(self.rho)
 
     @cached_property
     def mass(self) -> float:
         """Squared L2 norm: integral of |u|^2, as dx^2 sum rho."""
-        total = self.rho.sum()
+        total = self.space.total(self.rho)
         if not np.isfinite(total):
             raise DomainError("mass: field contains non-finite values")
-        return float(self.grid.dx**2 * total)
+        return float(self.space.dx**2 * total)
 
     @cached_property
     def sup(self) -> float:
@@ -266,12 +408,12 @@ class FieldTerms:
 
     @cached_property
     def _rho_sq_sum(self) -> float:
-        return float(np.sum(np.square(self.rho)))
+        return float(self.space.total(np.square(self.rho)))
 
     @property
     def l4(self) -> float:
         """Integral of |u|^4, as dx^2 sum rho^2."""
-        return self.grid.dx**2 * self._rho_sq_sum
+        return self.space.dx**2 * self._rho_sq_sum
 
     @cached_property
     def grad(self) -> float:
@@ -280,10 +422,12 @@ class FieldTerms:
         |xi|^2 = k1^2 + k2^2 is summed axis by axis against the row and
         column sums of |u_hat|^2, so no n x n weight array is formed.
         """
-        g = self.grid
-        a = density(np.fft.fft2(self.values) if self.uhat is None else self.uhat)
-        k_sq = g.k**2
-        return float(g.dx**2 / g.n**2 * (k_sq @ a.sum(axis=1) + k_sq @ a.sum(axis=0)))
+        g = self.space
+        uhat = self.uhat
+        if uhat is None:
+            uhat = g.fft(self.values, np.empty(g.shape, dtype=np.complex128))
+        a = density(uhat)
+        return float(g.dx**2 / g.n**2 * g.moment(a, g.k**2))
 
     @cached_property
     def second_moment(self) -> SecondMoment:
@@ -294,11 +438,10 @@ class FieldTerms:
         amplitude on the outermost cells exceeds 1e-10 of its maximum. |x|^2 =
         x1^2 + x2^2 is summed axis by axis against the row and column sums of rho.
         """
-        g, rho = self.grid, self.rho
-        edge = math.sqrt(max(rho[0, :].max(), rho[-1, :].max(), rho[:, 0].max(), rho[:, -1].max()))
+        g, rho, e = self.space, self.rho, self.space.edge
+        edge = math.sqrt(max(rho[0, :].max(), rho[e, :].max(), rho[:, 0].max(), rho[:, e].max()))
         ok = bool(self.sup == 0.0 or edge <= BOUNDARY_DECAY_TOL * self.sup)
-        x_sq = g.x**2
-        value = float(g.dx**2 * (x_sq @ rho.sum(axis=1) + x_sq @ rho.sum(axis=0)))
+        value = float(g.dx**2 * g.moment(rho, g.x**2))
         return SecondMoment(value, ok)
 
     def quartic(self, p: OperatorParams) -> float:
@@ -306,13 +449,14 @@ class FieldTerms:
 
         The form is manifestly real and keeps the gamma part inside
         [0, gamma * integral of |u|^4] (the symbol is bounded by [0, 1]). The
-        B part is summed over the half spectrum: each column 1..n/2-1 stands
-        for itself and its Hermitian mirror, so it counts twice; columns 0
-        and n/2 once.
+        B part is summed over the real pair's spectrum by ``half_total``: on
+        the grid each column 1..n/2-1 stands for itself and its Hermitian
+        mirror, so it counts twice, columns 0 and n/2 once; on the quarter
+        the weights are those of its physical sums.
         """
-        g, n = self.grid, self.grid.n
-        s = g.b_symbol[:, : n // 2 + 1] * density(self.rho_half)
-        b_part = (2.0 * s.sum() - s[:, 0].sum() - s[:, n // 2].sum()) / n**2
+        g = self.space
+        s = g.b_half * density(self.rho_half)
+        b_part = g.half_total(s) / g.n**2
         return float(g.dx**2 * (p.nu * self._rho_sq_sum + p.gamma * b_part))
 
     def energy(self, p: OperatorParams) -> float:
@@ -320,7 +464,7 @@ class FieldTerms:
 
     def potential(self, p: OperatorParams) -> np.ndarray:
         """L(rho), from a copy of the shared half spectrum."""
-        return _l_from_b(self.rho, _b_action(self.rho_half.copy(), self.grid), p)
+        return _l_from_b(self.rho, _b_action(self.rho_half.copy(), self.space), p)
 
 
 def mass(u: Field) -> float:

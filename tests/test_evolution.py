@@ -1,6 +1,8 @@
 """Time stepper, run driver, blow-up extrapolation, and virial tests."""
 
-from dataclasses import replace
+import hashlib
+import math
+from dataclasses import astuple, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +33,7 @@ from dsbu.evolution import (
     virial_check,
 )
 from dsbu.ground_state import solve_ground_state
-from dsbu.spectral import FieldTerms, interaction_potential
+from dsbu.spectral import FieldTerms, Quarter, interaction_potential
 
 import oracles
 from oracles import SnapshotList, reference_run
@@ -550,29 +552,126 @@ class TestSpectralStateLoop:
         assert_same_run(got, reference_run(s, cfg), cfg.t_end, kept)
 
 
-class FFTCounter:
-    """Counts numpy.fft calls in complex 2-D FFT-equivalents (real transforms count half)."""
+class EvenSnapshots(SnapshotList):
+    """A ``SnapshotList`` that checks that each field it is handed equals its mirrors."""
 
-    COMPLEX = ("fft2", "ifft2")
-    REAL = ("rfft2", "irfft2")
+    def __call__(self, t, u):
+        assert Quarter.holds(u.values), t
+        super().__call__(t, u)
+
+
+def guard_fields():
+    """Two fields that are not even, and so step on the full grid, and one that is."""
+    g = Grid2D(64, 12.0)
+    x1, x2 = g.coords()
+    centred = 1.5 * np.exp(-(x1**2 + x2**2) / 2)
+    ulp = centred.copy()
+    ulp[3, 5] = np.nextafter(ulp[3, 5], 2.0)
+    return {"shifted": Field(g, 1.5 * np.exp(-((x1 - 0.3) ** 2 + x2**2) / 2)),
+            "ulp": Field(g, ulp),
+            "aspect": Field(g, 1.5 * np.exp(-(x1**2 + (0.5 * x2) ** 2) / 2))}
+
+
+GUARD_CFG = EvolveConfig(t_end=0.05, dt0=2e-3, adaptive=True, c_adapt=5e-3,
+                         sample_interval=0.01, guard=50.0)
+
+# sha256 of the records (as float rows) and the final field of ``run`` on
+# ``guard_fields()`` with GUARD_CFG, made by the full-grid loop before the
+# quarter loop existed (numpy 2.4.6 on x86-64; other FFT builds may round
+# differently and so give other digests).
+FULL_GRID_DIGESTS = {
+    "shifted": "86d1acf6a45ebf254481a742e574fe5b65a99500b6d6eb5114746b5105858303",
+    "ulp": "01b19355cadaaa879235b934228196fdceb9357a44f8c2233bea7eff740ace83",
+}
+
+
+class TestQuarterLoop:
+    """``run`` steps a field even in x1 and x2 on its quarter, any other on the full grid."""
+
+    @pytest.mark.parametrize("name", sorted(FULL_GRID_DIGESTS))
+    def test_fields_that_are_not_even_keep_the_full_grid_bytes(self, name):
+        u0 = guard_fields()[name]
+        assert not Quarter.holds(u0.values)
+        res = run(SimulationState.initial(u0, OperatorParams(1, 1.0)), GUARD_CFG)
+        rows = np.array([astuple(r) for r in res.records], dtype=float)
+        digest = hashlib.sha256(rows.tobytes() + res.state.u.values.tobytes()).hexdigest()
+        assert digest == FULL_GRID_DIGESTS[name]
+
+    def test_elongated_even_field_takes_the_quarter(self):
+        u0 = guard_fields()["aspect"]
+        assert Quarter.holds(u0.values)
+        s = SimulationState.initial(u0, OperatorParams(1, 1.0))
+        kept = EvenSnapshots()
+        got = run(s, GUARD_CFG, kept)
+        assert min(r.dt_used for r in got.records[1:]) < GUARD_CFG.dt0
+        assert_same_run(got, reference_run(s, GUARD_CFG), GUARD_CFG.t_end, kept)
+
+    def test_blowup_data_first_hundred_steps_match_reference(self):
+        # configs/blowup_concentration.cfg at n = 256, for 100 steps of dt0
+        g = Grid2D(256, 2.5)
+        s = SimulationState.initial(gaussian(g, 8.8, 0.225), OperatorParams(1, 1.0))
+        cfg = EvolveConfig(t_end=100 * 0.25 * g.dx**2, adaptive=True, sample_interval=6.25e-5)
+        kept = EvenSnapshots()
+        got = run(s, cfg, kept)
+        ref = reference_run(s, cfg)
+        assert got.state.step_index == 100 and len(kept) == len(got.records) > 30
+        assert_same_run(got, ref, cfg.t_end, kept)
+        diff = np.max(np.abs(got.state.u.values - ref.state.u.values))
+        assert diff <= 1e-12 * np.max(np.abs(ref.state.u.values))
+        masses = [r.mass for r in got.records]
+        assert max(abs(m - masses[0]) for m in masses) <= 1e-14 * masses[0]
+
+    @cadences
+    def test_sink_sees_even_fields_only(self, ratio):
+        s = drawn_gaussian(1.8, 1.2)
+        cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, sample_interval=0.01,
+                           snapshot_grad_ratio=ratio)
+        kept = EvenSnapshots()
+        got = run(s, cfg, kept)
+        assert got.stop_reason == "grad_guard" and len(kept) >= 3
+        assert Quarter.holds(got.state.u.values)
+
+
+class FFTCounter:
+    """Counts numpy.fft calls in complex 2-D FFT-equivalents (real transforms count half).
+
+    A 1-D transform along an axis of length m counts (lines)/(2m) of its
+    array: an n x n array has 2n lines in all, n along each axis.
+    """
+
+    COMPLEX = ("fft2", "ifft2", "fft", "ifft")
+    REAL = ("rfft2", "irfft2", "rfft", "irfft")
 
     def __init__(self, monkeypatch):
         self.total = 0.0
         for name in self.COMPLEX + self.REAL:
             weight = 1.0 if name in self.COMPLEX else 0.5
-            monkeypatch.setattr(np.fft, name, self._counted(getattr(np.fft, name), weight))
+            monkeypatch.setattr(np.fft, name, self._counted(name, getattr(np.fft, name), weight))
 
-    def _counted(self, fn, weight):
-        def counted(*args, **kwargs):
-            self.total += weight
-            return fn(*args, **kwargs)
+    def _counted(self, name, fn, weight):
+        def counted(a, *args, **kwargs):
+            out = fn(a, *args, **kwargs)
+            if name.endswith("2"):
+                self.total += weight
+            else:
+                shape = np.shape(a) if name == "rfft" else out.shape
+                m = shape[kwargs.get("axis", -1)]
+                self.total += weight * math.prod(shape) / (2 * m * m)
+            return out
         return counted
 
 
 class TestFFTBudget:
-    """Transforms per step and per record inside ``run`` (the spectral-state budget)."""
+    """Transforms per step and per record inside ``run`` (the spectral-state budget).
 
-    def counted_run(self, monkeypatch, cfg, amplitude=1.2):
+    The centred Gaussian steps on its quarter, where a 2-D transform is two
+    passes of n/2+1 lines, c = (n/2+1)/n of one on the grid, and the real
+    pair of L costs 1.5c (its column pass is complex): 4.5c per fixed step
+    and 6c with the adaptive rate, against 4 and 5 on the full grid, which
+    the shifted Gaussian takes.
+    """
+
+    def counted_run(self, monkeypatch, cfg, amplitude=1.2, shift=0.0):
         counter = FFTCounter(monkeypatch)
         in_records = [0.0, 0]
         record = evolution._record
@@ -585,26 +684,40 @@ class TestFFTBudget:
             return out
 
         monkeypatch.setattr(evolution, "_record", counted_record)
-        s = drawn_gaussian(amplitude, 1.0)
+        g = Grid2D(64, 12.0)
+        x1, x2 = g.coords()
+        u0 = Field(g, amplitude * np.exp(-((x1 - shift) ** 2 + x2**2) / 2))
+        s = SimulationState.initial(u0, OperatorParams(1, 1.0))
         before = counter.total
         res = run(s, cfg)
         steps = res.state.step_index
         return counter.total - before - in_records[0], steps, in_records
 
+    c = (64 // 2 + 1) / 64
+
     def test_fixed_step_budget(self, monkeypatch):
         cfg = EvolveConfig(t_end=0.05, dt0=1e-3, sample_interval=0.01, guard=50.0)
         in_steps, steps, (in_rec, n_rec) = self.counted_run(monkeypatch, cfg)
         assert steps == 50 and n_rec == 6
-        # 4 per step, plus the one transform of the initial field
-        assert in_steps <= 4 * steps + 1
-        assert in_rec <= 0.5 * n_rec
+        # 4.5c per step, plus the one transform of the initial field
+        assert in_steps <= (4.5 * steps + 1) * self.c + 1e-9
+        assert in_rec <= 0.75 * self.c * n_rec + 1e-9
 
     def test_adaptive_step_budget(self, monkeypatch):
         cfg = EvolveConfig(t_end=0.05, dt0=1e-3, adaptive=True, c_adapt=1e-3,
                            sample_interval=0.01, guard=50.0)
         in_steps, steps, (in_rec, n_rec) = self.counted_run(monkeypatch, cfg)
         assert steps > 50
-        assert in_steps <= 5 * steps + 1
+        assert in_steps <= (6 * steps + 1) * self.c + 1e-9
+        assert in_rec <= 0.75 * self.c * n_rec + 1e-9
+
+    @pytest.mark.parametrize("adaptive,per_step", [(False, 4), (True, 5)])
+    def test_full_grid_step_budget(self, monkeypatch, adaptive, per_step):
+        cfg = EvolveConfig(t_end=0.05, dt0=1e-3, adaptive=adaptive, c_adapt=1e-3,
+                           sample_interval=0.01, guard=50.0)
+        in_steps, steps, (in_rec, n_rec) = self.counted_run(monkeypatch, cfg, shift=0.3)
+        assert steps >= 50
+        assert in_steps <= per_step * steps + 1
         assert in_rec <= 0.5 * n_rec
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsbu import (
     Field,
@@ -18,7 +20,7 @@ from dsbu import (
     second_moment,
 )
 from dsbu.errors import DomainError, GridMismatchError, UsageError
-from dsbu.spectral import PHYSICAL, FieldTerms, density, interaction_potential
+from dsbu.spectral import PHYSICAL, FieldTerms, Quarter, density, interaction_potential
 
 from oracles import (
     direct_b_multiplier,
@@ -356,6 +358,81 @@ class TestReducedFormulas:
         given = terms.potential(p)
         assert np.array_equal(given, interaction_potential(density(values), g, p))
         assert np.array_equal(terms.rho_half, shared)
+
+
+def mirrored(quarter, n):
+    """The n x n array whose sample (i, j) is quarter[min(i, n-i), min(j, n-j)]."""
+    idx = np.minimum(np.arange(n), n - np.arange(n))
+    return quarter[np.ix_(idx, idx)]
+
+
+def even_samples(n, seed):
+    """Random complex n x n samples equal to their mirrors in x1 and in x2, and their quarter."""
+    rng = np.random.default_rng(seed)
+    h = n // 2 + 1
+    q = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    return mirrored(q, n), q
+
+
+sizes = st.sampled_from([8, 64, 256])
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestQuarter:
+    """The quarter transform object against numpy's full-grid transforms and sums."""
+
+    def test_holds_only_fields_equal_to_their_mirrors(self):
+        g = Grid2D(64, 12.0)
+        u = gaussian_field(g).values
+        assert Quarter.holds(u)
+        x1, x2 = g.coords()
+        assert Quarter.holds(np.exp(-(x1**2 + (0.5 * x2) ** 2)))
+        assert not Quarter.holds(np.exp(-((x1 - 0.3) ** 2 + x2**2)))
+        ulp = u.copy()
+        ulp[3, 5] = np.nextafter(ulp[3, 5].real, 2.0)
+        assert not Quarter.holds(ulp)
+        assert not Quarter.holds(ulp.T)
+
+    @settings(max_examples=12, deadline=None)
+    @given(sizes, seeds)
+    def test_transforms_are_bitwise_the_quarter_of_the_full_ones(self, n, seed):
+        full, q = even_samples(n, seed)
+        space, h = Quarter(Grid2D(n, 10.0)), n // 2 + 1
+        assert np.array_equal(space.unfold(q, np.empty((n, n), complex)), full)
+        assert np.array_equal(space.fft(q, np.empty_like(q)), np.fft.fft2(full)[:h, :h])
+        assert np.array_equal(space.ifft_in_place(q.copy()), np.fft.ifft2(full)[:h, :h])
+        assert np.array_equal(space.rfft(q.real.copy()), np.fft.rfft2(full.real)[:h, :h])
+        half = mirrored(q, n)[:, :h]  # an even half spectrum: rows mirrored, columns 0..n/2
+        assert np.array_equal(space.irfft(q), np.fft.irfft2(half, s=(n, n))[:h, :h])
+
+    @settings(max_examples=12, deadline=None)
+    @given(sizes, seeds)
+    def test_weighted_sums_are_the_full_sums(self, n, seed):
+        full, q = even_samples(n, seed)
+        g = Grid2D(n, 10.0)
+        space = Quarter(g)
+        a, b = FieldTerms(q, space), FieldTerms(full, g)
+        for name in ("mass", "l4", "grad"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert abs(x - y) <= 1e-14 * y, name
+        assert abs(a.second_moment.value - b.second_moment.value) <= 1e-14 * b.second_moment.value
+        assert a.sup == b.sup
+        for p in (OperatorParams(1, 1.0), OperatorParams(-1, 2.5)):
+            scale = b.l4 * (1 + p.gamma)  # |quartic| is at most (1 + gamma) times L4
+            assert abs(a.quartic(p) - b.quartic(p)) <= 1e-14 * scale
+            lf = b.potential(p)
+            assert np.max(np.abs(a.potential(p) - lf[: n // 2 + 1, : n // 2 + 1])) <= (
+                1e-13 * np.max(np.abs(lf)))
+
+    def test_edge_of_the_box_is_read_on_the_quarter(self):
+        # the full grid's last row and column, index n-1, are the quarter's index 1
+        g = Grid2D(64, 12.0)
+        u = gaussian_field(g, width=0.8).values
+        h = g.n // 2 + 1
+        assert FieldTerms(u[:h, :h].copy(), Quarter(g)).second_moment.boundary_ok
+        u[1, 20] = u[-1, 20] = 1e-3
+        assert not FieldTerms(u[:h, :h].copy(), Quarter(g)).second_moment.boundary_ok
+        assert not FieldTerms(u, g).second_moment.boundary_ok
 
 
 class TestScalingLaws:
