@@ -314,6 +314,8 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         u = u[: space.shape[0], : space.shape[1]].copy()
     e_dt0 = _half_step_factor(space, cfg.dt0)
     terms = FieldTerms(u, space, space.fft(u, np.empty_like(u)))
+    # The first L4 trapezoid starts from the sum of the step's own space.
+    state = replace(state, l4_last=terms.l4)
     ladder = cfg.snapshot_grad_ratio
     if ladder is not None:
         if not terms.grad > 0.0:

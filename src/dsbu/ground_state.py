@@ -14,6 +14,13 @@ degree p = 3 makes the nontrivial fixed point attracting. Convergence is
 certified by the equation residual, not by iterate differences; the residual
 comes by Parseval from the same two transforms that the update uses.
 
+The iterate is real and even in x1 and in x2 (the initial Gaussian is, and
+the map keeps it: |xi|^2 and the symbol of B are even in each component of
+xi), so the loop runs on its quarter, indices 0..n/2 of each axis, through
+``spectral.Quarter``: the real pair of transforms, and quarter sums weighted
+1 at indices 0 and n/2 and 2 elsewhere for the quotient and the residual.
+The profile is unfolded to the full grid once, at the end.
+
 The converged profile optimizes the interaction inequality
 
     integral L(|u|^2)|u|^2 <= C_opt * ||grad u||_2^2 * ||u||_2^2
@@ -35,6 +42,8 @@ from .spectral import (
     FieldTerms,
     Grid2D,
     OperatorParams,
+    Quarter,
+    density,
     interaction_potential,
 )
 
@@ -85,27 +94,32 @@ def solve_ground_state(
     """Compute the positive even-symmetric profile on the given grid.
 
     Requires the focusing sign nu = +1; the grid should contain the profile
-    comfortably (box_length >= 20 and n >= 256 are safe defaults). Each sweep
-    transforms r and N = L(r^2) r once; the quotient, the update and the
-    Parseval residual dx/n * ||N_hat - (1 + |xi|^2) r_hat|| of r all come from
-    those two transforms. Raises NonConvergenceError with the residual
-    history if the residual is not below ``cfg.tol`` within ``cfg.max_iter``
-    updates.
+    comfortably (box_length >= 20 and n >= 256 are safe defaults). The
+    iterate r lives on the quarter of the grid (``spectral.Quarter``), where
+    the initial Gaussian is built, so it is even by construction for any box.
+    Each sweep transforms r and N = L(r^2) r once with the quarter's real
+    transform; the quotient, the update and the Parseval residual
+    dx/n * ||N_hat - (1 + |xi|^2) r_hat|| of r all come from those two
+    transforms, summed with the quarter's weights. The converged r is
+    unfolded to the n x n profile, whose report terms are those of the full
+    field. Raises NonConvergenceError with the residual history if the
+    residual is not below ``cfg.tol`` within ``cfg.max_iter`` updates.
     """
     cfg = cfg or GroundStateConfig()
     if p.nu != 1:
         raise DomainError("ground state requires the focusing sign nu = +1")
 
-    x1, x2 = grid.coords()
-    r = cfg.init_amplitude * np.exp(-(x1**2 + x2**2) / 2)
-    denom = 1.0 + grid.ksq
+    q = Quarter(grid)
+    r = cfg.init_amplitude * np.exp(-(q.x[:, None] ** 2 + q.x**2) / 2)
+    denom = 1.0 + q.k[:, None] ** 2 + q.k**2
     history: list[float] = []
 
     for iteration in range(cfg.max_iter + 1):
-        rhat = np.fft.fft2(r)
-        nhat = np.fft.fft2(interaction_potential(r * r, grid, p) * r)
+        rhat = q.rfft(r)
+        nhat = q.rfft(interaction_potential(r * r, q, p) * r)
         if iteration > 0:
-            history.append(grid.dx / grid.n * float(np.linalg.norm(nhat - denom * rhat)))
+            defect = density(nhat - denom * rhat)
+            history.append(grid.dx / grid.n * float(np.sqrt(q.total(defect))))
             if history[-1] < cfg.tol:
                 break
         if iteration == cfg.max_iter:
@@ -114,17 +128,20 @@ def solve_ground_state(
                 f"(last residual {history[-1]:.3e})",
                 history,
             )
-        s_num = float(np.sum(denom * np.abs(rhat) ** 2))
-        s_den = float(np.real(np.sum(nhat * np.conj(rhat))))
+        s_num = float(q.total(denom * density(rhat)))
+        s_den = float(q.total(nhat.real * rhat.real + nhat.imag * rhat.imag))
         if s_den <= 0.0:
             raise NonConvergenceError(
                 "spectral renormalization degenerated (nonpositive quotient)", history
             )
         s = s_num / s_den
-        r = np.fft.ifft2(s**1.5 * nhat / denom).real
+        nhat *= s**1.5
+        nhat /= denom
+        r = q.irfft(nhat)
 
     # Sign-normalize and recenter the peak at the origin (both are exact
     # symmetries of the lattice equation, so the residual is unchanged).
+    r = q.unfold(r, np.empty(grid.shape))
     peak = np.unravel_index(np.argmax(np.abs(r)), r.shape)
     if r[peak] < 0:
         r = -r

@@ -6,13 +6,16 @@ a radial ODE shooting solver for the cubic focusing ground state. Expected
 values asserted in the tests are computed by these routines (or frozen from
 them), never by the code under test.
 
-Two exceptions reuse package code as a reference for a faster rewrite of
+Three exceptions reuse package code as a reference for a faster rewrite of
 it. ``reference_run`` is the run driver as a plain loop of the reference
 stepper ``strang_step`` and whole-field diagnostics, against which the
 spectral-state loop of ``evolution.run`` is checked. ``reference_disk_trace``
 is the disk concentration trace as three separate passes, one per schedule,
 that rescale every kept snapshot anew; the one-pass
 ``concentration.disk_concentration_trace`` must reproduce it exactly.
+``reference_ground_state`` is the spectral renormalization loop on the full
+n x n grid with complex transforms, against which the quarter loop of
+``ground_state.solve_ground_state`` is checked.
 """
 
 import numpy as np
@@ -27,14 +30,17 @@ from dsbu.concentration import (
     rescaled_snapshot,
     windowed_mass_sup,
 )
-from dsbu.errors import BlowupOverflowError, DomainError, NoBlowupError
+from dsbu.errors import BlowupOverflowError, DomainError, NoBlowupError, NonConvergenceError
 from dsbu.evolution import (
     ConservationRecord,
     RunResult,
     estimate_t_star,
     strang_step,
 )
+from dsbu.ground_state import GroundStateConfig, GroundStateResult
 from dsbu.spectral import (
+    Field,
+    FieldTerms,
     energy,
     gradient_norm_sq,
     interaction_potential,
@@ -369,3 +375,62 @@ def reference_disk_trace(snapshots, schedule, c_opt, params):
         skipped_times=skipped,
     )
     return records, summary
+
+
+def reference_ground_state(grid, p, cfg=None):
+    """``ground_state.solve_ground_state`` on the full n x n grid.
+
+    The spectral renormalization loop with complex ``fft2``/``ifft2`` of the
+    whole iterate, plain sums for the quotient and ``np.linalg.norm`` for the
+    Parseval residual, starting from the Gaussian on ``grid.coords()``.
+    """
+    cfg = cfg or GroundStateConfig()
+    if p.nu != 1:
+        raise DomainError("ground state requires the focusing sign nu = +1")
+
+    x1, x2 = grid.coords()
+    r = cfg.init_amplitude * np.exp(-(x1**2 + x2**2) / 2)
+    denom = 1.0 + grid.ksq
+    history: list[float] = []
+
+    for iteration in range(cfg.max_iter + 1):
+        rhat = np.fft.fft2(r)
+        nhat = np.fft.fft2(interaction_potential(r * r, grid, p) * r)
+        if iteration > 0:
+            history.append(grid.dx / grid.n * float(np.linalg.norm(nhat - denom * rhat)))
+            if history[-1] < cfg.tol:
+                break
+        if iteration == cfg.max_iter:
+            raise NonConvergenceError(
+                f"no convergence after {cfg.max_iter} iterations "
+                f"(last residual {history[-1]:.3e})",
+                history,
+            )
+        s_num = float(np.sum(denom * np.abs(rhat) ** 2))
+        s_den = float(np.real(np.sum(nhat * np.conj(rhat))))
+        if s_den <= 0.0:
+            raise NonConvergenceError(
+                "spectral renormalization degenerated (nonpositive quotient)", history
+            )
+        s = s_num / s_den
+        r = np.fft.ifft2(s**1.5 * nhat / denom).real
+
+    # Sign-normalize and recenter the peak at the origin (both are exact
+    # symmetries of the lattice equation, so the residual is unchanged).
+    peak = np.unravel_index(np.argmax(np.abs(r)), r.shape)
+    if r[peak] < 0:
+        r = -r
+    center = grid.n // 2
+    r = np.roll(r, (center - peak[0], center - peak[1]), axis=(0, 1))
+
+    profile = Field(grid, r)
+    terms = FieldTerms.of(profile)
+    grad, m = terms.grad, terms.mass  # the gradient's transform is freed before rho is made
+    return GroundStateResult(
+        profile=profile,
+        c_opt=2.0 / m,
+        residual=history[-1],
+        iterations=iteration,
+        sharpness_ratio=terms.quartic(p) / (grad * m),
+        residual_history=history,
+    )

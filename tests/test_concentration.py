@@ -1,5 +1,6 @@
 """Windowed-mass and rescaled-snapshot diagnostics tests."""
 
+import hashlib
 from dataclasses import fields
 from functools import cached_property
 
@@ -21,10 +22,11 @@ from dsbu.concentration import (
     windowed_mass_sup,
 )
 from dsbu.errors import DomainError
-from dsbu.spectral import FieldTerms, density
+from dsbu.spectral import FieldTerms, Quarter, density
 from dsbu.exact import eval_pc_blowup, eval_standing_wave
 
 from oracles import brute_force_windowed_mass, reference_disk_trace
+from test_evolution import FFTCounter
 
 
 def bump(grid, center, width=0.4, amplitude=1.0):
@@ -101,7 +103,9 @@ class TestWindowedMassSup:
         g = Grid2D(64, 12.0)
         u = Field(g, bump(g, (0.7, -1.1)) + 0.5j * bump(g, (-2.0, 1.5), width=0.8))
         w = WindowSpec(shape, size)
-        shared = windowed_mass_sup(u, w, w_half=np.fft.rfft2(density(u.values)))
+        terms = FieldTerms(u.values, g)
+        np.testing.assert_array_equal(terms.rho_half, np.fft.rfft2(density(u.values)))
+        shared = windowed_mass_sup(u, w, terms=terms)
         assert shared == windowed_mass_sup(u, w)
 
     def test_sub_cell_window_rejected(self):
@@ -115,6 +119,69 @@ class TestWindowedMassSup:
             WindowSpec("hexagon", 1.0)
         with pytest.raises(DomainError):
             WindowSpec(DISK, 0.0)
+
+
+def even_field(grid, f):
+    """The field f(x1, x2) made on the grid's quarter and unfolded: equal to its mirrors."""
+    q = Quarter(grid)
+    x1, x2 = np.meshgrid(q.x, q.x, indexing="ij")
+    values = np.asarray(f(x1, x2), dtype=complex)
+    return Field(grid, q.unfold(values, np.empty(grid.shape, dtype=complex)))
+
+
+def quarter_terms(u):
+    q = Quarter(u.grid)
+    h = q.shape[0]
+    return FieldTerms(u.values[:h, :h], q)
+
+
+EVEN_FIELDS = {
+    # peak at the origin, index (n/2, n/2), with an elongated complex halo
+    "origin": lambda x1, x2: np.exp(-(x1**2 + 2 * x2**2) / 2)
+    + 0.3j * np.exp(-((np.abs(x1) - 2.5) ** 2 + x2**2)),
+    # peak on the box edge x1 = -L/2, index 0, its own mirror
+    "edge": lambda x1, x2: np.exp(-((x1 + 6.0) ** 2 + x2**2) / 0.8)
+    + 0.2 * np.exp(-(x1**2 + x2**2)),
+}
+
+
+class TestWindowedMassOnTheQuarter:
+    """``windowed_mass_sup`` with terms on the ``Quarter`` of an even field."""
+
+    @pytest.mark.parametrize("name", sorted(EVEN_FIELDS))
+    @pytest.mark.parametrize("shape,size", [(DISK, 1.3), (DISK, 3.1), (SQUARE, 2.1), (SQUARE, 13.0)])
+    def test_matches_the_full_grid(self, name, shape, size):
+        u = even_field(Grid2D(64, 12.0), EVEN_FIELDS[name])
+        w = WindowSpec(shape, size)
+        full = windowed_mass_sup(u, w)
+        got = windowed_mass_sup(u, w, quarter_terms(u))
+        assert got.best_mass == pytest.approx(full.best_mass, rel=1e-13, abs=0)
+        assert got.best_center == full.best_center
+        assert got.clamped == full.clamped == (size > 12.0)
+
+    def test_tie_at_mirrored_centres_takes_the_first(self):
+        # equal bumps at x1 = -4 and x1 = +4: the first maximum in C order
+        # is the window at -4 (row 8 of 32), which the quarter holds
+        g = Grid2D(32, 16.0)
+        u = even_field(g, lambda x1, x2: np.exp(-((np.abs(x1) - 4.0) ** 2 + x2**2) / 1.3))
+        want, want_idx = brute_force_windowed_mass(u.values, 16.0, DISK, 2.1)
+        assert want_idx == (8, 16)
+        got = windowed_mass_sup(u, WindowSpec(DISK, 2.1), quarter_terms(u))
+        assert got.best_center == (g.x[8], g.x[16]) == (-4.0, 0.0)
+        assert abs(got.best_mass - want) <= 1e-13 * want
+        full = windowed_mass_sup(u, WindowSpec(DISK, 2.1))
+        assert full.best_center in ((-4.0, 0.0), (4.0, 0.0))
+        assert full.best_mass == pytest.approx(got.best_mass, rel=1e-13, abs=0)
+
+    def test_fft_budget(self, monkeypatch):
+        # the window's quarter transform and the inverse: 3/4 of (n/2+1)/n
+        # FFT-equivalents each, against 1/2 each on the grid
+        u = even_field(Grid2D(64, 12.0), EVEN_FIELDS["origin"])
+        terms = quarter_terms(u)
+        terms.rho_half  # made once per snapshot, outside the call
+        counter = FFTCounter(monkeypatch)
+        windowed_mass_sup(u, WindowSpec(DISK, 1.3), terms)
+        assert counter.total == pytest.approx(2 * 0.75 * (64 // 2 + 1) / 64, rel=1e-12)
 
 
 class TestRescaledSnapshot:
@@ -345,6 +412,72 @@ class TestDiskTraceOnePass:
         disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, OperatorParams(1, 1.0))
         # every snapshot kept by some schedule (all but t = 0.995 and 1.01), once
         assert sorted(grads) == sorted(id(u.values) for t, u in snaps if t < 0.99)
+
+
+def even_snapshots():
+    """Shrinking even bumps on two grids, as from a run on even data (not bitwise radial)."""
+    snaps = []
+    for t, grid in zip(EDGE_TIMES[:6], [EDGE_GRID] * 3 + [Grid2D(32, 6.0)] * 3):
+        width = 0.3 + (1.0 - t)
+        snaps.append((t, even_field(grid, lambda x1, x2: np.exp(
+            -((x1 / width) ** 2 + (0.8 * x2 / width) ** 2) / 2) / width)))
+    return snaps
+
+
+@pytest.fixture
+def quarters_made(monkeypatch):
+    """The grids of the ``Quarter`` objects that ``concentration`` makes, in order."""
+    made = []
+
+    class CountingQuarter(Quarter):
+        def __init__(self, grid):
+            made.append(grid)
+            super().__init__(grid)
+
+    monkeypatch.setattr(concentration, "Quarter", CountingQuarter)
+    return made
+
+
+class TestTracesOnTheQuarter:
+    def test_disk_trace_matches_reference_with_one_quarter_per_grid(self, quarters_made):
+        params = OperatorParams(1, 1.0)
+        snaps = even_snapshots()
+        records, summary = disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, params)
+        assert quarters_made == [EDGE_GRID, Grid2D(32, 6.0)]
+        ref_records, ref_summary = reference_disk_trace(snaps, EDGE_SCHEDULE, 0.26, params)
+        assert len(records) == len(ref_records) == 6
+        for r, ref in zip(records, ref_records):
+            assert (r.t, r.window, r.best_center, r.clamped) == (
+                ref.t, ref.window, ref.best_center, ref.clamped)
+            for name in ("best_mass", "rho", "rescaled_quartic"):
+                assert getattr(r, name) == pytest.approx(getattr(ref, name), rel=1e-13, abs=0)
+        assert summary.lambda_grad_growing == ref_summary.lambda_grad_growing
+        assert summary.min_ratio == pytest.approx(ref_summary.min_ratio, rel=1e-13, abs=0)
+
+    def test_square_trace_matches_the_full_grid(self, quarters_made):
+        snaps = even_snapshots()
+        records, _ = square_concentration_trace(snaps, c_side=3.0, t_star=1.0, eta=0.1)
+        assert quarters_made == [EDGE_GRID, Grid2D(32, 6.0)] and len(records) == 6
+        for (t, u), r in zip(snaps, records):
+            full = windowed_mass_sup(u, r.window)
+            assert r.best_center == full.best_center and r.clamped == full.clamped
+            assert r.best_mass == pytest.approx(full.best_mass, rel=1e-13, abs=0)
+
+    def test_fields_that_are_not_even_keep_the_full_grid_bytes(self):
+        # sha256 of the records of both traces on a Gaussian shifted in x1,
+        # made before the traces took the quarter (numpy 2.4.6 on x86-64;
+        # other FFT builds may round differently and so give other digests)
+        g = Grid2D(64, 12.0)
+        x1, x2 = g.coords()
+        snaps = [(t, Field(g, np.exp(-((x1 - 0.7) ** 2 + x2**2) / (2 * (1.0 - t) ** 2)) / (1.0 - t)))
+                 for t in (0.0, 0.3, 0.6, 0.8, 0.9)]
+        assert not any(Quarter.holds(u.values) for _, u in snaps)
+        schedule = LambdaSchedule(PARABOLIC_MINUS_EPS, 0.1, 1.0)
+        disk, _ = disk_concentration_trace(snaps, schedule, 0.26, OperatorParams(1, 1.0))
+        square, _ = square_concentration_trace(snaps, c_side=3.0, t_star=1.0, eta=0.1)
+        assert len(disk) == len(square) == 5
+        digest = hashlib.sha256(repr(disk + square).encode()).hexdigest()
+        assert digest == "175d7bca8a9822bbd1a380af925a284267f907d04045eff18c046901413751df"
 
 
 class TestSquareTrace:

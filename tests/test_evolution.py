@@ -621,6 +621,20 @@ class TestQuarterLoop:
         masses = [r.mass for r in got.records]
         assert max(abs(m - masses[0]) for m in masses) <= 1e-14 * masses[0]
 
+    def test_first_trapezoid_starts_from_the_quarter_sum(self):
+        # a field whose |u|^4 sums on the grid and on the quarter differ in the
+        # last bit; run reads the sum of its own space, not the state's
+        g = Grid2D(64, 12.0)
+        s = SimulationState.initial(gaussian(g, 1.5, 1.0), OperatorParams(1, 1.0))
+        q = Quarter(g)
+        h = q.shape[0]
+        l4_quarter = FieldTerms(s.u.values[:h, :h], q).l4
+        assert Quarter.holds(s.u.values) and l4_quarter != s.l4_last
+        dt = 1e-3
+        got = run(replace(s, l4_last=math.nan), EvolveConfig(t_end=dt, dt0=dt))
+        assert got.state.step_index == 1
+        assert got.state.l4_accum == 0.5 * dt * (l4_quarter + got.state.l4_last)
+
     @cadences
     def test_sink_sees_even_fields_only(self, ratio):
         s = drawn_gaussian(1.8, 1.2)

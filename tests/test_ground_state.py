@@ -11,9 +11,10 @@ import pytest
 from dsbu import Field, Grid2D, OperatorParams, energy, gradient_norm_sq, mass, quartic_term
 from dsbu.errors import DomainError, NonConvergenceError, UsageError
 from dsbu.ground_state import GroundStateConfig, solve_ground_state
-from dsbu.spectral import interaction_potential
+from dsbu.spectral import Quarter, interaction_potential
 
-from oracles import townes_mass
+from oracles import reference_ground_state, townes_mass
+from test_evolution import FFTCounter
 
 # Frozen from oracles.townes_mass() (radial shooting, rtol 1e-11): the
 # profile peaks at 2.2062008646 and carries squared L2 norm:
@@ -118,6 +119,71 @@ class TestSolver:
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(UsageError, match="max_iter"):
             GroundStateConfig(max_iter=max_iter)
+
+
+#: Absolute rounding floor of a residual entry, about 16 ulp of ||R||_2 = 2.77:
+#: the residual is a Parseval norm of N_hat - (1 + |xi|^2) R_hat, whose terms
+#: cancel to 1e-10 near convergence, so two loops that round differently
+#: agree on it to a few ulp of those terms, not to a relative 1e-6 of it
+#: (measured: 6.4e-15 at n = 256, 4.9e-15 beyond 1e-6 relative).
+RESIDUAL_FLOOR = 1e-14
+
+
+class TestQuarterSolve:
+    """The quarter loop against the full-grid loop of ``oracles.reference_ground_state``."""
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_matches_full_grid_oracle(self, n, params_focusing):
+        grid = Grid2D(n, 20.0)
+        got = solve_ground_state(grid, params_focusing)
+        want = reference_ground_state(grid, params_focusing)
+        assert got.iterations == want.iterations
+        r, r_ref = got.profile.values.real, want.profile.values.real
+        assert np.abs(r - r_ref).max() <= 1e-13 * np.abs(r_ref).max()
+        assert got.c_opt == pytest.approx(want.c_opt, rel=1e-13, abs=0)
+        assert got.sharpness_ratio == pytest.approx(want.sharpness_ratio, rel=1e-13, abs=0)
+        assert len(got.residual_history) == len(want.residual_history)
+        for res, ref in zip(got.residual_history, want.residual_history):
+            assert abs(res - ref) <= 1e-6 * ref + RESIDUAL_FLOOR, (res, ref)
+
+    def test_profile_is_even_and_real(self, ground_state_256):
+        values = ground_state_256.profile.values
+        assert Quarter.holds(values)
+        assert not values.imag.any()
+
+    def test_nonconvergence_history_matches_oracle(self, params_focusing):
+        grid, cfg = Grid2D(64, 20.0), GroundStateConfig(tol=1e-30, max_iter=5)
+        with pytest.raises(NonConvergenceError, match="no convergence after 5") as got:
+            solve_ground_state(grid, params_focusing, cfg)
+        with pytest.raises(NonConvergenceError) as want:
+            reference_ground_state(grid, params_focusing, cfg)
+        np.testing.assert_allclose(
+            got.value.residual_history, want.value.residual_history, rtol=1e-12)
+
+    def test_nonpositive_quotient_on_the_quarter(self, params_focusing):
+        # r * r underflows to zero, so N = L(r^2) r and the quotient's denominator vanish
+        cfg = GroundStateConfig(init_amplitude=1e-200)
+        for solve in (solve_ground_state, reference_ground_state):
+            with pytest.raises(NonConvergenceError, match="nonpositive quotient") as exc:
+                solve(Grid2D(64, 20.0), params_focusing, cfg)
+            assert exc.value.residual_history == []
+
+    def test_fft_budget_per_iteration(self, monkeypatch, params_focusing):
+        # Five quarter transforms of the real pair per iteration (r, N, the pair
+        # inside L and the update), each 3/4 of (n/2+1)/n FFT-equivalents; the
+        # full grid's complex loop takes 4.
+        counter = FFTCounter(monkeypatch)
+        grid = Grid2D(64, 20.0)
+        counts = []
+        for max_iter in (5, 6):
+            before = counter.total
+            with pytest.raises(NonConvergenceError):
+                solve_ground_state(grid, params_focusing,
+                                   GroundStateConfig(tol=1e-30, max_iter=max_iter))
+            counts.append(counter.total - before)
+        c = (grid.n // 2 + 1) / grid.n
+        assert counts[1] - counts[0] == pytest.approx(5 * 0.75 * c, rel=1e-12)
+        assert counts[0] == pytest.approx((5 * 5 + 4) * 0.75 * c, rel=1e-12)
 
 
 def sharp_ratio(u, gs, p):
