@@ -209,7 +209,8 @@ def _cmd_evolve(cfg: RunConfig) -> int:
 class _SnapshotFiles:
     """The named snapshots of ``directory`` as a sequence of (t, field). Item i
     is read from its file when asked for, by index or by iteration (which
-    goes through ``__getitem__``), so a walk holds one field at a time."""
+    goes through ``__getitem__``), so the trace holds only the fields it is
+    measuring (at most three)."""
 
     def __init__(self, directory: str, names: list[str]):
         self.directory, self.names = directory, names
@@ -362,7 +363,11 @@ def _keep_freed_memory() -> None:
     gives the freed top of the heap back to the OS and faults it in again on
     the next step, about 2000 minor faults per step at n = 512, unless
     something long-lived (such as a held snapshot) happens to sit above them.
-    Without glibc this does nothing.
+    The trace's two worker threads and the main thread share two arenas: with
+    one, the workers take turns on its lock and lose most of their gain; with
+    one per thread, each worker's buffers and freed temporaries sit in an
+    arena of its own, apart from the freed heap of the main one, and peak RSS
+    grows by twice as much. Without glibc this does nothing.
     """
     import ctypes
 
@@ -372,6 +377,7 @@ def _keep_freed_memory() -> None:
         return
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB of freed heap
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    mallopt(-8, 2)  # M_ARENA_MAX: the main heap and one more
 
 
 def main(argv: list[str] | None = None) -> int:

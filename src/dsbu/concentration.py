@@ -29,13 +29,19 @@ Each kept snapshot's |u|^2 is transformed once, and that half spectrum is
 shared by quartic(u) and every window of the three schedules. Both traces
 take a snapshot's functionals on its quarter when the snapshot equals its
 mirrors in x1 and x2 sample for sample (``Quarter.holds``), as the snapshots
-of a run from even data do, and on the full grid otherwise.
+of a run from even data do, and on the full grid otherwise. Each snapshot's
+measurement depends on no other snapshot, so both traces run it on two
+worker threads while the caller's iterable yields the next snapshot, and
+take the results in time order: the records, the summary and any error are
+those of a sequential walk.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -126,7 +132,8 @@ def windowed_mass_sup(u: Field, w: WindowSpec, terms: FieldTerms | None = None) 
 def _snapshot_terms(u: Field, quarters: dict[Grid2D, Quarter]) -> FieldTerms:
     """u's ``FieldTerms``: on the quarter when u equals its mirrors in x1 and x2, else on the grid.
 
-    ``quarters`` holds one ``Quarter`` per grid, made on first use.
+    ``quarters`` holds one ``Quarter`` per grid, made on first use; each
+    worker thread of a trace has its own, so one ``Quarter`` per grid per worker.
     """
     if not Quarter.holds(u.values):
         return FieldTerms.of(u)
@@ -256,6 +263,89 @@ def _in_time_order(snapshots: Iterable[tuple[float, Field]]) -> Iterator[tuple[f
         raise DomainError("no snapshots to trace")
 
 
+def _traced_in_order(
+    snapshots: Iterable[tuple[float, Field]], work_for: Callable[[float], Callable],
+) -> Iterator[tuple]:
+    """work(t, u, quarters) for each (t, u) of ``_in_time_order(snapshots)``, in that order.
+
+    ``work = work_for(t0)`` is made from the first t before any call. The
+    calls run on a pool of two threads while this thread reads the next
+    snapshot; each thread has its own ``{grid: Quarter}`` dict, since a
+    ``Quarter``'s buffers serve one caller at a time. At most two calls wait
+    unconsumed, so at most three snapshots are held at once. Results and
+    errors come in snapshot order: when reading a snapshot fails (a corrupt
+    file, a t that does not increase), the pending calls are waited for
+    first, so an earlier snapshot's error is the one raised, as in a
+    sequential walk. numpy's FFTs release the GIL and give the same bits on
+    any thread.
+    """
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    quarters: dict[int, dict[Grid2D, Quarter]] = {}
+
+    def call(t: float, u: Field):
+        return work(t, u, quarters.setdefault(threading.get_ident(), {}))
+
+    ordered = _in_time_order(snapshots)
+    work = None
+    pending: deque = deque()
+    pool = ThreadPoolExecutor(2)
+    try:
+        while True:
+            try:
+                t, u = next(ordered)
+            except StopIteration:
+                break
+            except Exception:
+                for future in pending:
+                    future.result()
+                raise
+            if work is None:
+                work = work_for(t)
+            if len(pending) == 2:
+                yield pending.popleft().result()
+            pending.append(pool.submit(call, t, u))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+#: Keys of the disk trace's schedules and of its record lists.
+_SCHEDULE_TAGS = ("main", "minus_2pct", "plus_2pct")
+
+
+def _shifted_schedules(schedule: LambdaSchedule, t0: float) -> dict[str, LambdaSchedule]:
+    """The disk trace's schedules: ``schedule`` and two with t_star moved by -+2% of t_star - t0."""
+    shift = 0.02 * (schedule.t_star - t0)
+    return {tag: replace(schedule, t_star=schedule.t_star + s)
+            for tag, s in zip(_SCHEDULE_TAGS, (0.0, -shift, shift))}
+
+
+def _disk_rows(
+    schedules: dict[str, LambdaSchedule], params: OperatorParams,
+    t: float, u: Field, quarters: dict[Grid2D, Quarter],
+) -> tuple[float, bool, list[tuple[str, ConcentrationRecord]]]:
+    """One snapshot of the disk trace: t, whether the main schedule skips it,
+    and a (tag, record) pair for each schedule that keeps it."""
+    rows, main_skips, terms = [], False, None
+    for tag, sched in schedules.items():
+        lam = sched(t)
+        if lam <= u.grid.dx:
+            main_skips = main_skips or tag == "main"
+            continue
+        if terms is None:
+            terms = _snapshot_terms(u, quarters)
+            rho = _unit_gradient_scale(terms.grad)
+            quartic = rho**2 * terms.quartic(params)
+            en = hamiltonian(1.0, quartic)
+        window = WindowSpec(DISK, lam)
+        wm = windowed_mass_sup(u, window, terms)
+        rows.append((tag, ConcentrationRecord(t, window, *wm, rho, quartic, en)))
+    return t, main_skips, rows
+
+
 def disk_concentration_trace(
     snapshots: Iterable[tuple[float, Field]],
     schedule: LambdaSchedule,
@@ -276,32 +366,16 @@ def disk_concentration_trace(
     are computed once, when the first schedule keeps it, from the scaling
     identities and the ``FieldTerms`` of u, whose one transform of |u|^2 its
     windows share: on the quarter of a snapshot even in x1 and x2, with one
-    ``Quarter`` per grid, and on the grid otherwise.
+    ``Quarter`` per grid per worker thread, and on the grid otherwise.
     """
-    rows: dict[str, list[ConcentrationRecord]] = {"main": [], "minus_2pct": [], "plus_2pct": []}
-    schedules: dict[str, LambdaSchedule] = {}
+    rows: dict[str, list[ConcentrationRecord]] = {tag: [] for tag in _SCHEDULE_TAGS}
     skipped: list[float] = []
-    quarters: dict[Grid2D, Quarter] = {}
-    for t, u in _in_time_order(snapshots):
-        if not schedules:  # the first t sets the trace span
-            shift = 0.02 * (schedule.t_star - t)
-            schedules = {tag: replace(schedule, t_star=schedule.t_star + s)
-                         for tag, s in zip(rows, (0.0, -shift, shift))}
-        terms = None
-        for tag, sched in schedules.items():
-            lam = sched(t)
-            if lam <= u.grid.dx:
-                if tag == "main":
-                    skipped.append(t)
-                continue
-            if terms is None:
-                terms = _snapshot_terms(u, quarters)
-                rho = _unit_gradient_scale(terms.grad)
-                quartic = rho**2 * terms.quartic(params)
-                en = hamiltonian(1.0, quartic)
-            window = WindowSpec(DISK, lam)
-            wm = windowed_mass_sup(u, window, terms)
-            rows[tag].append(ConcentrationRecord(t, window, *wm, rho, quartic, en))
+    work_for = lambda t0: partial(_disk_rows, _shifted_schedules(schedule, t0), params)
+    for t, main_skips, kept in _traced_in_order(snapshots, work_for):
+        if main_skips:
+            skipped.append(t)
+        for tag, record in kept:
+            rows[tag].append(record)
     records = rows.pop("main")
     if not records:
         raise DomainError("every snapshot was skipped by the schedule")
@@ -356,6 +430,20 @@ class SquareTraceSummary:
     skipped_times: list[float]
 
 
+def _square_rows(
+    c_side: float, t_star: float, t: float, u: Field, quarters: dict[Grid2D, Quarter],
+) -> tuple[float, bool, list[ConcentrationRecord]]:
+    """One snapshot of the square trace: t, whether it is skipped, and its record if kept."""
+    if t >= t_star:
+        return t, True, []
+    side = c_side * np.sqrt(t_star - t)
+    if side <= u.grid.dx:
+        return t, True, []
+    window = WindowSpec(SQUARE, side)
+    wm = windowed_mass_sup(u, window, _snapshot_terms(u, quarters))
+    return t, False, [ConcentrationRecord(t, window, *wm)]
+
+
 def square_concentration_trace(
     snapshots: Iterable[tuple[float, Field]],
     c_side: float,
@@ -373,18 +461,11 @@ def square_concentration_trace(
         raise DomainError(f"c_side must be positive, got {c_side}")
     records: list[ConcentrationRecord] = []
     skipped: list[float] = []
-    quarters: dict[Grid2D, Quarter] = {}
-    for t, u in _in_time_order(snapshots):
-        if t >= t_star:
+    work_for = lambda t0: partial(_square_rows, c_side, t_star)
+    for t, skips, kept in _traced_in_order(snapshots, work_for):
+        if skips:
             skipped.append(t)
-            continue
-        side = c_side * np.sqrt(t_star - t)
-        if side <= u.grid.dx:
-            skipped.append(t)
-            continue
-        window = WindowSpec(SQUARE, side)
-        wm = windowed_mass_sup(u, window, _snapshot_terms(u, quarters))
-        records.append(ConcentrationRecord(t, window, *wm))
+        records += kept
     if not records:
         raise DomainError("every snapshot was skipped (t_star too early or windows sub-cell)")
     gaps = np.array([t_star - r.t for r in records])
@@ -400,3 +481,4 @@ def square_concentration_trace(
         skipped_times=skipped,
     )
     return records, summary
+

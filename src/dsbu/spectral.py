@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -167,7 +166,9 @@ class Quarter:
     * a sum weighs indices 0 and n/2 of each axis once and every other index
       twice, for itself and its mirror, in both spaces.
 
-    The buffers belong to the object, so one object serves one caller at a time.
+    The buffers belong to the object, so one object serves one caller at a
+    time: ``run`` makes one, and the concentration traces one per grid per
+    worker thread.
     """
 
     edge = 1  # the full grid's last row and column, index n-1, mirror index 1
@@ -356,6 +357,29 @@ class SecondMoment(NamedTuple):
     boundary_ok: bool
 
 
+class cached_property:
+    """``functools.cached_property`` without its lock.
+
+    On Python 3.11 that decorator holds one lock per class attribute, shared
+    by every instance, while it computes; two threads reading the ``grad`` of
+    two different ``FieldTerms`` then take turns through whole transforms. A
+    ``FieldTerms`` serves one thread, so its cache needs no lock.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.attrname = name
+
+    def __get__(self, instance, owner):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class FieldTerms:
     """The functionals of one field u, each computed on first use and cached.
 
@@ -465,6 +489,15 @@ class FieldTerms:
     def potential(self, p: OperatorParams) -> np.ndarray:
         """L(rho), from a copy of the shared half spectrum."""
         return _l_from_b(self.rho, _b_action(self.rho_half.copy(), self.space), p)
+
+    def potential_bound(self, p: OperatorParams) -> float:
+        """An upper bound of max|L(rho)| that costs no transform: max rho + gamma*sqrt(sum rho^2).
+
+        |B rho(x)| <= n^-2 sum |rho_hat| <= sqrt(sum rho^2) over the full grid,
+        by Cauchy-Schwarz over the n^2 modes, Parseval and a symbol in [0, 1].
+        The sum is the one the L4 integral reads.
+        """
+        return self.sup**2 + p.gamma * math.sqrt(self._rho_sq_sum)
 
 
 def mass(u: Field) -> float:

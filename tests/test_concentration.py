@@ -1,8 +1,10 @@
 """Windowed-mass and rescaled-snapshot diagnostics tests."""
 
 import hashlib
+import sys
+import threading
 from dataclasses import fields
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dsbu.concentration import (
     DISK,
     PARABOLIC_MINUS_EPS,
     SQUARE,
+    ConcentrationRecord,
     DiskTraceSummary,
     LambdaSchedule,
     WindowSpec,
@@ -21,7 +24,7 @@ from dsbu.concentration import (
     square_concentration_trace,
     windowed_mass_sup,
 )
-from dsbu.errors import DomainError
+from dsbu.errors import DomainError, SnapshotFormatError
 from dsbu.spectral import FieldTerms, Quarter, density
 from dsbu.exact import eval_pc_blowup, eval_standing_wave
 
@@ -438,12 +441,18 @@ def quarters_made(monkeypatch):
     return made
 
 
+def assert_one_quarter_per_grid_and_thread(made):
+    """The even snapshots' two grids, each with at most one ``Quarter`` per worker thread."""
+    assert set(made) == {EDGE_GRID, Grid2D(32, 6.0)}
+    assert all(made.count(grid) <= 2 for grid in made)
+
+
 class TestTracesOnTheQuarter:
     def test_disk_trace_matches_reference_with_one_quarter_per_grid(self, quarters_made):
         params = OperatorParams(1, 1.0)
         snaps = even_snapshots()
         records, summary = disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, params)
-        assert quarters_made == [EDGE_GRID, Grid2D(32, 6.0)]
+        assert_one_quarter_per_grid_and_thread(quarters_made)
         ref_records, ref_summary = reference_disk_trace(snaps, EDGE_SCHEDULE, 0.26, params)
         assert len(records) == len(ref_records) == 6
         for r, ref in zip(records, ref_records):
@@ -457,7 +466,8 @@ class TestTracesOnTheQuarter:
     def test_square_trace_matches_the_full_grid(self, quarters_made):
         snaps = even_snapshots()
         records, _ = square_concentration_trace(snaps, c_side=3.0, t_star=1.0, eta=0.1)
-        assert quarters_made == [EDGE_GRID, Grid2D(32, 6.0)] and len(records) == 6
+        assert_one_quarter_per_grid_and_thread(quarters_made)
+        assert len(records) == 6
         for (t, u), r in zip(snaps, records):
             full = windowed_mass_sup(u, r.window)
             assert r.best_center == full.best_center and r.clamped == full.clamped
@@ -478,6 +488,113 @@ class TestTracesOnTheQuarter:
         assert len(disk) == len(square) == 5
         digest = hashlib.sha256(repr(disk + square).encode()).hexdigest()
         assert digest == "175d7bca8a9822bbd1a380af925a284267f907d04045eff18c046901413751df"
+
+
+def sequential_rows(work, snaps):
+    """The per-snapshot function over ``snaps`` in a plain loop on this thread."""
+    quarters = {}
+    return [work(t, u, quarters) for t, u in snaps]
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for r, ref in zip(got, want):
+        for f in fields(ConcentrationRecord):
+            assert getattr(r, f.name) == getattr(ref, f.name), f.name
+
+
+class TestTracesOnTwoThreads:
+    """Both traces consume their pooled per-snapshot results in snapshot order."""
+
+    SNAPSHOT_SETS = {"even": even_snapshots, "full grid": edge_snapshots}
+
+    @pytest.mark.parametrize("name", SNAPSHOT_SETS)
+    def test_disk_trace_equals_a_sequential_loop(self, name):
+        snaps = self.SNAPSHOT_SETS[name]()
+        params = OperatorParams(1, 1.0)
+        work = partial(concentration._disk_rows,
+                       concentration._shifted_schedules(EDGE_SCHEDULE, snaps[0][0]), params)
+        want = sequential_rows(work, snaps)
+        assert list(concentration._traced_in_order(snaps, lambda t0: work)) == want
+        records, summary = disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, params)
+        assert_same_records(records, [rec for _, _, rows in want for tag, rec in rows
+                                      if tag == "main"])
+        assert summary.skipped_times == [t for t, skips, _ in want if skips]
+
+    @pytest.mark.parametrize("name", SNAPSHOT_SETS)
+    def test_square_trace_equals_a_sequential_loop(self, name):
+        snaps = self.SNAPSHOT_SETS[name]()
+        work = partial(concentration._square_rows, 3.0, 1.0)
+        want = sequential_rows(work, snaps)
+        records, summary = square_concentration_trace(snaps, c_side=3.0, t_star=1.0, eta=0.1)
+        assert_same_records(records, [rec for _, _, rows in want for rec in rows])
+        assert summary.skipped_times == [t for t, skips, _ in want if skips]
+
+    def test_at_most_three_snapshots_read_ahead_of_the_consumer(self):
+        read = []
+
+        def source():
+            for t, u in edge_snapshots():
+                read.append(t)
+                yield t, u
+
+        work = partial(concentration._square_rows, 3.0, 1.0)
+        for i, (t, _, _) in enumerate(concentration._traced_in_order(source(), lambda t0: work)):
+            assert t == EDGE_TIMES[i] and len(read) <= i + 3
+        assert len(read) == len(EDGE_TIMES)
+
+    @pytest.mark.parametrize("failure", ["corrupt file", "t not increasing"])
+    def test_an_earlier_snapshot_error_comes_first(self, failure):
+        params = OperatorParams(1, 1.0)
+        snaps = edge_snapshots()[:4]
+        flat = Field(EDGE_GRID, np.zeros(EDGE_GRID.shape))  # gradient-free: no rescaling
+
+        def source():
+            yield from snaps[:2]
+            yield 0.35, flat
+            if failure == "corrupt file":
+                raise SnapshotFormatError("snapshot 3: truncated payload")
+            yield 0.1, snaps[3][1]
+
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="gradient-free"):
+            disk_concentration_trace(source(), EDGE_SCHEDULE, 0.26, params)
+        assert threading.active_count() == before
+        # without the gradient-free snapshot the reader's own error surfaces
+        message = "truncated payload" if failure == "corrupt file" else "traces need increasing t"
+        with pytest.raises(DomainError, match=message):
+            disk_concentration_trace((s for s in source() if s[1] is not flat),
+                                     EDGE_SCHEDULE, 0.26, params)
+        assert threading.active_count() == before
+
+    def test_stress_with_frequent_thread_switches(self, quarters_made):
+        # The workers share no Quarter buffers: with a switch forced every
+        # microsecond, runs of even snapshots on one grid, as the two workers
+        # take them together, still give the sequential loop's bits
+        snaps = []
+        for k, t in enumerate(np.linspace(0.0, 0.9, 30)):
+            grid = Grid2D(128, (6.0, 7.0, 8.0)[k // 10])
+            width = 0.3 + (1.0 - t)
+            snaps.append((float(t), even_field(grid, lambda x1, x2: np.exp(
+                -((x1 / width) ** 2 + (0.8 * x2 / width) ** 2) / 2) / width)))
+        work = partial(concentration._square_rows, 3.0, 1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [list(concentration._traced_in_order(snaps, lambda t0: work))
+                    for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        made = list(quarters_made)
+        assert len(set(made)) == 3 and all(made.count(grid) <= 2 * 5 for grid in made)
+        want = sequential_rows(work, snaps)
+        assert all(got == want for got in runs)
+
+    def test_threads_end_with_the_trace(self):
+        before = threading.active_count()
+        disk_concentration_trace(even_snapshots(), EDGE_SCHEDULE, 0.26, OperatorParams(1, 1.0))
+        square_concentration_trace(edge_snapshots(), c_side=3.0, t_star=1.0, eta=0.1)
+        assert threading.active_count() == before
 
 
 class TestSquareTrace:

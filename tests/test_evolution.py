@@ -218,6 +218,35 @@ class TestRun:
         )
         assert res.records[-1].dt_used == pytest.approx(1e-3 / rate, rel=0.2)
 
+    @pytest.mark.parametrize("c_adapt,certified", [(0.5, "every"), (0.04, "some"), (1e-4, "no")])
+    def test_rate_bound_keeps_the_exact_rules_dt(self, monkeypatch, c_adapt, certified):
+        # run skips forming max|L(|u|^2)| only where the bound proves dt0
+        # (c_adapt = 0.04: on the early steps, until the field focuses);
+        # forcing the exact rule on every step gives the same bits
+        g = Grid2D(64, 10.0)
+        s = SimulationState.initial(gaussian(g, amplitude=2.0), OperatorParams(1, 1.0))
+        cfg = EvolveConfig(t_end=0.2, dt0=1e-3, adaptive=True, c_adapt=c_adapt,
+                           sample_interval=0.01, guard=50.0)
+        formed = []
+        potential = FieldTerms.potential
+
+        def counted(terms, p):
+            formed.append(1)
+            return potential(terms, p)
+
+        monkeypatch.setattr(FieldTerms, "potential", counted)
+        got = run(s, cfg)
+        steps = got.state.step_index
+        assert {"every": 0 == len(formed), "some": 0 < len(formed) < steps,
+                "no": len(formed) == steps}[certified]
+        monkeypatch.setattr(FieldTerms, "potential_bound", lambda terms, p: math.inf)
+        exact = run(s, cfg)
+        assert got.state.step_index == exact.state.step_index
+        assert got.state.u.values.tobytes() == exact.state.u.values.tobytes()
+        assert got.records == exact.records
+        if certified == "no":
+            assert max(r.dt_used for r in got.records[1:]) < 0.5 * cfg.dt0
+
     def test_sup_guard_fires(self):
         # sparse sampling keeps the gradient check quiet so the per-step
         # sup check is what trips

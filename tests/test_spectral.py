@@ -1,5 +1,7 @@
 """Grid, field, operator, and functional tests against independent oracles."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from dsbu import (
     sample_scaled,
     second_moment,
 )
+from dsbu import spectral
 from dsbu.errors import DomainError, GridMismatchError, UsageError
 from dsbu.spectral import PHYSICAL, FieldTerms, Quarter, density, interaction_potential
 
@@ -433,6 +436,77 @@ class TestQuarter:
         u[1, 20] = u[-1, 20] = 1e-3
         assert not FieldTerms(u[:h, :h].copy(), Quarter(g)).second_moment.boundary_ok
         assert not FieldTerms(u, g).second_moment.boundary_ok
+
+
+class TestFieldTermsOnThreads:
+    def test_two_threads_compute_cached_terms_at_once(self, monkeypatch):
+        # Python 3.11's functools.cached_property would hold one lock for
+        # ``rho`` of every FieldTerms while it computes, so the second thread
+        # could not reach the barrier until the first had passed it
+        barrier = threading.Barrier(2, timeout=10)
+
+        def waiting_density(values):
+            barrier.wait()
+            return density(values)
+
+        monkeypatch.setattr(spectral, "density", waiting_density)
+        g = Grid2D(16, 5.0)
+        terms = [FieldTerms(gaussian_field(g, width=w).values, g) for w in (1.0, 1.5)]
+        errors = []
+
+        def read(t):
+            try:
+                t.rho
+            except threading.BrokenBarrierError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=(t,)) for t in terms]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert all(np.array_equal(t.rho, density(t.values)) for t in terms)
+
+
+class TestPotentialBound:
+    """``FieldTerms.potential_bound`` against the computed max|L(rho)|."""
+
+    PARAMS = (OperatorParams(1, 1.0), OperatorParams(-1, 2.5), OperatorParams(1, 0.01))
+
+    @staticmethod
+    def grid_fields():
+        rng = np.random.default_rng(17)
+        for n, box in ((16, 5.0), (64, 10.0), (128, 17.0)):
+            g = Grid2D(n, box)
+            yield FieldTerms(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), g)
+            x1, x2 = g.coords()
+            for width in (0.05, 0.3, 2.0):  # from one cell to the box scale
+                yield FieldTerms(np.exp(-((x1 - 0.4) ** 2 + x2**2) / (2 * width**2)) / width, g)
+
+    @staticmethod
+    def quarter_fields():
+        for n, seed in ((16, 3), (64, 4), (256, 5)):
+            g = Grid2D(n, 10.0)
+            yield FieldTerms(even_samples(n, seed)[1], Quarter(g))
+            h = n // 2 + 1
+            for width in (0.05, 0.4):
+                u = gaussian_field(g, amplitude=1 / width, width=width).values
+                yield FieldTerms(u[:h, :h], Quarter(g))
+
+    @pytest.mark.parametrize("where", ["grid", "quarter"])
+    def test_bounds_the_computed_potential(self, where):
+        for terms in (self.grid_fields() if where == "grid" else self.quarter_fields()):
+            for p in self.PARAMS:
+                rate = np.abs(terms.potential(p)).max()
+                assert rate <= terms.potential_bound(p), (terms.space, p)
+
+    def test_reads_no_transform(self, monkeypatch):
+        terms = FieldTerms(gaussian_field(Grid2D(32, 8.0)).values, Grid2D(32, 8.0))
+        terms.l4  # the sum the L4 trapezoid makes in run
+        monkeypatch.setattr(np.fft, "rfft2", None)
+        monkeypatch.setattr(np.fft, "fft2", None)
+        assert terms.potential_bound(OperatorParams(1, 1.0)) > 0
 
 
 class TestScalingLaws:
