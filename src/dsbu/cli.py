@@ -120,19 +120,24 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _initial_condition(cfg: RunConfig) -> tuple[Field, OperatorParams]:
+def _initial_state(cfg: RunConfig) -> SimulationState:
     params = cfg.operator_params()
     if cfg.ic == "gaussian":
         grid = Grid2D(cfg.n, cfg.box_length)
-        x1, x2 = grid.coords()
-        values = cfg.amplitude * np.exp(
-            -(x1**2 + (cfg.aspect * x2) ** 2) / (2 * cfg.width**2)
-        )
-        return Field(grid, values), params
+        # amplitude * exp(-(x1^2 + (aspect x2)^2) / (2 width^2)), from the
+        # broadcast axes and in place on the real part of the field
+        values = np.zeros(grid.shape, dtype=np.complex128)
+        e = values.real
+        np.add(grid.x[:, None] ** 2, (cfg.aspect * grid.x[None, :]) ** 2, out=e)
+        np.negative(e, out=e)
+        e /= 2 * cfg.width**2
+        np.exp(e, out=e)
+        e *= cfg.amplitude
+        return SimulationState.initial(Field(grid, values), params)
     key = "snapshot_path" if cfg.ic == "snapshot" else "profile_path"
     path = getattr(cfg, key)
     with _reading(key, path):
-        field, meta = read_snapshot(path)
+        u0, meta = read_snapshot(path)
     # run_config.txt records the config's couplings; the run must use them
     if (meta.nu, meta.gamma) != (cfg.nu, cfg.gamma):
         raise UsageError(
@@ -141,11 +146,17 @@ def _initial_condition(cfg: RunConfig) -> tuple[Field, OperatorParams]:
             "gamma to the file's couplings"
         )
     if cfg.ic == "standing_wave":
-        return eval_standing_wave(field, 0.0), params
-    if cfg.ic == "pc_blowup":
-        target = Grid2D(cfg.n, cfg.box_length)
-        return eval_pc_blowup(field, cfg.pc_start_time, target), params
-    return field, params
+        u0 = eval_standing_wave(u0, 0.0)
+    elif cfg.ic == "pc_blowup":
+        u0 = eval_pc_blowup(u0, cfg.pc_start_time, Grid2D(cfg.n, cfg.box_length))
+    # dt0, guard and run_config.txt were resolved from the config's grid.
+    if (u0.grid.n, u0.grid.box_length) != (cfg.n, cfg.box_length):
+        raise GridMismatchError(
+            f"initial field is on {u0.grid} but the config describes "
+            f"Grid2D(n={cfg.n}, box_length={cfg.box_length}); set n and box_length "
+            "to the field's grid"
+        )
+    return SimulationState.initial(u0, params)
 
 
 def _cmd_ground_state(cfg: RunConfig) -> int:
@@ -165,30 +176,29 @@ def _cmd_ground_state(cfg: RunConfig) -> int:
     return 0
 
 
+class _SnapshotWriter:
+    """The sink of ``dsbu evolve``: clears ``out`` of an earlier run's files, then
+    writes each snapshot there as soon as it is kept, from the run's live field."""
+
+    def __init__(self, cfg: RunConfig):
+        self.out, self.couplings, self.written = _output_dir(cfg), (cfg.nu, cfg.gamma), 0
+        # analyze would read what an earlier run left here as part of this one
+        for name in os.listdir(self.out):
+            if name in ("records.csv", "blowup.txt") or fnmatch(name, _SNAPSHOT_FILES):
+                os.remove(os.path.join(self.out, name))
+
+    def __call__(self, t: float, field: Field) -> None:
+        path = os.path.join(self.out, f"snap_{self.written:06d}.dsbu")
+        write_snapshot(path, field, SnapshotMeta(t, *self.couplings))
+        self.written += 1
+
+
 def _cmd_evolve(cfg: RunConfig) -> int:
-    u0, params = _initial_condition(cfg)
-    # dt0, guard and run_config.txt were resolved from the config's grid.
-    if (u0.grid.n, u0.grid.box_length) != (cfg.n, cfg.box_length):
-        raise GridMismatchError(
-            f"initial field is on {u0.grid} but the config describes "
-            f"Grid2D(n={cfg.n}, box_length={cfg.box_length}); set n and box_length "
-            "to the field's grid"
-        )
-    out = _output_dir(cfg)
-    # analyze would read what an earlier run left here as part of this one
-    for name in os.listdir(out):
-        if name in ("records.csv", "blowup.txt") or fnmatch(name, _SNAPSHOT_FILES):
-            os.remove(os.path.join(out, name))
-    written = 0
-
-    def write(t: float, field: Field) -> None:
-        # each snapshot is written as soon as it is kept, from the run's live field
-        nonlocal written
-        path = os.path.join(out, f"snap_{written:06d}.dsbu")
-        write_snapshot(path, field, SnapshotMeta(t, params.nu, params.gamma))
-        written += 1
-
-    result = run(SimulationState.initial(u0, params), cfg.evolve_config(), write)
+    # Arguments are made in order: the initial state is built and checked
+    # before the writer touches the output directory, and no name here keeps
+    # it, so ``run`` can let the initial field go after the first snapshot.
+    result = run(_initial_state(cfg), cfg.evolve_config(), write := _SnapshotWriter(cfg))
+    out = write.out
     atomic_write(os.path.join(out, "records.csv"), _records_csv(result.records))
     _report(None, [
         ("stop_reason", result.stop_reason),

@@ -300,9 +300,12 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     records all stay there, and the run's states carry one n x n field,
     ``live``, into which the quarter is unfolded only where a full field is
     read: before the sink is handed it and, since the last state is always
-    the last one kept, in the result.
+    the last one kept, in the result. ``run`` drops its references to the
+    caller's field once the sink has had it, and only then makes ``live``
+    and the step buffers.
     """
     state = state0
+    del state0
     grid = state.u.grid
     p = state.params
     if not cfg.t_end > state.t:
@@ -312,9 +315,8 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     u = state.u.values
     if not np.all(np.isfinite(u)):
         raise DomainError("run: initial field contains non-finite values")
-    space, live = grid, None
-    if Quarter.holds(u):
-        space, live = Quarter(grid), Field(grid, np.empty_like(u))
+    space = Quarter(grid) if Quarter.holds(u) else grid
+    if space is not grid:
         u = u[: space.shape[0], : space.shape[1]].copy()
     e_dt0 = _half_step_factor(space, cfg.dt0)
     terms = FieldTerms(u, space, space.fft(u, np.empty_like(u)))
@@ -325,11 +327,16 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         if not terms.grad > 0.0:
             raise DomainError("run: snapshot ladder undefined for gradient-free fields")
         rung = terms.grad * ladder
-    buffers = (np.empty_like(u), np.empty_like(u))
     records = [_record(state, 0.0, terms)]
     if on_snapshot is None:
         on_snapshot = lambda t, u: None
     on_snapshot(state.t, state.u)
+    live = None
+    if space is not grid:
+        state = replace(state, u=None)  # the caller's field goes before ``live`` is made
+        live = Field(grid, space.unfold(u, np.empty(grid.shape, dtype=np.complex128)))
+        state = replace(state, u=live)  # the initial field, bitwise
+    buffers = (np.empty_like(u), np.empty_like(u))
     kept_t = state.t
     next_sample = state.t + cfg.sample_interval
     stop = None

@@ -102,8 +102,9 @@ def solve_ground_state(
     dx/n * ||N_hat - (1 + |xi|^2) r_hat|| of r all come from those two
     transforms, summed with the quarter's weights. The converged r is
     unfolded to the n x n profile, whose report terms are those of the full
-    field. Raises NonConvergenceError with the residual history if the
-    residual is not below ``cfg.tol`` within ``cfg.max_iter`` updates.
+    field; the loop's arrays are freed first. Raises NonConvergenceError
+    with the residual history if the residual is not below ``cfg.tol``
+    within ``cfg.max_iter`` updates.
     """
     cfg = cfg or GroundStateConfig()
     if p.nu != 1:
@@ -139,12 +140,15 @@ def solve_ground_state(
         nhat /= denom
         r = q.irfft(nhat)
 
+    del q, rhat, nhat, denom, defect  # the report holds the profile and its own terms only
+
     # Sign-normalize and recenter the peak at the origin (both are exact
-    # symmetries of the lattice equation, so the residual is unchanged).
-    r = q.unfold(r, np.empty(grid.shape))
+    # symmetries of the lattice equation, so the residual is unchanged). The
+    # first maximum of the unfolded field in C order lies on the quarter.
     peak = np.unravel_index(np.argmax(np.abs(r)), r.shape)
     if r[peak] < 0:
         r = -r
+    r = Quarter.unfold(r, np.empty(grid.shape, dtype=np.complex128))
     center = grid.n // 2
     r = np.roll(r, (center - peak[0], center - peak[1]), axis=(0, 1))
 

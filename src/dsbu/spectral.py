@@ -43,13 +43,40 @@ REALITY_TOL = 1e-12
 BOUNDARY_DECAY_TOL = 1e-10
 
 
+class cached_property:
+    """``functools.cached_property`` without its lock.
+
+    On Python 3.11 that decorator holds one lock per class attribute, shared
+    by every instance, while it computes; two threads reading the ``grad`` of
+    two different ``FieldTerms`` then take turns through whole transforms. A
+    ``FieldTerms`` serves one thread, so its cache needs no lock; a grid's
+    multipliers are shared, and two threads that build one at once each
+    publish the same read-only bits, so theirs needs none either.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.attrname = name
+
+    def __get__(self, instance, owner):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class Grid2D:
     """Uniform n x n grid on the periodic square [-L/2, L/2)^2.
 
     Coordinates are x_i = -L/2 + i*dx with dx = L/n; wavenumbers are
-    xi_k = 2*pi*k/L for k in [-n/2, n/2). Coordinate and multiplier arrays
-    are precomputed once and read-only, so a grid may be shared freely
-    between fields and threads.
+    xi_k = 2*pi*k/L for k in [-n/2, n/2). The 1-D arrays ``x`` and ``k`` are
+    built with the grid; the n x n multipliers ``ksq`` and ``b_symbol`` on
+    first use, which a field stepped or traced on its quarter never makes.
+    Every array is read-only, so a grid may be shared freely between fields
+    and threads.
     """
 
     def __init__(self, n: int, box_length: float):
@@ -59,17 +86,20 @@ class Grid2D:
         self.dx = self.box_length / self.n
         self.x = -self.box_length / 2 + self.dx * np.arange(self.n)
         self.k = 2 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        k1_sq = self.k[:, None] ** 2
-        self.ksq = k1_sq + self.k[None, :] ** 2
-        ksq_safe = self.ksq.copy()
-        ksq_safe[0, 0] = 1.0
-        self.b_symbol = k1_sq / ksq_safe
-        # Zero mode carries the exact origin-cell average of the symbol; any
-        # other constant leaves an O(1/L^2) rank-one defect in <B w, w>.
-        self.b_symbol[0, 0] = 0.5
         # Grids are shared (snapshot reads on one grid get one object).
-        for a in (self.x, self.k, self.ksq, self.b_symbol):
-            a.flags.writeable = False
+        self.x.flags.writeable = self.k.flags.writeable = False
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        """|xi|^2 = xi1^2 + xi2^2 on the n x n lattice."""
+        ksq = self.k[:, None] ** 2 + self.k**2
+        ksq.flags.writeable = False
+        return ksq
+
+    @cached_property
+    def b_symbol(self) -> np.ndarray:
+        """The symbol xi1^2/|xi|^2 of B on the n x n lattice."""
+        return _b_symbol(self.k)
 
     @staticmethod
     def check(n: int, box_length: float) -> None:
@@ -141,6 +171,20 @@ class Grid2D:
         return f"Grid2D(n={self.n}, box_length={self.box_length})"
 
 
+def _b_symbol(k: np.ndarray) -> np.ndarray:
+    """xi1^2/|xi|^2 on the lattice ``k`` x ``k`` (k[0] = 0), read-only; elementwise, so on
+    ``k[:h]`` it is bitwise the corner of the symbol on ``k``."""
+    k1_sq = k[:, None] ** 2
+    ksq = k1_sq + k**2
+    ksq[0, 0] = 1.0
+    b = np.divide(k1_sq, ksq, out=ksq)
+    # Zero mode carries the exact origin-cell average of the symbol; any
+    # other constant leaves an O(1/L^2) rank-one defect in <B w, w>.
+    b[0, 0] = 0.5
+    b.flags.writeable = False
+    return b
+
+
 def _mirror(a: np.ndarray, out: np.ndarray) -> None:
     """out[i] = a[min(i, n-i)] along axis 0, for ``a`` of indices 0..n/2 and ``out`` of n."""
     h = a.shape[0]
@@ -157,16 +201,19 @@ class Quarter:
     carry it whole in both spaces. This object has the interface of the full
     grid's (``Grid2D``) on that quarter:
 
-    * ``x``, ``k`` and ``b_half`` are the grid's ``x``, ``k`` and
+    * ``x`` and ``k`` are the grid's cut to the quarter, and ``b_half`` is
+      the symbol of B built on the quarter's ``k``, bitwise the grid's
       ``b_symbol`` cut to the quarter, which the real pair keeps as well;
-    * a transform mirrors its input into buffers of shape (n/2+1, n) and
-      (n, n/2+1) and transforms one axis at a time, rows then columns as
-      ``fft2`` and ``rfft2`` do, so that it returns bitwise the quarter of the
-      full transform of the mirrored array;
+    * a transform mirrors its input into one buffer of (n/2+1) n complex
+      values, seen as rows (n/2+1, n), columns (n, n/2+1) or real rows
+      (numpy copies a source that overlaps its target before it writes), and
+      transforms one axis at a time, rows then columns as ``fft2`` and
+      ``rfft2`` do, so that it returns bitwise the quarter of the full
+      transform of the mirrored array;
     * a sum weighs indices 0 and n/2 of each axis once and every other index
       twice, for itself and its mirror, in both spaces.
 
-    The buffers belong to the object, so one object serves one caller at a
+    The buffer belongs to the object, so one object serves one caller at a
     time: ``run`` makes one, and the concentration traces one per grid per
     worker thread.
     """
@@ -177,32 +224,34 @@ class Quarter:
         n, h = grid.n, grid.n // 2 + 1
         self.n, self.dx, self.shape = n, grid.dx, (h, h)
         self.x, self.k = grid.x[:h], grid.k[:h]
-        self.b_half = grid.b_symbol[:h, :h]
+        self.b_half = _b_symbol(self.k)
         self.weight = np.full(h, 2.0)
         self.weight[[0, -1]] = 1.0
-        self._rows = np.empty((h, n), dtype=np.complex128)
-        self._real_rows = np.empty((h, n))
-        self._cols = np.empty((n, h), dtype=np.complex128)
+        buffer = np.empty(h * n, dtype=np.complex128)
+        self._rows, self._cols = buffer.reshape(h, n), buffer.reshape(n, h)
+        self._real_rows = buffer.view(np.float64)[: h * n].reshape(h, n)
 
     @staticmethod
     def holds(u: np.ndarray) -> bool:
         """Whether the n x n samples u equal their mirrors in x1 and in x2, each one."""
         return np.array_equal(u[1:], u[:0:-1]) and np.array_equal(u[:, 1:], u[:, :0:-1])
 
-    def unfold(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def unfold(q: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The full n x n field of the quarter q, written into ``out``."""
-        h = self.shape[0]
+        h = q.shape[0]
         _mirror(q.T, out[:h].T)
         _mirror(out[:h], out)
         return out
 
     def _pass(self, a: np.ndarray, out: np.ndarray, transform) -> np.ndarray:
-        rows, cols = self._rows, self._cols
+        h, rows, cols = self.shape[0], self._rows, self._cols
         _mirror(a.T, rows.T)
         transform(rows, axis=1, out=rows)
-        _mirror(rows[:, : self.shape[0]], cols)
+        cols[:h] = rows[:, :h]
+        _mirror(cols[:h], cols)
         transform(cols, axis=0, out=cols)
-        out[...] = cols[: self.shape[0]]
+        out[...] = cols[:h]
         return out
 
     def fft(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -355,29 +404,6 @@ class SecondMoment(NamedTuple):
 
     value: float
     boundary_ok: bool
-
-
-class cached_property:
-    """``functools.cached_property`` without its lock.
-
-    On Python 3.11 that decorator holds one lock per class attribute, shared
-    by every instance, while it computes; two threads reading the ``grad`` of
-    two different ``FieldTerms`` then take turns through whole transforms. A
-    ``FieldTerms`` serves one thread, so its cache needs no lock.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.attrname = name
-
-    def __get__(self, instance, owner):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
 
 
 class FieldTerms:

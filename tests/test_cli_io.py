@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dsbu import Field, Grid2D, cli
 from dsbu.cli import main
@@ -615,6 +617,30 @@ class TestCli:
             extra = peaks[command, "many"] - peaks[command, "two"]
             assert extra < 4 * field_bytes, (command, extra / field_bytes)
 
+    def test_evolve_and_ground_state_hold_few_fields(self, tmp_path, capsys):
+        """At n = 128 the traced peak of ``dsbu evolve`` stays within 4.5 field
+        sizes and that of ``dsbu ground-state`` within 4: neither builds the
+        grid's n x n multipliers for its quarter, evolve lets the initial field
+        go after the first snapshot, and the solver frees its loop arrays
+        before the full-grid report."""
+        field_bytes = 16 * 128 * 128
+        cfgs = {
+            "evolve": (4.5, "mode = evolve\nn = 128\nbox_length = 16\namplitude = 1.2\n"
+                            "t_end = 0.2\ndt0 = 0.004\nsample_interval = 0.2\nguard = 10.0\n"),
+            "ground-state": (4.0, "mode = ground-state\nn = 128\nbox_length = 16\n"),
+        }
+        for command, (bound, text) in cfgs.items():
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text(text + f"output_dir = {tmp_path / command}\n")
+            tracemalloc.start()
+            try:
+                assert main([command, str(cfg)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * field_bytes, (command, peak / field_bytes)
+        capsys.readouterr()
+
     def test_time_steps_reuse_freed_memory(self, tmp_path):
         """A step's n x n temporaries reuse freed heap: the CLI has glibc's
         malloc keep it, so a fresh ``dsbu evolve`` faults in next to no pages
@@ -695,3 +721,32 @@ class TestCli:
         proc = run_cli_process("bogus")
         assert proc.returncode == 2
         assert "usage" in proc.stderr
+
+
+def coords_gaussian(cfg):
+    """The initial Gaussian of ``cfg`` from the n x n coordinate arrays."""
+    x1, x2 = Grid2D(cfg.n, cfg.box_length).coords()
+    return cfg.amplitude * np.exp(-(x1**2 + (cfg.aspect * x2) ** 2) / (2 * cfg.width**2))
+
+
+class TestInitialGaussian:
+    """``_initial_state`` builds the Gaussian from the broadcast axes, in place."""
+
+    @pytest.mark.parametrize("path", [p for p in CONFIG_FILES if "ic = gaussian" in p.read_text()],
+                             ids=lambda p: p.name)
+    def test_shipped_configs_match_the_coordinate_formula(self, path):
+        cfg = parse_config(path.read_text())
+        assert cfg.mode == "evolve" and cfg.ic == "gaussian"
+        u = cli._initial_state(cfg).u
+        assert np.array_equal(u.values, coords_gaussian(cfg))
+        assert not np.signbit(u.values.imag).any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.1, 20.0), st.floats(0.05, 3.0), st.floats(0.1, 4.0),
+           st.sampled_from([8, 34, 64]), st.floats(1.0, 30.0))
+    @example(1.2, 0.8, 0.25, 64, 12.0)
+    def test_drawn_gaussians_match_the_coordinate_formula(self, amplitude, width, aspect, n, box):
+        cfg = RunConfig("evolve", n=n, box_length=box, amplitude=amplitude, width=width,
+                        aspect=aspect, t_end=1.0)
+        u = cli._initial_state(cfg).u
+        assert np.array_equal(u.values, coords_gaussian(cfg))

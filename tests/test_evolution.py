@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import weakref
 from dataclasses import astuple, replace
 from functools import cached_property
 
@@ -663,6 +664,34 @@ class TestQuarterLoop:
         got = run(replace(s, l4_last=math.nan), EvolveConfig(t_end=dt, dt0=dt))
         assert got.state.step_index == 1
         assert got.state.l4_accum == 0.5 * dt * (l4_quarter + got.state.l4_last)
+
+    def test_run_leaves_the_full_grid_multipliers_unbuilt(self):
+        g = Grid2D(64, 12.0)
+        s = SimulationState.initial(gaussian(g, 1.5, 1.0), OperatorParams(1, 1.0))
+        got = run(s, EvolveConfig(t_end=0.02, dt0=1e-3, adaptive=True, sample_interval=5e-3))
+        assert got.state.step_index == 20 and len(got.records) == 5
+        assert "ksq" not in vars(g) and "b_symbol" not in vars(g)
+
+    def test_run_lets_go_of_the_initial_field_after_the_first_snapshot(self, monkeypatch):
+        # the caller keeps no reference: run lets the field go once the sink
+        # has had it, and before it makes its own n x n field
+        g = Grid2D(64, 12.0)
+        values = gaussian(g, 1.5, 1.0).values
+        initial = weakref.ref(values)
+        states = [SimulationState.initial(Field(g, values), OperatorParams(1, 1.0))]
+        del values
+        seen, made = [], []
+
+        def sink(t, u):
+            seen.append(u.values is initial() if t == 0.0 else initial() is None)
+
+        def field(grid, values):
+            made.append(initial() is None)
+            return Field(grid, values)
+
+        monkeypatch.setattr(evolution, "Field", field)
+        run(states.pop(), EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=2e-3), sink)
+        assert len(seen) == 6 and all(seen) and made == [True]
 
     @cadences
     def test_sink_sees_even_fields_only(self, ratio):

@@ -427,6 +427,14 @@ class TestQuarter:
             assert np.max(np.abs(a.potential(p) - lf[: n // 2 + 1, : n // 2 + 1])) <= (
                 1e-13 * np.max(np.abs(lf)))
 
+    @pytest.mark.parametrize("n, box", [(8, 3.0), (64, 12.0), (256, 2.5), (512, 20.0)])
+    def test_symbol_is_bitwise_the_corner_of_the_grids(self, n, box):
+        g = Grid2D(n, box)
+        b_half = Quarter(g).b_half
+        assert "b_symbol" not in vars(g)
+        assert np.array_equal(b_half, g.b_symbol[: n // 2 + 1, : n // 2 + 1])
+        assert not b_half.flags.writeable
+
     def test_edge_of_the_box_is_read_on_the_quarter(self):
         # the full grid's last row and column, index n-1, are the quarter's index 1
         g = Grid2D(64, 12.0)
@@ -467,6 +475,41 @@ class TestFieldTermsOnThreads:
             thread.join(timeout=20)
         assert not any(thread.is_alive() for thread in threads) and not errors
         assert all(np.array_equal(t.rho, density(t.values)) for t in terms)
+
+
+class TestGridMultipliersOnThreads:
+    def test_two_threads_build_the_symbol_at_once(self, monkeypatch):
+        # both threads are inside the build at the same moment (a locking
+        # cache would keep the second out, and the barrier would break); each
+        # gets the same read-only bits
+        barrier = threading.Barrier(2, timeout=10)
+
+        def waiting_symbol(k):
+            barrier.wait()
+            return b_symbol(k)
+
+        b_symbol = spectral._b_symbol
+        monkeypatch.setattr(spectral, "_b_symbol", waiting_symbol)
+        g = Grid2D(64, 12.0)
+        got, errors = [None, None], []
+
+        def read(i):
+            try:
+                got[i] = g.b_half
+            except threading.BrokenBarrierError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        monkeypatch.undo()
+        want = Grid2D(64, 12.0).b_half
+        for b in got:
+            assert np.array_equal(b, want) and not b.flags.writeable
+        assert not g.b_symbol.flags.writeable and not g.ksq.flags.writeable
 
 
 class TestPotentialBound:
