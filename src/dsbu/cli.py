@@ -170,6 +170,7 @@ def _cmd_ground_state(cfg: RunConfig) -> int:
         ("c_opt", gs.c_opt),
         ("residual", gs.residual),
         ("iterations", gs.iterations),
+        ("safeguarded_steps", gs.safeguarded_steps),
         ("sharpness_ratio", gs.sharpness_ratio),
         ("profile", snap_path),
     ])

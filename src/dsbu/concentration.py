@@ -26,7 +26,10 @@ sensitivity schedules. It builds no rescaled field: B's symbol is
 homogeneous of degree 0, so the scaling identities ||grad v||^2 = 1 and
 quartic(v) = rho^2 quartic(u) give E(v) = 1/2 - quartic(v)/4 from u alone.
 Each kept snapshot's |u|^2 is transformed once, and that half spectrum is
-shared by quartic(u) and every window of the three schedules. Both traces
+shared by quartic(u) and every window of the three schedules. The window
+kernels' half spectra are shared too, by both workers: the windows of
+nearby snapshots and schedules often hold the same lattice points, and each
+trace call keeps its last four kernel spectra (``KernelSpectra``). Both traces
 take a snapshot's functionals on its quarter when the snapshot equals its
 mirrors in x1 and x2 sample for sample (``Quarter.holds``), as the snapshots
 of a run from even data do, and on the full grid otherwise. Each snapshot's
@@ -38,7 +41,8 @@ those of a sequential walk.
 
 from __future__ import annotations
 
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -98,7 +102,48 @@ def _window_kernel(off: np.ndarray, w: WindowSpec) -> np.ndarray:
     return ((np.abs(d1) <= half) & (np.abs(d2) <= half)).astype(float)
 
 
-def windowed_mass_sup(u: Field, w: WindowSpec, terms: FieldTerms | None = None) -> WindowedMass:
+class KernelSpectra:
+    """The read-only half spectra of window kernels, shared by a trace's worker threads.
+
+    A disk or square kernel is a nested lattice point set: growing the
+    window only adds points. On a given space, the grid or its ``Quarter``,
+    the count of its points therefore fixes it, and its spectrum is kept
+    under (grid, space shape, window shape, count). At most ``size``
+    spectra are held; the least recently used goes first. A miss transforms
+    the kernel outside the lock, so both workers may transform at once.
+    """
+
+    size = 4
+
+    def __init__(self):
+        self._spectra: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._spectra)
+
+    def spectrum(self, key: tuple, kernel: np.ndarray, space: Grid2D | Quarter) -> np.ndarray:
+        """The spectrum kept under ``key``, else ``space.rfft(kernel)``, kept from now on."""
+        with self._lock:
+            spectrum = self._spectra.get(key)
+            if spectrum is not None:
+                self._spectra.move_to_end(key)
+                return spectrum
+        spectrum = space.rfft(kernel)
+        spectrum.flags.writeable = False
+        with self._lock:
+            if key not in self._spectra and len(self._spectra) == self.size:
+                self._spectra.popitem(last=False)
+            spectrum = self._spectra.setdefault(key, spectrum)
+            self._spectra.move_to_end(key)
+        return spectrum
+
+
+def windowed_mass_sup(
+    u: Field, w: WindowSpec, terms: FieldTerms | None = None,
+    kernels: KernelSpectra | None = None,
+) -> WindowedMass:
     """Maximize the window-captured mass over all grid centers.
 
     Ties break toward the lexicographically smallest index. A window at
@@ -110,7 +155,9 @@ def windowed_mass_sup(u: Field, w: WindowSpec, terms: FieldTerms | None = None) 
     quarter the window and |u|^2 are even, so the map of captured mass is
     too, and it is made from the window's quarter. Every mirror of a quarter
     index comes later in C order, so the first maximum over the quarter is
-    the first over the grid.
+    the first over the grid. ``kernels`` keeps the window's spectrum for
+    later calls with the same kernel (each trace call has one); the same
+    kernel gives the same bits, so the result is that of a call without it.
     """
     grid = u.grid
     if not w.size > grid.dx:
@@ -119,13 +166,18 @@ def windowed_mass_sup(u: Field, w: WindowSpec, terms: FieldTerms | None = None) 
         terms = FieldTerms.of(u)
     space = terms.space
     kernel = _window_kernel(_periodic_offsets(grid)[: space.shape[0]], w)
-    captured = space.irfft(terms.rho_half * space.rfft(kernel))
+    count = int(np.count_nonzero(kernel))
+    if kernels is None:
+        spectrum = space.rfft(kernel)
+    else:
+        spectrum = kernels.spectrum((grid, space.shape, w.shape, count), kernel, space)
+    captured = space.irfft(terms.rho_half * spectrum)
     captured *= grid.dx**2
     idx = np.unravel_index(np.argmax(captured), captured.shape)
     return WindowedMass(
         best_mass=float(captured[idx]),
         best_center=(float(grid.x[idx[0]]), float(grid.x[idx[1]])),
-        clamped=bool(kernel.all()),
+        clamped=count == kernel.size,
     )
 
 
@@ -209,9 +261,9 @@ class ConcentrationRecord:
     best_mass: float
     best_center: tuple[float, float]
     clamped: bool
-    rho: float | None = None
-    rescaled_quartic: float | None = None
-    rescaled_energy: float | None = None
+    rho: float | None
+    rescaled_quartic: float | None
+    rescaled_energy: float | None
 
 
 @dataclass
@@ -279,7 +331,6 @@ def _traced_in_order(
     sequential walk. numpy's FFTs release the GIL and give the same bits on
     any thread.
     """
-    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     quarters: dict[int, dict[Grid2D, Quarter]] = {}
@@ -325,10 +376,11 @@ def _shifted_schedules(schedule: LambdaSchedule, t0: float) -> dict[str, LambdaS
 
 def _disk_rows(
     schedules: dict[str, LambdaSchedule], params: OperatorParams,
-    t: float, u: Field, quarters: dict[Grid2D, Quarter],
+    t: float, u: Field, quarters: dict[Grid2D, Quarter], kernels: KernelSpectra | None = None,
 ) -> tuple[float, bool, list[tuple[str, ConcentrationRecord]]]:
     """One snapshot of the disk trace: t, whether the main schedule skips it,
-    and a (tag, record) pair for each schedule that keeps it."""
+    and a (tag, record) pair for each schedule that keeps it. ``kernels`` is
+    the trace's ``KernelSpectra``, shared by both workers."""
     rows, main_skips, terms = [], False, None
     for tag, sched in schedules.items():
         lam = sched(t)
@@ -341,7 +393,7 @@ def _disk_rows(
             quartic = rho**2 * terms.quartic(params)
             en = hamiltonian(1.0, quartic)
         window = WindowSpec(DISK, lam)
-        wm = windowed_mass_sup(u, window, terms)
+        wm = windowed_mass_sup(u, window, terms, kernels)
         rows.append((tag, ConcentrationRecord(t, window, *wm, rho, quartic, en)))
     return t, main_skips, rows
 
@@ -370,7 +422,8 @@ def disk_concentration_trace(
     """
     rows: dict[str, list[ConcentrationRecord]] = {tag: [] for tag in _SCHEDULE_TAGS}
     skipped: list[float] = []
-    work_for = lambda t0: partial(_disk_rows, _shifted_schedules(schedule, t0), params)
+    work_for = lambda t0: partial(_disk_rows, _shifted_schedules(schedule, t0), params,
+                                  kernels=KernelSpectra())
     for t, main_skips, kept in _traced_in_order(snapshots, work_for):
         if main_skips:
             skipped.append(t)
@@ -432,6 +485,7 @@ class SquareTraceSummary:
 
 def _square_rows(
     c_side: float, t_star: float, t: float, u: Field, quarters: dict[Grid2D, Quarter],
+    kernels: KernelSpectra | None = None,
 ) -> tuple[float, bool, list[ConcentrationRecord]]:
     """One snapshot of the square trace: t, whether it is skipped, and its record if kept."""
     if t >= t_star:
@@ -440,8 +494,8 @@ def _square_rows(
     if side <= u.grid.dx:
         return t, True, []
     window = WindowSpec(SQUARE, side)
-    wm = windowed_mass_sup(u, window, _snapshot_terms(u, quarters))
-    return t, False, [ConcentrationRecord(t, window, *wm)]
+    wm = windowed_mass_sup(u, window, _snapshot_terms(u, quarters), kernels)
+    return t, False, [ConcentrationRecord(t, window, *wm, None, None, None)]
 
 
 def square_concentration_trace(
@@ -461,7 +515,7 @@ def square_concentration_trace(
         raise DomainError(f"c_side must be positive, got {c_side}")
     records: list[ConcentrationRecord] = []
     skipped: list[float] = []
-    work_for = lambda t0: partial(_square_rows, c_side, t_star)
+    work_for = lambda t0: partial(_square_rows, c_side, t_star, kernels=KernelSpectra())
     for t, skips, kept in _traced_in_order(snapshots, work_for):
         if skips:
             skipped.append(t)

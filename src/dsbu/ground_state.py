@@ -14,6 +14,17 @@ degree p = 3 makes the nontrivial fixed point attracting. Convergence is
 certified by the equation residual, not by iterate differences; the residual
 comes by Parseval from the same two transforms that the update uses.
 
+This map G converges linearly (45 iterations at n = 512), so the loop
+accelerates it by type-II Anderson mixing of depth m = ``ANDERSON_DEPTH`` = 3
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011): with f = G(r) - r and dF_j,
+dG_j the differences of f and of G(r) between the last m + 1 iterates, the
+next iterate is G(r) - sum_j gamma_j dG_j, where gamma minimizes
+||f - sum_j gamma_j dF_j||. The differences are quarter arrays, so the step
+costs no transform. Safeguard: when they are nearly collinear or not
+finite, or the residual grew, the history is dropped and the step is the
+plain G(r), as the first step is; the result counts these steps. The
+residual certifies the returned iterate however it was reached.
+
 The iterate is real and even in x1 and in x2 (the initial Gaussian is, and
 the map keeps it: |xi|^2 and the symbol of B are even in each component of
 xi), so the loop runs on its quarter, indices 0..n/2 of each axis, through
@@ -32,6 +43,8 @@ C_opt is defined operationally from the computed branch; the report's
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +59,11 @@ from .spectral import (
     density,
     interaction_potential,
 )
+
+#: Anderson depth: the number of kept differences of G(r) and of G(r) - r.
+ANDERSON_DEPTH = 3
+#: Smallest accepted squared sine between a difference of f and the span of the earlier ones.
+ANDERSON_MIN_SINE_SQ = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,6 +94,8 @@ class GroundStateResult:
     and ``residual`` is its last entry. ``c_opt`` equals 2/mass(R) by
     construction; ``sharpness_ratio`` is the interaction quotient
     quartic / (grad * mass), which matches c_opt at the optimizer.
+    ``safeguarded_steps`` counts the updates where the safeguard dropped the
+    Anderson history and took the plain map step.
     """
 
     profile: Field
@@ -84,6 +104,68 @@ class GroundStateResult:
     iterations: int
     sharpness_ratio: float
     residual_history: list = field(repr=False)
+    safeguarded_steps: int
+
+
+def _mixing_coefficients(q: Quarter, d_f: deque, f: np.ndarray) -> list[float] | None:
+    """The gamma minimizing ||f - sum_j gamma_j d_f[j]||, or None for a degenerate history.
+
+    Cholesky-solves the normal equations of the quarter-weighted inner
+    products, in plain floats: numpy.linalg would have the BLAS set up its
+    buffers, about 1.2 MiB of resident memory, for an m x m system. Pivot j
+    over gram[j][j] is the squared sine between d_f[j] and the span of the
+    earlier differences; the history is degenerate when one falls below
+    ``ANDERSON_MIN_SINE_SQ`` or is not finite.
+    """
+    m = len(d_f)
+    gram = [[q.total(a * b) for b in d_f] for a in d_f]
+    low = [[0.0] * m for _ in range(m)]  # gram = low low^T
+    for j in range(m):
+        pivot = gram[j][j] - sum(low[j][k] ** 2 for k in range(j))
+        if not ANDERSON_MIN_SINE_SQ * gram[j][j] < pivot < math.inf:
+            return None
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, m):
+            low[i][j] = (gram[i][j] - sum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
+    y = [0.0] * m  # low y = rhs
+    for i, a in enumerate(d_f):
+        y[i] = (q.total(a * f) - sum(low[i][k] * y[k] for k in range(i))) / low[i][i]
+    gamma = [0.0] * m  # low^T gamma = y
+    for i in reversed(range(m)):
+        gamma[i] = (y[i] - sum(low[k][i] * gamma[k] for k in range(i + 1, m))) / low[i][i]
+    return gamma
+
+
+class _AndersonMixing:
+    """Type-II Anderson mixing of depth ``ANDERSON_DEPTH`` with its safeguard (module docstring).
+
+    ``d_f`` and ``d_g`` hold the differences of f = G(r) - r and of G(r)
+    between successive iterates; ``safeguarded`` counts the plain steps taken
+    in place of a mixing step.
+    """
+
+    def __init__(self, q: Quarter):
+        self.q = q
+        self.d_f: deque = deque(maxlen=ANDERSON_DEPTH)
+        self.d_g: deque = deque(maxlen=ANDERSON_DEPTH)
+        self.f_prev = self.g_prev = None
+        self.safeguarded = 0
+
+    def next_iterate(self, r: np.ndarray, g: np.ndarray, residuals: list[float]) -> np.ndarray:
+        """The iterate after r, given g = G(r) and the residuals up to r's."""
+        grew = len(residuals) > 1 and residuals[-1] > residuals[-2]
+        f = g - r
+        if self.f_prev is not None:
+            self.d_f.append(f - self.f_prev)
+            self.d_g.append(g - self.g_prev)
+        self.f_prev, self.g_prev = f, g
+        gamma = None if grew or not self.d_f else _mixing_coefficients(self.q, self.d_f, f)
+        if gamma is None:
+            self.safeguarded += bool(self.d_f)
+            self.d_f.clear()
+            self.d_g.clear()
+            return g
+        return g - sum(c * dg for c, dg in zip(gamma, self.d_g))
 
 
 def solve_ground_state(
@@ -98,13 +180,14 @@ def solve_ground_state(
     iterate r lives on the quarter of the grid (``spectral.Quarter``), where
     the initial Gaussian is built, so it is even by construction for any box.
     Each sweep transforms r and N = L(r^2) r once with the quarter's real
-    transform; the quotient, the update and the Parseval residual
+    transform; the quotient, the map G(r) and the Parseval residual
     dx/n * ||N_hat - (1 + |xi|^2) r_hat|| of r all come from those two
-    transforms, summed with the quarter's weights. The converged r is
-    unfolded to the n x n profile, whose report terms are those of the full
-    field; the loop's arrays are freed first. Raises NonConvergenceError
-    with the residual history if the residual is not below ``cfg.tol``
-    within ``cfg.max_iter`` updates.
+    transforms, summed with the quarter's weights, and the Anderson step
+    mixes G(r) with the kept differences. The converged r is unfolded to the
+    n x n profile, whose report terms are those of the full field; the
+    loop's arrays and the mixing history are freed first. Raises
+    NonConvergenceError with the residual history if the residual is not
+    below ``cfg.tol`` within ``cfg.max_iter`` updates.
     """
     cfg = cfg or GroundStateConfig()
     if p.nu != 1:
@@ -114,13 +197,14 @@ def solve_ground_state(
     r = cfg.init_amplitude * np.exp(-(q.x[:, None] ** 2 + q.x**2) / 2)
     denom = 1.0 + q.k[:, None] ** 2 + q.k**2
     history: list[float] = []
+    mixing = _AndersonMixing(q)
 
     for iteration in range(cfg.max_iter + 1):
         rhat = q.rfft(r)
         nhat = q.rfft(interaction_potential(r * r, q, p) * r)
         if iteration > 0:
-            defect = density(nhat - denom * rhat)
-            history.append(grid.dx / grid.n * float(np.sqrt(q.total(defect))))
+            defect = q.total(density(nhat - denom * rhat))
+            history.append(grid.dx / grid.n * float(np.sqrt(defect)))
             if history[-1] < cfg.tol:
                 break
         if iteration == cfg.max_iter:
@@ -138,9 +222,10 @@ def solve_ground_state(
         s = s_num / s_den
         nhat *= s**1.5
         nhat /= denom
-        r = q.irfft(nhat)
+        r = mixing.next_iterate(r, q.irfft(nhat), history)
 
-    del q, rhat, nhat, denom, defect  # the report holds the profile and its own terms only
+    safeguarded = mixing.safeguarded
+    del q, rhat, nhat, denom, mixing  # the report holds the profile and its own terms only
 
     # Sign-normalize and recenter the peak at the origin (both are exact
     # symmetries of the lattice equation, so the residual is unchanged). The
@@ -162,4 +247,5 @@ def solve_ground_state(
         iterations=iteration,
         sharpness_ratio=terms.quartic(p) / (grad * m),
         residual_history=history,
+        safeguarded_steps=safeguarded,
     )

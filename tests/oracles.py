@@ -433,4 +433,5 @@ def reference_ground_state(grid, p, cfg=None):
         iterations=iteration,
         sharpness_ratio=terms.quartic(p) / (grad * m),
         residual_history=history,
+        safeguarded_steps=0,
     )

@@ -696,7 +696,8 @@ class TestCli:
         assert capsys.readouterr().out == text
         pairs = report_pairs(text)
         assert [key for key, _ in pairs] == [
-            "mass", "c_opt", "residual", "iterations", "sharpness_ratio", "profile"]
+            "mass", "c_opt", "residual", "iterations", "safeguarded_steps", "sharpness_ratio",
+            "profile"]
         values = dict(pairs)
         assert 2.0 / float(values["mass"]) == float(values["c_opt"])
         assert int(values["iterations"]) >= 1

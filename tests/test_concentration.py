@@ -187,6 +187,99 @@ class TestWindowedMassOnTheQuarter:
         assert counter.total == pytest.approx(2 * 0.75 * (64 // 2 + 1) / 64, rel=1e-12)
 
 
+def random_even_field(grid, seed):
+    """A random complex field equal to its mirrors in x1 and x2."""
+    rng = np.random.default_rng(seed)
+    return even_field(grid, lambda x1, x2: rng.standard_normal(x1.shape)
+                      + 1j * rng.standard_normal(x1.shape))
+
+
+#: Window sizes shrinking by 5% a step on a grid of dx = 0.5: neighbours often
+#: hold the same lattice points, so the kept spectra are hit and evicted.
+SIZE_LADDER = tuple(4.0 * 0.95**k for k in range(30))
+
+
+class TestKernelSpectra:
+    """``windowed_mass_sup`` with kept kernel spectra against fresh transforms and brute force."""
+
+    @pytest.mark.parametrize("space", ["grid", "quarter"])
+    @pytest.mark.parametrize("shape", [DISK, SQUARE])
+    def test_shrinking_ladder_matches_fresh_calls_and_brute_force(self, shape, space):
+        g = Grid2D(16, 8.0)
+        u = random_even_field(g, 21)
+        terms = quarter_terms(u) if space == "quarter" else FieldTerms.of(u)
+        kernels = concentration.KernelSpectra()
+        keys = set()
+        for size in SIZE_LADDER:
+            if size <= g.dx:
+                continue
+            w = WindowSpec(shape, size)
+            got = windowed_mass_sup(u, w, terms, kernels)
+            assert len(kernels) <= kernels.size
+            assert got == windowed_mass_sup(u, w, terms)
+            want, want_idx = brute_force_windowed_mass(u.values, g.box_length, shape, size)
+            assert abs(got.best_mass - want) <= 1e-10 * want
+            # on the quarter the first maximum of an even map may be the mirror's
+            mirror = tuple(abs(g.x[i]) for i in want_idx)
+            assert tuple(map(abs, got.best_center)) == mirror
+            keys.add(int(np.count_nonzero(
+                concentration._window_kernel(concentration._periodic_offsets(g), w))))
+        assert len(keys) < sum(size > g.dx for size in SIZE_LADDER)  # the ladder repeats kernels
+        assert len(kernels) == kernels.size
+
+    @pytest.mark.parametrize("space", ["grid", "quarter"])
+    def test_a_kept_kernel_costs_one_transform(self, monkeypatch, space):
+        g = Grid2D(64, 12.0)
+        u = even_field(g, EVEN_FIELDS["origin"])
+        terms = quarter_terms(u) if space == "quarter" else FieldTerms.of(u)
+        terms.rho_half
+        kernels = concentration.KernelSpectra()
+        first = windowed_mass_sup(u, WindowSpec(DISK, 1.3), terms, kernels)
+        counter = FFTCounter(monkeypatch)
+        # a radius with the same lattice points reuses the kept spectrum
+        again = windowed_mass_sup(u, WindowSpec(DISK, 1.31), terms, kernels)
+        one = 0.75 * (g.n // 2 + 1) / g.n if space == "quarter" else 0.5
+        assert counter.total == pytest.approx(one, rel=1e-12)
+        assert again == first
+
+    def test_shared_by_threads_under_frequent_switches(self):
+        # six threads on one cache, a switch forced every microsecond: every
+        # result is the fresh call's and the cache never exceeds its bound
+        g = Grid2D(32, 8.0)
+        u = random_even_field(g, 4)
+        full = FieldTerms.of(u)
+        full.rho_half
+        windows = [WindowSpec(shape, size) for shape in (DISK, SQUARE) for size in SIZE_LADDER
+                   if size > g.dx]
+        want = [windowed_mass_sup(u, w, full) for w in windows]
+        kernels = concentration.KernelSpectra()
+        errors, sizes = [], []
+
+        def worker(seed):
+            try:
+                order = np.random.default_rng(seed).permutation(len(windows))
+                for k in order:
+                    if windowed_mass_sup(u, windows[k], full, kernels) != want[k]:
+                        errors.append(windows[k])
+                    sizes.append(len(kernels))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(sizes) == 6 * len(windows) and max(sizes) <= kernels.size
+
+
 class TestRescaledSnapshot:
     def test_unit_gradient_is_identity(self):
         g = Grid2D(64, 12.0)

@@ -5,10 +5,13 @@ oracle for the cubic focusing profile; its output is frozen below and the
 oracle itself is re-run to guard the frozen number.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from dsbu import Field, Grid2D, OperatorParams, energy, gradient_norm_sq, mass, quartic_term
+from dsbu import ground_state
 from dsbu.errors import DomainError, NonConvergenceError, UsageError
 from dsbu.ground_state import GroundStateConfig, solve_ground_state
 from dsbu.spectral import Quarter, interaction_potential
@@ -129,22 +132,31 @@ class TestSolver:
 RESIDUAL_FLOOR = 1e-14
 
 
+#: Relative agreement of the accelerated and the plain loop's fixed points. Both
+#: stop at a residual below 1e-10 at different iterates, so they agree to the
+#: order of that residual, not to roundoff (measured: profile 3.3e-12 of its
+#: peak, c_opt 4.6e-12, sharpness_ratio 4.4e-16 at n = 128 and 256).
+FIXED_POINT_RTOL = 1e-10
+
+
 class TestQuarterSolve:
     """The quarter loop against the full-grid loop of ``oracles.reference_ground_state``."""
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_matches_full_grid_oracle(self, n, params_focusing):
+        # Anderson mixing takes other iterates than the plain map, to the same
+        # fixed point; its first step has no history, so it is the plain map's.
         grid = Grid2D(n, 20.0)
         got = solve_ground_state(grid, params_focusing)
         want = reference_ground_state(grid, params_focusing)
-        assert got.iterations == want.iterations
+        assert got.iterations < want.iterations
         r, r_ref = got.profile.values.real, want.profile.values.real
-        assert np.abs(r - r_ref).max() <= 1e-13 * np.abs(r_ref).max()
-        assert got.c_opt == pytest.approx(want.c_opt, rel=1e-13, abs=0)
-        assert got.sharpness_ratio == pytest.approx(want.sharpness_ratio, rel=1e-13, abs=0)
-        assert len(got.residual_history) == len(want.residual_history)
-        for res, ref in zip(got.residual_history, want.residual_history):
-            assert abs(res - ref) <= 1e-6 * ref + RESIDUAL_FLOOR, (res, ref)
+        assert np.abs(r - r_ref).max() <= FIXED_POINT_RTOL * np.abs(r_ref).max()
+        assert got.c_opt == pytest.approx(want.c_opt, rel=FIXED_POINT_RTOL, abs=0)
+        assert got.sharpness_ratio == pytest.approx(
+            want.sharpness_ratio, rel=FIXED_POINT_RTOL, abs=0)
+        res, ref = got.residual_history[0], want.residual_history[0]
+        assert abs(res - ref) <= 1e-6 * ref + RESIDUAL_FLOOR, (res, ref)
 
     def test_profile_is_even_and_real(self, ground_state_256):
         values = ground_state_256.profile.values
@@ -157,8 +169,9 @@ class TestQuarterSolve:
             solve_ground_state(grid, params_focusing, cfg)
         with pytest.raises(NonConvergenceError) as want:
             reference_ground_state(grid, params_focusing, cfg)
-        np.testing.assert_allclose(
-            got.value.residual_history, want.value.residual_history, rtol=1e-12)
+        got_history, want_history = got.value.residual_history, want.value.residual_history
+        assert len(got_history) == len(want_history) == 5
+        assert got_history[0] == pytest.approx(want_history[0], rel=1e-12)
 
     def test_nonpositive_quotient_on_the_quarter(self, params_focusing):
         # r * r underflows to zero, so N = L(r^2) r and the quotient's denominator vanish
@@ -184,6 +197,70 @@ class TestQuarterSolve:
         c = (grid.n // 2 + 1) / grid.n
         assert counts[1] - counts[0] == pytest.approx(5 * 0.75 * c, rel=1e-12)
         assert counts[0] == pytest.approx((5 * 5 + 4) * 0.75 * c, rel=1e-12)
+
+
+class TestAndersonMixing:
+    """The accelerated loop's safeguard: a degenerate or failing history gives the plain step."""
+
+    def test_converges_in_at_most_twenty_iterations(self, ground_state_256):
+        assert ground_state_256.iterations <= 20
+
+    def test_degenerate_history_takes_the_plain_step(self, monkeypatch, params_focusing):
+        # with every history refused the loop is the plain map of the oracle
+        monkeypatch.setattr(ground_state, "_mixing_coefficients", lambda q, d_f, f: None)
+        grid = Grid2D(128, 20.0)
+        got = solve_ground_state(grid, params_focusing)
+        want = reference_ground_state(grid, params_focusing)
+        assert got.residual < 1e-10
+        assert got.iterations == want.iterations
+        assert got.safeguarded_steps == got.iterations - 1
+        r, r_ref = got.profile.values.real, want.profile.values.real
+        assert np.abs(r - r_ref).max() <= 1e-13 * np.abs(r_ref).max()
+        for res, ref in zip(got.residual_history, want.residual_history):
+            assert abs(res - ref) <= 1e-6 * ref + RESIDUAL_FLOOR, (res, ref)
+
+    def test_collinear_or_vanishing_differences_are_degenerate(self):
+        q = Quarter(Grid2D(32, 20.0))
+        rng = np.random.default_rng(3)
+        a, f = rng.standard_normal(q.shape), rng.standard_normal(q.shape)
+        assert ground_state._mixing_coefficients(q, deque([a, 2.0 * a]), f) is None
+        assert ground_state._mixing_coefficients(q, deque([np.zeros(q.shape)]), f) is None
+        assert ground_state._mixing_coefficients(q, deque([a, np.full(q.shape, np.nan)]), f) is None
+
+    def test_coefficients_are_the_full_grid_least_squares(self):
+        # the quarter-weighted normal equations solve the least squares of the unfolded arrays
+        grid = Grid2D(32, 20.0)
+        q = Quarter(grid)
+        rng = np.random.default_rng(5)
+        d_f = deque(rng.standard_normal(q.shape) for _ in range(ground_state.ANDERSON_DEPTH))
+        f = rng.standard_normal(q.shape)
+        full = lambda a: Quarter.unfold(a, np.empty(grid.shape)).ravel()
+        want = np.linalg.lstsq(np.stack([full(a) for a in d_f], axis=1), full(f), rcond=None)[0]
+        np.testing.assert_allclose(ground_state._mixing_coefficients(q, d_f, f), want, rtol=1e-10)
+
+    def test_growing_residual_drops_the_history(self, monkeypatch, params_focusing):
+        # one extrapolation blown up 20-fold raises the residual: the next step
+        # is plain, without consulting the history, and the loop still converges
+        solve = ground_state._mixing_coefficients
+        calls = []
+
+        def overshoot_once(q, d_f, f):
+            calls.append(len(d_f))
+            gamma = solve(q, d_f, f)
+            return [20.0 * c for c in gamma] if len(calls) == 4 else gamma
+
+        monkeypatch.setattr(ground_state, "_mixing_coefficients", overshoot_once)
+        grid = Grid2D(64, 20.0)
+        got = solve_ground_state(grid, params_focusing)
+        history = got.residual_history
+        rises = [k for k in range(1, len(history)) if history[k] > history[k - 1]]
+        assert rises == [4]
+        assert got.safeguarded_steps == 1
+        assert len(calls) == got.iterations - 2  # none before any history, none at the rise
+        assert calls[4] == 1  # the history restarts from one difference
+        assert got.residual < 1e-10
+        want = reference_ground_state(grid, params_focusing)
+        assert got.c_opt == pytest.approx(want.c_opt, rel=FIXED_POINT_RTOL, abs=0)
 
 
 def sharp_ratio(u, gs, p):
