@@ -30,13 +30,13 @@ shared by quartic(u) and every window of the three schedules. The window
 kernels' half spectra are shared too, by both workers: the windows of
 nearby snapshots and schedules often hold the same lattice points, and each
 trace call keeps its last four kernel spectra (``KernelSpectra``). Both traces
-take a snapshot's functionals on its quarter when the snapshot equals its
-mirrors in x1 and x2 sample for sample (``Quarter.holds``), as the snapshots
-of a run from even data do, and on the full grid otherwise. Each snapshot's
-measurement depends on no other snapshot, so both traces run it on two
-worker threads while the caller's iterable yields the next snapshot, and
-take the results in time order: the records, the summary and any error are
-those of a sequential walk.
+take a snapshot's functionals on its grid's ``quarter`` when the snapshot
+equals its mirrors in x1 and x2 sample for sample (``Quarter.holds``), as the
+snapshots of a run from even data do, and on the full grid otherwise. Each
+snapshot's measurement depends on no other snapshot, so both traces run it
+on two worker threads while the caller's iterable yields the next snapshot,
+and take the results in time order: the records, the summary and any error
+are those of a sequential walk.
 """
 
 from __future__ import annotations
@@ -181,17 +181,11 @@ def windowed_mass_sup(
     )
 
 
-def _snapshot_terms(u: Field, quarters: dict[Grid2D, Quarter]) -> FieldTerms:
-    """u's ``FieldTerms``: on the quarter when u equals its mirrors in x1 and x2, else on the grid.
-
-    ``quarters`` holds one ``Quarter`` per grid, made on first use; each
-    worker thread of a trace has its own, so one ``Quarter`` per grid per worker.
-    """
+def _snapshot_terms(u: Field) -> FieldTerms:
+    """u's ``FieldTerms``: on the grid's ``quarter`` when u equals its mirrors, else on the grid."""
     if not Quarter.holds(u.values):
         return FieldTerms.of(u)
-    quarter = quarters.get(u.grid)
-    if quarter is None:
-        quarter = quarters[u.grid] = Quarter(u.grid)
+    quarter = u.grid.quarter
     h = quarter.shape[0]
     return FieldTerms(u.values[:h, :h], quarter)
 
@@ -318,25 +312,18 @@ def _in_time_order(snapshots: Iterable[tuple[float, Field]]) -> Iterator[tuple[f
 def _traced_in_order(
     snapshots: Iterable[tuple[float, Field]], work_for: Callable[[float], Callable],
 ) -> Iterator[tuple]:
-    """work(t, u, quarters) for each (t, u) of ``_in_time_order(snapshots)``, in that order.
+    """work(t, u) for each (t, u) of ``_in_time_order(snapshots)``, in that order.
 
     ``work = work_for(t0)`` is made from the first t before any call. The
     calls run on a pool of two threads while this thread reads the next
-    snapshot; each thread has its own ``{grid: Quarter}`` dict, since a
-    ``Quarter``'s buffers serve one caller at a time. At most two calls wait
-    unconsumed, so at most three snapshots are held at once. Results and
-    errors come in snapshot order: when reading a snapshot fails (a corrupt
-    file, a t that does not increase), the pending calls are waited for
-    first, so an earlier snapshot's error is the one raised, as in a
-    sequential walk. numpy's FFTs release the GIL and give the same bits on
-    any thread.
+    snapshot. At most two calls wait unconsumed, so at most three snapshots
+    are held at once. Results and errors come in snapshot order: when
+    reading a snapshot fails (a corrupt file, a t that does not increase),
+    the pending calls are waited for first, so an earlier snapshot's error
+    is the one raised, as in a sequential walk. numpy's FFTs release the GIL
+    and give the same bits on any thread.
     """
     from concurrent.futures import ThreadPoolExecutor
-
-    quarters: dict[int, dict[Grid2D, Quarter]] = {}
-
-    def call(t: float, u: Field):
-        return work(t, u, quarters.setdefault(threading.get_ident(), {}))
 
     ordered = _in_time_order(snapshots)
     work = None
@@ -356,7 +343,7 @@ def _traced_in_order(
                 work = work_for(t)
             if len(pending) == 2:
                 yield pending.popleft().result()
-            pending.append(pool.submit(call, t, u))
+            pending.append(pool.submit(work, t, u))
         while pending:
             yield pending.popleft().result()
     finally:
@@ -375,8 +362,8 @@ def _shifted_schedules(schedule: LambdaSchedule, t0: float) -> dict[str, LambdaS
 
 
 def _disk_rows(
-    schedules: dict[str, LambdaSchedule], params: OperatorParams,
-    t: float, u: Field, quarters: dict[Grid2D, Quarter], kernels: KernelSpectra | None = None,
+    schedules: dict[str, LambdaSchedule], params: OperatorParams, kernels: KernelSpectra,
+    t: float, u: Field,
 ) -> tuple[float, bool, list[tuple[str, ConcentrationRecord]]]:
     """One snapshot of the disk trace: t, whether the main schedule skips it,
     and a (tag, record) pair for each schedule that keeps it. ``kernels`` is
@@ -388,7 +375,7 @@ def _disk_rows(
             main_skips = main_skips or tag == "main"
             continue
         if terms is None:
-            terms = _snapshot_terms(u, quarters)
+            terms = _snapshot_terms(u)
             rho = _unit_gradient_scale(terms.grad)
             quartic = rho**2 * terms.quartic(params)
             en = hamiltonian(1.0, quartic)
@@ -417,13 +404,13 @@ def disk_concentration_trace(
     The rescaled diagnostics do not depend on the schedule: each snapshot's
     are computed once, when the first schedule keeps it, from the scaling
     identities and the ``FieldTerms`` of u, whose one transform of |u|^2 its
-    windows share: on the quarter of a snapshot even in x1 and x2, with one
-    ``Quarter`` per grid per worker thread, and on the grid otherwise.
+    windows share: on the quarter of a snapshot even in x1 and x2, and on
+    the grid otherwise.
     """
     rows: dict[str, list[ConcentrationRecord]] = {tag: [] for tag in _SCHEDULE_TAGS}
     skipped: list[float] = []
     work_for = lambda t0: partial(_disk_rows, _shifted_schedules(schedule, t0), params,
-                                  kernels=KernelSpectra())
+                                  KernelSpectra())
     for t, main_skips, kept in _traced_in_order(snapshots, work_for):
         if main_skips:
             skipped.append(t)
@@ -484,8 +471,7 @@ class SquareTraceSummary:
 
 
 def _square_rows(
-    c_side: float, t_star: float, t: float, u: Field, quarters: dict[Grid2D, Quarter],
-    kernels: KernelSpectra | None = None,
+    c_side: float, t_star: float, kernels: KernelSpectra, t: float, u: Field,
 ) -> tuple[float, bool, list[ConcentrationRecord]]:
     """One snapshot of the square trace: t, whether it is skipped, and its record if kept."""
     if t >= t_star:
@@ -494,7 +480,7 @@ def _square_rows(
     if side <= u.grid.dx:
         return t, True, []
     window = WindowSpec(SQUARE, side)
-    wm = windowed_mass_sup(u, window, _snapshot_terms(u, quarters), kernels)
+    wm = windowed_mass_sup(u, window, _snapshot_terms(u), kernels)
     return t, False, [ConcentrationRecord(t, window, *wm, None, None, None)]
 
 
@@ -515,7 +501,7 @@ def square_concentration_trace(
         raise DomainError(f"c_side must be positive, got {c_side}")
     records: list[ConcentrationRecord] = []
     skipped: list[float] = []
-    work_for = lambda t0: partial(_square_rows, c_side, t_star, kernels=KernelSpectra())
+    work_for = lambda t0: partial(_square_rows, c_side, t_star, KernelSpectra())
     for t, skips, kept in _traced_in_order(snapshots, work_for):
         if skips:
             skipped.append(t)

@@ -315,7 +315,7 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     u = state.u.values
     if not np.all(np.isfinite(u)):
         raise DomainError("run: initial field contains non-finite values")
-    space = Quarter(grid) if Quarter.holds(u) else grid
+    space = grid.quarter if Quarter.holds(u) else grid
     if space is not grid:
         u = u[: space.shape[0], : space.shape[1]].copy()
     e_dt0 = _half_step_factor(space, cfg.dt0)

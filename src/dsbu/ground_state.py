@@ -193,7 +193,7 @@ def solve_ground_state(
     if p.nu != 1:
         raise DomainError("ground state requires the focusing sign nu = +1")
 
-    q = Quarter(grid)
+    q = grid.quarter
     r = cfg.init_amplitude * np.exp(-(q.x[:, None] ** 2 + q.x**2) / 2)
     denom = 1.0 + q.k[:, None] ** 2 + q.k**2
     history: list[float] = []
@@ -225,7 +225,7 @@ def solve_ground_state(
         r = mixing.next_iterate(r, q.irfft(nhat), history)
 
     safeguarded = mixing.safeguarded
-    del q, rhat, nhat, denom, mixing  # the report holds the profile and its own terms only
+    del rhat, nhat, denom, mixing  # the report holds the profile and its own terms only
 
     # Sign-normalize and recenter the peak at the origin (both are exact
     # symmetries of the lattice equation, so the residual is unchanged). The

@@ -50,8 +50,9 @@ class cached_property:
     by every instance, while it computes; two threads reading the ``grad`` of
     two different ``FieldTerms`` then take turns through whole transforms. A
     ``FieldTerms`` serves one thread, so its cache needs no lock; a grid's
-    multipliers are shared, and two threads that build one at once each
-    publish the same read-only bits, so theirs needs none either.
+    multipliers and its ``quarter`` are shared, and two threads that build
+    one at once each publish the same read-only bits, so theirs needs none
+    either.
     """
 
     def __init__(self, func):
@@ -74,9 +75,9 @@ class Grid2D:
     Coordinates are x_i = -L/2 + i*dx with dx = L/n; wavenumbers are
     xi_k = 2*pi*k/L for k in [-n/2, n/2). The 1-D arrays ``x`` and ``k`` are
     built with the grid; the n x n multipliers ``ksq`` and ``b_symbol`` on
-    first use, which a field stepped or traced on its quarter never makes.
-    Every array is read-only, so a grid may be shared freely between fields
-    and threads.
+    first use, which a field stepped or traced on its quarter never makes;
+    ``quarter``, the grid's one ``Quarter``, on first use too. Every array is
+    read-only, so a grid may be shared freely between fields and threads.
     """
 
     def __init__(self, n: int, box_length: float):
@@ -100,6 +101,11 @@ class Grid2D:
     def b_symbol(self) -> np.ndarray:
         """The symbol xi1^2/|xi|^2 of B on the n x n lattice."""
         return _b_symbol(self.k)
+
+    @cached_property
+    def quarter(self) -> "Quarter":
+        """The transform object of the grid's fields even in x1 and in x2."""
+        return Quarter(self)
 
     @staticmethod
     def check(n: int, box_length: float) -> None:
@@ -204,18 +210,17 @@ class Quarter:
     * ``x`` and ``k`` are the grid's cut to the quarter, and ``b_half`` is
       the symbol of B built on the quarter's ``k``, bitwise the grid's
       ``b_symbol`` cut to the quarter, which the real pair keeps as well;
-    * a transform mirrors its input into one buffer of (n/2+1) n complex
-      values, seen as rows (n/2+1, n), columns (n, n/2+1) or real rows
-      (numpy copies a source that overlaps its target before it writes), and
-      transforms one axis at a time, rows then columns as ``fft2`` and
+    * a transform mirrors its input into a buffer of its own, (n/2+1) n
+      complex values seen as rows (n/2+1, n), columns (n, n/2+1) or real
+      rows (numpy copies a source that overlaps its target before it writes),
+      and transforms one axis at a time, rows then columns as ``fft2`` and
       ``rfft2`` do, so that it returns bitwise the quarter of the full
       transform of the mirrored array;
     * a sum weighs indices 0 and n/2 of each axis once and every other index
       twice, for itself and its mirror, in both spaces.
 
-    The buffer belongs to the object, so one object serves one caller at a
-    time: ``run`` makes one, and the concentration traces one per grid per
-    worker thread.
+    Like a ``Grid2D``, a ``Quarter`` holds read-only arrays only, so one
+    object, the grid's ``quarter``, is shared by every caller and thread.
     """
 
     edge = 1  # the full grid's last row and column, index n-1, mirror index 1
@@ -227,9 +232,7 @@ class Quarter:
         self.b_half = _b_symbol(self.k)
         self.weight = np.full(h, 2.0)
         self.weight[[0, -1]] = 1.0
-        buffer = np.empty(h * n, dtype=np.complex128)
-        self._rows, self._cols = buffer.reshape(h, n), buffer.reshape(n, h)
-        self._real_rows = buffer.view(np.float64)[: h * n].reshape(h, n)
+        self.weight.flags.writeable = False
 
     @staticmethod
     def holds(u: np.ndarray) -> bool:
@@ -244,8 +247,15 @@ class Quarter:
         _mirror(out[:h], out)
         return out
 
+    def _buffer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One transform's work buffer, seen as rows, columns and real rows."""
+        h, n = self.shape[0], self.n
+        buffer = np.empty(h * n, dtype=np.complex128)
+        real_rows = buffer.view(np.float64)[: h * n].reshape(h, n)
+        return buffer.reshape(h, n), buffer.reshape(n, h), real_rows
+
     def _pass(self, a: np.ndarray, out: np.ndarray, transform) -> np.ndarray:
-        h, rows, cols = self.shape[0], self._rows, self._cols
+        h, (rows, cols, _) = self.shape[0], self._buffer()
         _mirror(a.T, rows.T)
         transform(rows, axis=1, out=rows)
         cols[:h] = rows[:, :h]
@@ -261,19 +271,19 @@ class Quarter:
         return self._pass(a, a, np.fft.ifft)
 
     def rfft(self, w: np.ndarray) -> np.ndarray:
-        h, cols = self.shape[0], self._cols
-        _mirror(w.T, self._real_rows.T)
-        np.fft.rfft(self._real_rows, axis=1, out=cols[:h])
+        h, (_, cols, real_rows) = self.shape[0], self._buffer()
+        _mirror(w.T, real_rows.T)
+        np.fft.rfft(real_rows, axis=1, out=cols[:h])
         _mirror(cols[:h], cols)
         np.fft.fft(cols, axis=0, out=cols)
         return cols[:h].copy()
 
     def irfft(self, s: np.ndarray) -> np.ndarray:
-        h, cols = self.shape[0], self._cols
+        h, (_, cols, real_rows) = self.shape[0], self._buffer()
         _mirror(s, cols)
         np.fft.ifft(cols, axis=0, out=cols)
-        np.fft.irfft(cols[:h], n=self.n, axis=1, out=self._real_rows)
-        return self._real_rows[:, :h].copy()
+        np.fft.irfft(cols[:h], n=self.n, axis=1, out=real_rows)
+        return real_rows[:, :h].copy()
 
     def total(self, a: np.ndarray) -> float:
         return self.weight @ a @ self.weight

@@ -5,6 +5,7 @@ import sys
 import threading
 from dataclasses import fields
 from functools import cached_property, partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,14 +127,14 @@ class TestWindowedMassSup:
 
 def even_field(grid, f):
     """The field f(x1, x2) made on the grid's quarter and unfolded: equal to its mirrors."""
-    q = Quarter(grid)
+    q = grid.quarter
     x1, x2 = np.meshgrid(q.x, q.x, indexing="ij")
     values = np.asarray(f(x1, x2), dtype=complex)
     return Field(grid, q.unfold(values, np.empty(grid.shape, dtype=complex)))
 
 
 def quarter_terms(u):
-    q = Quarter(u.grid)
+    q = u.grid.quarter
     h = q.shape[0]
     return FieldTerms(u.values[:h, :h], q)
 
@@ -521,31 +522,40 @@ def even_snapshots():
 
 
 @pytest.fixture
-def quarters_made(monkeypatch):
-    """The grids of the ``Quarter`` objects that ``concentration`` makes, in order."""
-    made = []
+def quarter_use(monkeypatch):
+    """``made``: the grids of the ``Quarter`` objects made, in order; ``spaces``: the
+    spaces of the ``FieldTerms`` that ``concentration`` makes, in order."""
+    use = SimpleNamespace(made=[], spaces=[])
+    init = Quarter.__init__
 
-    class CountingQuarter(Quarter):
-        def __init__(self, grid):
-            made.append(grid)
-            super().__init__(grid)
+    def counting_init(self, grid):
+        use.made.append(grid)
+        init(self, grid)
 
-    monkeypatch.setattr(concentration, "Quarter", CountingQuarter)
-    return made
+    class RecordingTerms(FieldTerms):
+        def __init__(self, values, space, uhat=None):
+            use.spaces.append(space)
+            super().__init__(values, space, uhat)
+
+    monkeypatch.setattr(Quarter, "__init__", counting_init)
+    monkeypatch.setattr(concentration, "FieldTerms", RecordingTerms)
+    return use
 
 
-def assert_one_quarter_per_grid_and_thread(made):
-    """The even snapshots' two grids, each with at most one ``Quarter`` per worker thread."""
-    assert set(made) == {EDGE_GRID, Grid2D(32, 6.0)}
-    assert all(made.count(grid) <= 2 for grid in made)
+def assert_measured_on_the_grids_quarters(snaps, use):
+    """No ``Quarter`` was made since ``use.made`` was cleared, and each even snapshot
+    was measured on its grid's ``quarter``."""
+    assert use.made == []
+    assert {id(space) for space in use.spaces} == {id(u.grid.quarter) for _, u in snaps}
 
 
 class TestTracesOnTheQuarter:
-    def test_disk_trace_matches_reference_with_one_quarter_per_grid(self, quarters_made):
+    def test_disk_trace_matches_reference_with_one_quarter_per_grid(self, quarter_use):
         params = OperatorParams(1, 1.0)
-        snaps = even_snapshots()
+        snaps = even_snapshots()  # which make their grids' quarters
+        quarter_use.made.clear()
         records, summary = disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, params)
-        assert_one_quarter_per_grid_and_thread(quarters_made)
+        assert_measured_on_the_grids_quarters(snaps, quarter_use)
         ref_records, ref_summary = reference_disk_trace(snaps, EDGE_SCHEDULE, 0.26, params)
         assert len(records) == len(ref_records) == 6
         for r, ref in zip(records, ref_records):
@@ -556,10 +566,11 @@ class TestTracesOnTheQuarter:
         assert summary.lambda_grad_growing == ref_summary.lambda_grad_growing
         assert summary.min_ratio == pytest.approx(ref_summary.min_ratio, rel=1e-13, abs=0)
 
-    def test_square_trace_matches_the_full_grid(self, quarters_made):
+    def test_square_trace_matches_the_full_grid(self, quarter_use):
         snaps = even_snapshots()
+        quarter_use.made.clear()
         records, _ = square_concentration_trace(snaps, c_side=3.0, t_star=1.0, eta=0.1)
-        assert_one_quarter_per_grid_and_thread(quarters_made)
+        assert_measured_on_the_grids_quarters(snaps, quarter_use)
         assert len(records) == 6
         for (t, u), r in zip(snaps, records):
             full = windowed_mass_sup(u, r.window)
@@ -585,8 +596,7 @@ class TestTracesOnTheQuarter:
 
 def sequential_rows(work, snaps):
     """The per-snapshot function over ``snaps`` in a plain loop on this thread."""
-    quarters = {}
-    return [work(t, u, quarters) for t, u in snaps]
+    return [work(t, u) for t, u in snaps]
 
 
 def assert_same_records(got, want):
@@ -606,7 +616,8 @@ class TestTracesOnTwoThreads:
         snaps = self.SNAPSHOT_SETS[name]()
         params = OperatorParams(1, 1.0)
         work = partial(concentration._disk_rows,
-                       concentration._shifted_schedules(EDGE_SCHEDULE, snaps[0][0]), params)
+                       concentration._shifted_schedules(EDGE_SCHEDULE, snaps[0][0]), params,
+                       concentration.KernelSpectra())
         want = sequential_rows(work, snaps)
         assert list(concentration._traced_in_order(snaps, lambda t0: work)) == want
         records, summary = disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, params)
@@ -617,7 +628,7 @@ class TestTracesOnTwoThreads:
     @pytest.mark.parametrize("name", SNAPSHOT_SETS)
     def test_square_trace_equals_a_sequential_loop(self, name):
         snaps = self.SNAPSHOT_SETS[name]()
-        work = partial(concentration._square_rows, 3.0, 1.0)
+        work = partial(concentration._square_rows, 3.0, 1.0, concentration.KernelSpectra())
         want = sequential_rows(work, snaps)
         records, summary = square_concentration_trace(snaps, c_side=3.0, t_star=1.0, eta=0.1)
         assert_same_records(records, [rec for _, _, rows in want for rec in rows])
@@ -631,7 +642,7 @@ class TestTracesOnTwoThreads:
                 read.append(t)
                 yield t, u
 
-        work = partial(concentration._square_rows, 3.0, 1.0)
+        work = partial(concentration._square_rows, 3.0, 1.0, concentration.KernelSpectra())
         for i, (t, _, _) in enumerate(concentration._traced_in_order(source(), lambda t0: work)):
             assert t == EDGE_TIMES[i] and len(read) <= i + 3
         assert len(read) == len(EDGE_TIMES)
@@ -660,17 +671,18 @@ class TestTracesOnTwoThreads:
                                      EDGE_SCHEDULE, 0.26, params)
         assert threading.active_count() == before
 
-    def test_stress_with_frequent_thread_switches(self, quarters_made):
-        # The workers share no Quarter buffers: with a switch forced every
-        # microsecond, runs of even snapshots on one grid, as the two workers
-        # take them together, still give the sequential loop's bits
-        snaps = []
+    def test_stress_with_frequent_thread_switches(self, quarter_use):
+        # Both workers transform on one Quarter per grid: with a switch forced
+        # every microsecond, runs of even snapshots on one grid, as the two
+        # workers take them together, still give the sequential loop's bits
+        grids, snaps = [Grid2D(128, box) for box in (6.0, 7.0, 8.0)], []
         for k, t in enumerate(np.linspace(0.0, 0.9, 30)):
-            grid = Grid2D(128, (6.0, 7.0, 8.0)[k // 10])
+            grid = grids[k // 10]
             width = 0.3 + (1.0 - t)
             snaps.append((float(t), even_field(grid, lambda x1, x2: np.exp(
                 -((x1 / width) ** 2 + (0.8 * x2 / width) ** 2) / 2) / width)))
-        work = partial(concentration._square_rows, 3.0, 1.0)
+        work = partial(concentration._square_rows, 3.0, 1.0, concentration.KernelSpectra())
+        quarter_use.made.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -678,8 +690,7 @@ class TestTracesOnTwoThreads:
                     for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
-        made = list(quarters_made)
-        assert len(set(made)) == 3 and all(made.count(grid) <= 2 * 5 for grid in made)
+        assert_measured_on_the_grids_quarters(snaps, quarter_use)
         want = sequential_rows(work, snaps)
         assert all(got == want for got in runs)
 

@@ -1,5 +1,6 @@
 """Grid, field, operator, and functional tests against independent oracles."""
 
+import sys
 import threading
 
 import numpy as np
@@ -444,6 +445,50 @@ class TestQuarter:
         u[1, 20] = u[-1, 20] = 1e-3
         assert not FieldTerms(u[:h, :h].copy(), Quarter(g)).second_moment.boundary_ok
         assert not FieldTerms(u, g).second_moment.boundary_ok
+
+    def test_the_grid_has_one_quarter_of_read_only_arrays(self):
+        g = Grid2D(64, 12.0)
+        assert g.quarter is g.quarter
+        arrays = {name: v for name, v in vars(g.quarter).items() if isinstance(v, np.ndarray)}
+        assert {"x", "k", "b_half", "weight"} <= arrays.keys()
+        assert not any(a.flags.writeable for a in arrays.values())
+
+
+class TestQuarterOnThreads:
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_four_threads_on_one_quarter_get_the_serial_bits(self, n):
+        # with a switch forced every microsecond, four threads transform on
+        # the grid's one Quarter at once; each call has its own work buffer
+        q = Grid2D(n, 10.0).quarter
+        inputs = [even_samples(n, seed)[1] for seed in range(4)]
+        calls = {
+            "fft": lambda a: q.fft(a, np.empty_like(a)),
+            "ifft_in_place": lambda a: q.ifft_in_place(a.copy()),
+            "rfft": lambda a: q.rfft(a.real),
+            "irfft": q.irfft,
+        }
+        want = {(name, i): call(a) for name, call in calls.items() for i, a in enumerate(inputs)}
+        done, wrong = [], []
+
+        def work(i):
+            for _ in range(20):
+                for name, call in calls.items():
+                    if not np.array_equal(call(inputs[i]), want[name, i]):
+                        wrong.append((name, i))
+            done.append(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
 
 class TestFieldTermsOnThreads:
