@@ -166,7 +166,7 @@ def _cmd_ground_state(cfg: RunConfig) -> int:
     snap_path = os.path.join(out, "ground_state.dsbu")
     write_snapshot(snap_path, gs.profile, SnapshotMeta(0.0, cfg.nu, cfg.gamma))
     _report(os.path.join(out, "ground_state_report.txt"), [
-        ("mass", mass(gs.profile)),
+        ("mass", gs.mass),
         ("c_opt", gs.c_opt),
         ("residual", gs.residual),
         ("iterations", gs.iterations),

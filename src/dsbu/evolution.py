@@ -15,40 +15,42 @@ sampling cadence, stops on resolution guards (blow-up cannot be resolved to
 the critical time on a fixed grid), and extrapolates the blow-up time from
 the terminal gradient growth via the linear model 1/||grad u||^2 ~ a(T*-t).
 
-``run`` carries the step-boundary field in both spaces, u and u_hat, so a
-step never transforms a field it already holds in the other space:
+``run`` merges the last half-step of one step with the first of the next
+(the first-same-as-last property of a symmetric splitting): it carries
+w_hat, the spectrum after the nonlinear substep, and a step of size dt
+after one of size dt_prev is
 
-    v = ifft2(E u_hat),  v *= exp(i dt L(|v|^2)),  u_hat = E fft2(v),  u = ifft2(u_hat)
+    v = ifft2(E((dt_prev + dt)/2) w_hat),  w_hat = fft2(exp(i dt L(|v|^2)) v)
 
-with E = exp(-i|xi|^2 dt/2) = e(k1) e(k2) applied as two broadcast
-multiplies, all in place on u_hat and on the buffer of the replaced field.
-On the full grid that is 3 complex transforms plus the real pair inside L:
-4 complex-FFT-equivalents per step, 5 with the adaptive rate L(|u|^2), and
-one more per run for the spectrum of the initial field. The adaptive rate's
-pair is skipped on a step where the bound max|u|^2 + gamma*sqrt(sum |u|^4)
-of max|L(|u|^2)|, which needs no transform, already gives dt0
-(``FieldTerms.potential_bound``); the step is then the exact rule's dt0.
+with E(tau) = exp(-i|xi|^2 tau) = e(k1) e(k2) applied as two broadcast
+multiplies. The boundary field u = ifft2(E(dt/2) w_hat) is formed only where
+it is read: at a record, a snapshot, a stop and the last step. On the full
+grid a step is 2 complex transforms plus the real pair inside L, 3
+complex-FFT-equivalents, plus 1 for each boundary formed and one pair per
+run for the adaptive rate of the initial field. What the loop reads
+between those points costs no transform: the sup guard reads sup|v|, the
+adaptive rate is the step's own max|L(|v|^2)|, the L4 integral is the
+midpoint sum of dt times the integral of |v|^4, and the gradient (for the
+guard and the snapshot ladder) comes from |w_hat|^2, equal to |u_hat|^2
+since E is unimodular.
 
 A field even in x1 and in x2 about the grid origin stays even under the
 flow (|xi|^2 and the symbol of B are even in each component of xi), so
 ``run`` steps such a field on its quarter, indices 0..n/2 of each axis,
-through ``spectral.Quarter``: every transform above takes two passes of
-n/2+1 lines instead of two of n, about half an FFT-equivalent, so a step
-costs about 2.3 FFT-equivalents (3 adaptive) on a quarter of the memory.
-Each step boundary is one ``spectral.FieldTerms`` of u and the loop's u_hat,
-on the grid or on the quarter: the sup guard, the L4 trapezoid, the
-adaptive rate L(|u|^2) and the diagnostic record all read it. A record's
-one transform, the half spectrum of |u|^2 for the interaction term, is
-shared with the adaptive rate. ``strang_step`` is the same scheme one step
-at a time on a physical state of the full grid; it is the reference oracle
-that the spectral-state loop is tested against, on either path.
+through ``spectral.Quarter``: a complex transform takes two passes of n/2+1
+lines instead of two of n, and the real pair two real ones, so a step
+costs 3c FFT-equivalents, c = (n/2+1)/n, about 1.5, on a quarter of the
+memory. Each boundary that is read is one ``spectral.FieldTerms`` of u and
+w_hat, on the grid or on the quarter, which the record reads.
+``strang_step`` is the same scheme one step at a time on a physical state
+of the full grid, with the L4 trapezoid; it is the reference oracle that
+``run`` is tested against, on either path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +67,6 @@ from .spectral import (
     OperatorParams,
     Quarter,
     density,
-    energy,
     interaction_potential,
     l4_norm_4,
 )
@@ -78,7 +79,7 @@ class SimulationState:
     t: float
     u: Field
     params: OperatorParams
-    l4_last: float  # integral of |u|^4 at time t
+    l4_last: float  # integral of |u|^4 at time t (in ``run``'s states, of the last mid-step field)
     step_index: int
     l4_accum: float
 
@@ -86,10 +87,11 @@ class SimulationState:
     def initial(cls, u: Field, params: OperatorParams):
         return cls(t=0.0, u=u, params=params, l4_last=l4_norm_4(u), step_index=0, l4_accum=0.0)
 
-    def advanced(self, u: Field, dt: float, l4: float) -> SimulationState:
-        """The state dt later, with field u of |u|^4 integral l4, and the L4 trapezoid added."""
+    def advanced(self, u: Field, dt: float, l4: float, l4_step: float) -> SimulationState:
+        """The state dt later, with field u of |u|^4 integral l4, and ``l4_step`` added to
+        the L4 integral: ``strang_step``'s trapezoid, or ``run``'s midpoint term."""
         return replace(self, t=self.t + dt, u=u, l4_last=l4, step_index=self.step_index + 1,
-                       l4_accum=self.l4_accum + 0.5 * dt * (self.l4_last + l4))
+                       l4_accum=self.l4_accum + l4_step)
 
 
 @dataclass(frozen=True)
@@ -158,21 +160,22 @@ def strang_step(
         )
 
     u_new = Field(grid, vals)
-    return state.advanced(u_new, dt, l4_norm_4(u_new))
+    l4 = l4_norm_4(u_new)
+    return state.advanced(u_new, dt, l4, 0.5 * dt * (state.l4_last + l4))
 
 
 @dataclass(frozen=True)
 class EvolveConfig:
     """Controls for ``run``; None fields take their grid defaults through ``resolved``.
 
-    With ``adaptive`` the step is min(dt0, c_adapt / max|L(|u|^2)|); the
-    maximum is not formed where a bound that needs no transform gives dt0. A
-    snapshot is kept at every record, or, with ``snapshot_grad_ratio``,
-    whenever gradient_norm_sq has grown by another factor of it -- the
-    natural cadence for blow-up runs, where everything happens in the last
-    few per cent of the lifespan. The initial field and the run's last
-    state are kept as well. Values on which ``run`` would hang raise
-    UsageError at construction.
+    With ``adaptive`` the step is min(dt0, c_adapt / max|L(|v|^2)|), with v
+    the mid-step field of the step before, whose phase that step formed (the
+    initial field for the first step). A snapshot is kept at every record,
+    or, with ``snapshot_grad_ratio``, whenever gradient_norm_sq has grown by
+    another factor of it -- the natural cadence for blow-up runs, where
+    everything happens in the last few per cent of the lifespan. The initial
+    field and the run's last state are kept as well. Values on which ``run``
+    would hang raise UsageError at construction.
     """
 
     t_end: float
@@ -232,50 +235,56 @@ def _record(
     )
 
 
-def _half_step_factor(space: Grid2D | Quarter, dt: float) -> np.ndarray:
-    """e(k) = exp(-i k^2 dt/2) on an axis of ``space``; the half-step multiplier is e(k1) e(k2)."""
-    return np.exp(-1j * space.k**2 * (dt / 2))
+def _flowed(
+    what: np.ndarray, e: np.ndarray, out: np.ndarray, space: Grid2D | Quarter
+) -> np.ndarray:
+    """ifft(e(k1) e(k2) what) written into ``out``: the field of spectrum ``what`` after
+    the free flow exp(-i|xi|^2 tau), whose factor on an axis of ``space`` is e(k)."""
+    np.multiply(what, e[:, None], out=out)
+    out *= e
+    return space.ifft_in_place(out)
 
 
 def _spectral_step(
-    uhat: np.ndarray, u_out: np.ndarray, dt: float, e: np.ndarray, space: Grid2D | Quarter,
-    p: OperatorParams,
-) -> np.ndarray:
-    """One Strang step: advances ``uhat`` in place and writes the next u into ``u_out``.
+    what: np.ndarray, out: np.ndarray, v: np.ndarray, e: np.ndarray, dt: float,
+    space: Grid2D | Quarter, p: OperatorParams,
+) -> tuple[float, float, float]:
+    """One Strang step from the spectrum ``what`` to ``out``, through the mid-step field in ``v``.
 
-    Both arrays have the shape of ``space``, the grid or the quarter of an
-    even field, whose transforms the step calls. ``uhat`` holds the
-    half-step field between its two linear stages, and ``u_out`` holds the
-    phase exp(i dt L(|v|^2)) until it receives u, so a step allocates no
-    complex array of the field's size.
+    ``what`` is the spectrum after the last nonlinear substep, and ``e`` the
+    axis factor of the free flow over that step's second half and this
+    step's first. The step forms v = ifft(e(k1) e(k2) what), multiplies it
+    by exp(i dt L(|v|^2)), built in ``out``, and transforms it into ``out``;
+    ``what`` is left as it was. All three arrays have the shape of
+    ``space``. Returns sup|v|, the integral of |v|^4 and the rate
+    max|L(|v|^2)|, which is not finite when v or L(|v|^2) is not.
     """
-    uhat *= e[:, None]
-    uhat *= e
-    v = space.ifft_in_place(uhat)
-    theta = interaction_potential(density(v), space, p)
+    _flowed(what, e, v, space)
+    mid = FieldTerms(v, space)
+    sup, l4 = mid.sup, mid.l4
+    theta = interaction_potential(mid.rho, space, p)
+    del mid
+    rate = max(-theta.min(), theta.max())  # max|L(|v|^2)|; a NaN in theta gives NaN
     theta *= dt
-    np.cos(theta, out=u_out.real)
-    np.sin(theta, out=u_out.imag)
-    v *= u_out
-    space.fft(v, out=uhat)
-    uhat *= e[:, None]
-    uhat *= e
-    np.copyto(u_out, uhat)
-    return space.ifft_in_place(u_out)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    v *= out
+    space.fft(v, out)
+    return sup, l4, float(rate)
 
 
 def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResult:
     """Step from state0 until t_end or until a stop criterion fires.
 
     Stop criteria, in the order each step tests them: non-finite values,
-    which record the last finite state; sup|u| above the resolution guard;
-    gradient_norm_sq above guard^2, read where the step knows the gradient
-    anyway: at a record, and on every step of the snapshot ladder. A
-    non-finite initial field raises DomainError, and so does a gradient-free
-    one on the ladder, whose rungs would all be 0. After the stop reason the
-    step has one record site and one snapshot site. Guard terminations are
-    normal blow-up outcomes and come back with a BlowupEstimate when the
-    records support one.
+    which record the last finite state; sup|v| of the step's mid-step field
+    above the resolution guard; gradient_norm_sq above guard^2, read where
+    the step knows the gradient anyway: at a record, and on every step of
+    the snapshot ladder. A non-finite initial field raises DomainError, and
+    so does a gradient-free one on the ladder, whose rungs would all be 0.
+    After the stop reason the step has one record site and one snapshot
+    site. Guard terminations are normal blow-up outcomes and come back with
+    a BlowupEstimate when the records support one.
 
     Each kept snapshot -- the initial field, each record step (or rung of
     the ladder) and the stop or final step -- is handed, in time order, to
@@ -285,13 +294,17 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     ``snapshot_grad_ratio`` then still has the gradient guard read on every
     step.
 
-    The loop is the spectral-state form of ``strang_step`` described in the
-    module docstring: it keeps u_hat from step to step, transforms the
-    initial field once, and agrees with repeated ``strang_step`` to roundoff.
-    The half-step factor e(k) for dt0 is built once; any other dt (adaptive
-    or the last, clipped step) costs one n-point exponential. Step k writes
-    into ``buffers[k % 2]``, one of two allocated up front: never the buffer
-    of the field it steps from, and never the caller's initial field.
+    The loop is the merged form of ``strang_step`` described in the module
+    docstring: it carries the spectrum after the nonlinear substep from
+    step to step, in one of two spectrum buffers, and forms the boundary
+    field u only at a record, a snapshot, a stop or the last step, in the
+    buffer of the mid-step field. The free-flow factors of dt0 (the merged
+    one and the half-step one) are built once; any other dt costs an
+    n-point exponential. A non-finite step leaves the spectrum it started
+    from as it was, so the last finite state is formed from it. The loop
+    agrees with repeated ``strang_step`` to roundoff, except ``l4_accum``,
+    the midpoint sum of the mid-step integrals of |v|^4, where
+    ``strang_step`` accumulates the trapezoid.
 
     An initial field equal sample for sample to its mirrors in x1 and in x2
     (u[i, j] = u[(n-i) mod n, j] = u[i, (n-j) mod n]) is stepped on its
@@ -301,8 +314,7 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     ``live``, into which the quarter is unfolded only where a full field is
     read: before the sink is handed it and, since the last state is always
     the last one kept, in the result. ``run`` drops its references to the
-    caller's field once the sink has had it, and only then makes ``live``
-    and the step buffers.
+    caller's field once the sink has had it, and only then makes ``live``.
     """
     state = state0
     del state0
@@ -318,16 +330,19 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     space = grid.quarter if Quarter.holds(u) else grid
     if space is not grid:
         u = u[: space.shape[0], : space.shape[1]].copy()
-    e_dt0 = _half_step_factor(space, cfg.dt0)
-    terms = FieldTerms(u, space, space.fft(u, np.empty_like(u)))
-    # The first L4 trapezoid starts from the sum of the step's own space.
-    state = replace(state, l4_last=terms.l4)
+    # The loop's three complex arrays: two spectra, and the mid-step field,
+    # which receives the boundary field wherever that is read.
+    what, spare = space.fft(u, np.empty_like(u)), np.empty_like(u)
+    terms = FieldTerms(u, space, what)
+    # The first step's rate is the initial field's; each later one the last mid-step field's.
+    rate = float(np.abs(terms.potential(p)).max()) if cfg.adaptive else 0.0
     ladder = cfg.snapshot_grad_ratio
     if ladder is not None:
         if not terms.grad > 0.0:
             raise DomainError("run: snapshot ladder undefined for gradient-free fields")
         rung = terms.grad * ladder
     records = [_record(state, 0.0, terms)]
+    del terms  # its density and half spectrum go before ``live`` is made
     if on_snapshot is None:
         on_snapshot = lambda t, u: None
     on_snapshot(state.t, state.u)
@@ -336,45 +351,46 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         state = replace(state, u=None)  # the caller's field goes before ``live`` is made
         live = Field(grid, space.unfold(u, np.empty(grid.shape, dtype=np.complex128)))
         state = replace(state, u=live)  # the initial field, bitwise
-    buffers = (np.empty_like(u), np.empty_like(u))
+        v = u  # the quarter copy serves as the mid-step field from here on
+    else:
+        v = np.empty_like(u)
+    boundary = live if live is not None else Field(grid, v)  # the field of the states
+    k_sq, flows = space.k**2, {}
+
+    def flow(tau: float) -> np.ndarray:
+        """The axis factor e(k) = exp(-i k^2 tau) of the free flow over tau; kept for dt0."""
+        e = flows.get(tau)
+        if e is None:
+            e = np.exp(-1j * k_sq * tau)
+            if tau in (cfg.dt0 / 2, cfg.dt0):
+                flows[tau] = e
+        return e
+
+    dt_prev = 0.0  # the free flow still owed by ``what``: E(dt_prev/2)
     kept_t = state.t
     next_sample = state.t + cfg.sample_interval
     stop = None
     t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
 
     while state.t < cfg.t_end - t_eps:
-        # The rate max|L(|u|^2)| is formed only when its free bound cannot
-        # prove that c_adapt / rate >= dt0; the margin covers the rounding.
-        if cfg.adaptive and terms.potential_bound(p) * (1 + 1e-8) > cfg.c_adapt / cfg.dt0:
-            rate = float(np.abs(terms.potential(p)).max())
-            dt = min(cfg.dt0, cfg.c_adapt / rate) if rate > 0 else cfg.dt0
-        else:
-            dt = cfg.dt0
+        dt = min(cfg.dt0, cfg.c_adapt / rate) if cfg.adaptive and rate > 0 else cfg.dt0
         dt = min(dt, cfg.t_end - state.t)
-        e = e_dt0 if dt == cfg.dt0 else _half_step_factor(space, dt)
-
-        # The step advances uhat in place; the spent terms are dropped
-        # first so that their density is not held through the step.
-        uhat, terms = terms.uhat, None
-        stepped = _spectral_step(uhat, buffers[state.step_index % 2], dt, e, space, p)
-        finite = np.all(np.isfinite(stepped))
+        sup, l4, rate = _spectral_step(what, spare, v, flow((dt_prev + dt) / 2), dt, space, p)
+        finite = math.isfinite(rate)
         if finite:
-            u = stepped
-            terms = FieldTerms(u, space, uhat)
-            state = state.advanced(Field(grid, u) if live is None else live, dt, terms.l4)
+            what, spare, dt_prev = spare, what, dt
+            state = state.advanced(boundary, dt, l4, dt * l4)
         end = state.t >= cfg.t_end - t_eps
         due = end or state.t >= next_sample - t_eps
-        # Stop reason, record, then snapshot: the sink runs after the record's temporaries.
+        # The boundary's terms; the gradient reads |what|^2, the rest the
+        # field, which is formed only where something reads it.
+        terms = FieldTerms(None, space, what)
         if not finite:
-            stop = "non_finite"  # state and u stay the last finite ones
-            terms = FieldTerms(u, space)  # whose spectrum the step spent
-        elif terms.sup > cfg.guard:
+            stop = "non_finite"  # state and what stay the last finite ones
+        elif sup > cfg.guard:
             stop = "sup_guard"
         elif (due or ladder is not None) and terms.grad > cfg.guard**2:
             stop = "grad_guard"
-        if stop or due:
-            records.append(_record(state, dt, terms))
-            next_sample += cfg.sample_interval
         if stop or end:
             keep = state.t > kept_t
         elif ladder is None:
@@ -383,13 +399,20 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
             keep = terms.grad >= rung
             while rung <= terms.grad:
                 rung *= ladder
+        if stop or due or keep:
+            terms.values = _flowed(what, flow(dt_prev / 2), v, space)
+        # Record, then snapshot: the sink runs after the record's temporaries.
+        if stop or due:
+            records.append(_record(state, dt, terms))
+            next_sample += cfg.sample_interval
         if keep:
             if live is not None:
-                space.unfold(u, live.values)
+                space.unfold(v, live.values)
             on_snapshot(state.t, state.u)
             kept_t = state.t
         if stop:
             break
+        del terms  # a record's density is not held through the next step
 
     estimate = None
     if stop:
@@ -445,72 +468,4 @@ def estimate_t_star(records: list[ConservationRecord]) -> BlowupEstimate:
         method="linear_inverse_gradient",
         fit_window=fit_window,
         fit_residual=resid,
-    )
-
-
-class VirialFit(NamedTuple):
-    """Quadratic fit of the second moment: coeffs (c2, c1, c0) in t."""
-
-    coeffs: tuple[float, float, float]
-    leading_coeff_error: float
-
-
-def virial_check(records: list[ConservationRecord], e0: float) -> VirialFit:
-    """Fit second_moment(t) by a quadratic in t and report the coefficients.
-
-    While the field stays contained the flow satisfies
-
-        second_moment(t) = 8 E(u0) t^2 + c t + second_moment(0)
-
-    (the free limit pins the lead: for amplitude -> 0 it is exactly
-    4 ||grad u0||^2 = 8 E). ``leading_coeff_error`` is the relative deviation
-    of the fitted lead ``coeffs[0]`` from 8*e0, the denominator floored at
-    1e-12 so that e0 = 0 stays finite. Every record in the window must carry
-    a valid moment flag.
-    """
-    for r in records:
-        if not r.moment_valid:
-            raise DomainError(
-                f"boundary-contaminated second moment at t={r.t}; virial fit invalid"
-            )
-    if len(records) < 5:
-        raise DomainError(f"need at least 5 records for the virial fit, got {len(records)}")
-    t = np.array([r.t for r in records])
-    v = np.array([r.second_moment for r in records])
-    design = np.column_stack([t**2, t, np.ones_like(t)])
-    coeffs, *_ = np.linalg.lstsq(design, v, rcond=None)
-    lead = float(coeffs[0])
-    err = abs(lead - 8.0 * e0) / max(abs(8.0 * e0), 1e-12)
-    return VirialFit(tuple(float(c) for c in coeffs), float(err))
-
-
-def negative_energy_gaussian(grid: Grid2D, p: OperatorParams) -> Field:
-    """Construct well-localized data with negative energy, or prove it impossible.
-
-    Scans amplitude from 1 to 64 over Gaussians exp(-(x1^2 + (a x2)^2) / 2)
-    for each aspect a in 1, 1/2, 1/4, 1/8. Radial data alone cannot reach E < 0 in the whole range
-    -nu < gamma (the interaction average of B over radial fields is 1/2, so
-    they need nu + gamma/2 > 0); squeezing the spectrum onto the xi1 axis by
-    elongating along x2 pushes that average toward 1, which is what makes the
-    full range reachable. For -nu >= gamma the pointwise bound m <= 1 forces
-    the quartic term nonpositive and E >= 0 for every field, so the builder
-    refuses.
-    """
-    if -p.nu >= p.gamma:
-        raise DomainError(
-            f"negative-energy data require -nu < gamma; got nu={p.nu}, "
-            f"gamma={p.gamma} (energy is nonnegative for every field)"
-        )
-    x1, x2 = grid.coords()
-    for aspect in (1.0, 0.5, 0.25, 0.125):
-        base = np.exp(-(x1**2 + (aspect * x2) ** 2) / 2)
-        amp = 1.0
-        while amp <= 64.0:
-            u = Field(grid, amp * base)
-            if energy(u, p) < 0:
-                return u
-            amp *= 1.25
-    raise DomainError(
-        "no negative-energy Gaussian found on this grid; enlarge the box or "
-        "extend the aspect ladder"
     )

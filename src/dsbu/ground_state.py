@@ -91,14 +91,15 @@ class GroundStateResult:
     ``residual`` is the L2 norm of Lap R - R + L(R^2) R, computed by
     Parseval from the transforms of R and L(R^2) R that the update uses;
     ``residual_history`` holds it after each of the ``iterations`` updates,
-    and ``residual`` is its last entry. ``c_opt`` equals 2/mass(R) by
-    construction; ``sharpness_ratio`` is the interaction quotient
-    quartic / (grad * mass), which matches c_opt at the optimizer.
+    and ``residual`` is its last entry. ``mass`` is that of R, and ``c_opt``
+    equals 2/``mass`` by construction; ``sharpness_ratio`` is the interaction
+    quotient quartic / (grad * mass), which matches c_opt at the optimizer.
     ``safeguarded_steps`` counts the updates where the safeguard dropped the
     Anderson history and took the plain map step.
     """
 
     profile: Field
+    mass: float
     c_opt: float
     residual: float
     iterations: int
@@ -183,9 +184,11 @@ def solve_ground_state(
     transform; the quotient, the map G(r) and the Parseval residual
     dx/n * ||N_hat - (1 + |xi|^2) r_hat|| of r all come from those two
     transforms, summed with the quarter's weights, and the Anderson step
-    mixes G(r) with the kept differences. The converged r is unfolded to the
-    n x n profile, whose report terms are those of the full field; the
-    loop's arrays and the mixing history are freed first. Raises
+    mixes G(r) with the kept differences. The report's terms (mass,
+    gradient and quartic) are those of the converged r on the quarter, and
+    r is then unfolded to the n x n profile; the loop's arrays and the
+    mixing history are freed first, and the grid's n x n multipliers are
+    never built. Raises
     NonConvergenceError with the residual history if the residual is not
     below ``cfg.tol`` within ``cfg.max_iter`` updates.
     """
@@ -214,7 +217,7 @@ def solve_ground_state(
                 history,
             )
         s_num = float(q.total(denom * density(rhat)))
-        s_den = float(q.total(nhat.real * rhat.real + nhat.imag * rhat.imag))
+        s_den = float(q.total(nhat * rhat))
         if s_den <= 0.0:
             raise NonConvergenceError(
                 "spectral renormalization degenerated (nonpositive quotient)", history
@@ -233,19 +236,20 @@ def solve_ground_state(
     peak = np.unravel_index(np.argmax(np.abs(r)), r.shape)
     if r[peak] < 0:
         r = -r
+    # The report's terms are taken on the quarter; the shift leaves them as they are.
+    terms = FieldTerms(r, q)
+    m, grad, quartic = terms.mass, terms.grad, terms.quartic(p)
+    del terms
     r = Quarter.unfold(r, np.empty(grid.shape, dtype=np.complex128))
     center = grid.n // 2
     r = np.roll(r, (center - peak[0], center - peak[1]), axis=(0, 1))
-
-    profile = Field(grid, r)
-    terms = FieldTerms.of(profile)
-    grad, m = terms.grad, terms.mass  # the gradient's transform is freed before rho is made
     return GroundStateResult(
-        profile=profile,
+        profile=Field(grid, r),
+        mass=m,
         c_opt=2.0 / m,
         residual=history[-1],
         iterations=iteration,
-        sharpness_ratio=terms.quartic(p) / (grad * m),
+        sharpness_ratio=quartic / (grad * m),
         residual_history=history,
         safeguarded_steps=safeguarded,
     )

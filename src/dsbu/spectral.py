@@ -210,12 +210,17 @@ class Quarter:
     * ``x`` and ``k`` are the grid's cut to the quarter, and ``b_half`` is
       the symbol of B built on the quarter's ``k``, bitwise the grid's
       ``b_symbol`` cut to the quarter, which the real pair keeps as well;
-    * a transform mirrors its input into a buffer of its own, (n/2+1) n
-      complex values seen as rows (n/2+1, n), columns (n, n/2+1) or real
-      rows (numpy copies a source that overlaps its target before it writes),
-      and transforms one axis at a time, rows then columns as ``fft2`` and
-      ``rfft2`` do, so that it returns bitwise the quarter of the full
-      transform of the mirrored array;
+    * the complex pair ``fft``/``ifft_in_place`` mirrors its input into a
+      buffer of its own, (n/2+1) n complex values seen as rows (n/2+1, n) or
+      columns (n, n/2+1), and transforms one axis at a time, rows then
+      columns as ``fft2`` does, so that it returns bitwise the quarter of
+      the full transform of the mirrored array;
+    * the real pair ``rfft``/``irfft`` serves real fields, whose spectrum is
+      real and even as well: each axis is a real transform of the mirrored
+      lines (``numpy.fft.rfft``/``irfft``), whose roundoff imaginary part
+      is dropped, so both take and return real quarters, equal to the
+      corner of ``rfft2``/``irfft2`` of the mirrored array to a few ulps of
+      its maximum;
     * a sum weighs indices 0 and n/2 of each axis once and every other index
       twice, for itself and its mirror, in both spaces.
 
@@ -247,15 +252,12 @@ class Quarter:
         _mirror(out[:h], out)
         return out
 
-    def _buffer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One transform's work buffer, seen as rows, columns and real rows."""
+    def _pass(self, a: np.ndarray, out: np.ndarray, transform) -> np.ndarray:
+        """One complex transform through a buffer of its own, seen as rows and as columns
+        (numpy copies the source of the row-to-column step, which overlaps its target)."""
         h, n = self.shape[0], self.n
         buffer = np.empty(h * n, dtype=np.complex128)
-        real_rows = buffer.view(np.float64)[: h * n].reshape(h, n)
-        return buffer.reshape(h, n), buffer.reshape(n, h), real_rows
-
-    def _pass(self, a: np.ndarray, out: np.ndarray, transform) -> np.ndarray:
-        h, (rows, cols, _) = self.shape[0], self._buffer()
+        rows, cols = buffer.reshape(h, n), buffer.reshape(n, h)
         _mirror(a.T, rows.T)
         transform(rows, axis=1, out=rows)
         cols[:h] = rows[:, :h]
@@ -270,20 +272,31 @@ class Quarter:
     def ifft_in_place(self, a: np.ndarray) -> np.ndarray:
         return self._pass(a, a, np.fft.ifft)
 
+    def _real_lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """A real transform's line buffer, (n/2+1) n reals seen as rows and as columns;
+        its half lines, (n/2+1)^2 complex values, are a buffer of their own."""
+        h, n = self.shape[0], self.n
+        lines = np.empty(h * n)
+        return lines.reshape(h, n), lines.reshape(n, h)
+
     def rfft(self, w: np.ndarray) -> np.ndarray:
-        h, (_, cols, real_rows) = self.shape[0], self._buffer()
-        _mirror(w.T, real_rows.T)
-        np.fft.rfft(real_rows, axis=1, out=cols[:h])
-        _mirror(cols[:h], cols)
-        np.fft.fft(cols, axis=0, out=cols)
-        return cols[:h].copy()
+        """The real spectrum quarter of a real quarter w."""
+        (rows, cols), half = self._real_lines(), np.empty(self.shape, dtype=np.complex128)
+        _mirror(w.T, rows.T)
+        np.fft.rfft(rows, axis=1, out=half)
+        _mirror(half.real, cols)
+        np.fft.rfft(cols, axis=0, out=half)
+        return half.real.copy()
 
     def irfft(self, s: np.ndarray) -> np.ndarray:
-        h, (_, cols, real_rows) = self.shape[0], self._buffer()
-        _mirror(s, cols)
-        np.fft.ifft(cols, axis=0, out=cols)
-        np.fft.irfft(cols[:h], n=self.n, axis=1, out=real_rows)
-        return real_rows[:, :h].copy()
+        """The real quarter of a real spectrum quarter s."""
+        (rows, cols), half = self._real_lines(), np.zeros(self.shape, dtype=np.complex128)
+        h = self.shape[0]
+        half.real = s  # the imaginary parts stay 0
+        np.fft.irfft(half, n=self.n, axis=0, out=cols)
+        half.real = cols[:h]
+        np.fft.irfft(half, n=self.n, axis=1, out=rows)
+        return rows[:, :h].copy()
 
     def total(self, a: np.ndarray) -> float:
         return self.weight @ a @ self.weight
@@ -398,9 +411,10 @@ def apply_l(f: Field, p: OperatorParams) -> Field:
 
 
 def density(values: np.ndarray) -> np.ndarray:
-    """|u|^2 of complex samples, as re^2 + im^2."""
+    """|u|^2 of samples, as re^2 + im^2 (re^2 for real ones)."""
     rho = np.square(values.real)
-    rho += np.square(values.imag)
+    if np.iscomplexobj(values):
+        rho += np.square(values.imag)
     return rho
 
 
@@ -421,8 +435,10 @@ class FieldTerms:
 
     ``values`` are u's samples on ``space`` -- the grid, or the ``Quarter``
     of a field even in x1 and x2 -- and ``uhat`` its spectrum
-    ``space.fft(u)`` when the caller holds it (``run`` keeps it from step to
-    step); without it the gradient transforms u and keeps no spectrum. The
+    ``space.fft(u)``, or any array of the same modulus, when the caller
+    holds one (``run`` keeps the spectrum before the last free half-step);
+    without it the gradient transforms u and keeps no spectrum. ``run`` sets
+    ``values`` after construction, where the samples are read at all. The
     density rho = re^2 + im^2 gives the mass, sup|u|, the L4 integral and
     the second moment; its half spectrum ``space.rfft(rho)``, made once,
     gives the interaction term and the potential L(rho); the gradient comes
@@ -525,15 +541,6 @@ class FieldTerms:
     def potential(self, p: OperatorParams) -> np.ndarray:
         """L(rho), from a copy of the shared half spectrum."""
         return _l_from_b(self.rho, _b_action(self.rho_half.copy(), self.space), p)
-
-    def potential_bound(self, p: OperatorParams) -> float:
-        """An upper bound of max|L(rho)| that costs no transform: max rho + gamma*sqrt(sum rho^2).
-
-        |B rho(x)| <= n^-2 sum |rho_hat| <= sqrt(sum rho^2) over the full grid,
-        by Cauchy-Schwarz over the n^2 modes, Parseval and a symbol in [0, 1].
-        The sum is the one the L4 integral reads.
-        """
-        return self.sup**2 + p.gamma * math.sqrt(self._rho_sq_sum)
 
 
 def mass(u: Field) -> float:

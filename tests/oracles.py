@@ -9,14 +9,22 @@ them), never by the code under test.
 Three exceptions reuse package code as a reference for a faster rewrite of
 it. ``reference_run`` is the run driver as a plain loop of the reference
 stepper ``strang_step`` and whole-field diagnostics, against which the
-spectral-state loop of ``evolution.run`` is checked. ``reference_disk_trace``
+merged-step loop of ``evolution.run`` is checked. ``reference_disk_trace``
 is the disk concentration trace as three separate passes, one per schedule,
 that rescale every kept snapshot anew; the one-pass
 ``concentration.disk_concentration_trace`` must reproduce it exactly.
 ``reference_ground_state`` is the spectral renormalization loop on the full
 n x n grid with complex transforms, against which the quarter loop of
 ``ground_state.solve_ground_state`` is checked.
+
+Two tools of the physics tests live here as well, since only tests use
+them: ``virial_check``, the quadratic fit of a run's second moment against
+its virial lead 8 E0, and ``negative_energy_gaussian``, a builder of
+negative-energy data.
 """
+
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -41,6 +49,8 @@ from dsbu.ground_state import GroundStateConfig, GroundStateResult
 from dsbu.spectral import (
     Field,
     FieldTerms,
+    Grid2D,
+    OperatorParams,
     energy,
     gradient_norm_sq,
     interaction_potential,
@@ -172,7 +182,7 @@ def townes_mass(shoot_tol: float = 1e-12, r_max: float = 18.0) -> float:
     return float(sol.y[2, -1]), float(a)
 
 
-def reference_record(state, dt_used):
+def reference_record(state, dt_used, l4_accum):
     """Diagnostics of a state from the public whole-field functionals."""
     sm = second_moment(state.u)
     return ConservationRecord(
@@ -183,7 +193,7 @@ def reference_record(state, dt_used):
         second_moment=sm.value,
         moment_valid=sm.boundary_ok,
         sup_abs_u=float(np.abs(state.u.values).max()),
-        l4_accum=state.l4_accum,
+        l4_accum=l4_accum,
         dt_used=dt_used,
     )
 
@@ -195,50 +205,73 @@ class SnapshotList(list):
         self.append((t, u.copy()))
 
 
+@dataclass
+class ReferenceRun(RunResult):
+    """``reference_run``'s result: its records carry the midpoint L4 sum, as ``run``'s do,
+    and ``l4_trapezoid`` holds ``strang_step``'s trapezoid at each record."""
+
+    l4_trapezoid: list = field(default_factory=list)
+
+
 def reference_run(state0, cfg):
     """``evolution.run`` as repeated ``strang_step`` calls, one record at a time.
 
-    Same stop rules, sampling, snapshots and adaptive rate max|L(|u|^2)| as
-    ``run``, with the field transformed to and from physical space in every
-    step and every diagnostic recomputed from the physical field. The
-    snapshots that ``run`` hands its sink come back in ``RunResult.snapshots``.
+    Same stop rules, sampling and snapshots as ``run``, with the field
+    transformed to and from physical space in every step and every
+    diagnostic recomputed from the physical field. Before each step the
+    oracle forms its own mid-step field v = ifft2(E(dt/2) fft2(u)) on the
+    full grid: the sup guard reads sup|v| after the step, the next step's
+    adaptive rate is max|L(|v|^2)| (the initial field's for the first step),
+    and the records' ``l4_accum`` is the midpoint sum of dt times the
+    integral of |v|^4. The snapshots that ``run`` hands its sink come back
+    in ``RunResult.snapshots``.
     """
     state = state0
     grid = state.u.grid
+    p = state.params
     cfg = cfg.resolved(grid.dx, cfg.t_end - state.t)
     dt0, guard, sample_dt = cfg.dt0, cfg.guard, cfg.sample_interval
     lin_half = np.exp(-1j * grid.ksq * (dt0 / 2))
 
-    records = [reference_record(state, 0.0)]
+    def max_potential(values):
+        return float(np.abs(interaction_potential(np.abs(values) ** 2, grid, p)).max())
+
+    midpoint = 0.0
+    records = [reference_record(state, 0.0, midpoint)]
+    trapezoid = [state.l4_accum]
     snapshots = [(state.t, state.u.copy())]
     ratio = cfg.snapshot_grad_ratio
     if ratio is not None:
         grad_ladder_next = records[0].gradient_norm_sq * ratio
+    rate = max_potential(state.u.values)
     next_sample = state.t + sample_dt
     stop_reason = "t_end"
     t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
 
+    def record(state, dt):
+        records.append(reference_record(state, dt, midpoint))
+        trapezoid.append(state.l4_accum)
+        return records[-1]
+
     while state.t < cfg.t_end - t_eps:
-        if cfg.adaptive:
-            phase = interaction_potential(np.abs(state.u.values) ** 2, grid, state.params)
-            rate = float(np.abs(phase).max())
-            dt = min(dt0, cfg.c_adapt / rate) if rate > 0 else dt0
-        else:
-            dt = dt0
+        dt = min(dt0, cfg.c_adapt / rate) if cfg.adaptive and rate > 0 else dt0
         dt = min(dt, cfg.t_end - state.t)
         reuse = lin_half if dt == dt0 else None
+        half = reuse if reuse is not None else np.exp(-1j * grid.ksq * (dt / 2))
+        mid = np.fft.ifft2(half * np.fft.fft2(state.u.values))
 
         try:
             state = strang_step(state, dt, _lin_half=reuse)
         except BlowupOverflowError as exc:
             state = exc.last_state
-            records.append(reference_record(state, dt))
+            record(state, dt)
             stop_reason = "non_finite"
             break
+        rate = max_potential(mid)
+        midpoint += dt * grid.dx**2 * float(np.sum(np.abs(mid) ** 4))
 
-        sup = float(np.abs(state.u.values).max())
-        if sup > guard:
-            records.append(reference_record(state, dt))
+        if float(np.abs(mid).max()) > guard:
+            record(state, dt)
             stop_reason = "sup_guard"
             break
 
@@ -249,13 +282,12 @@ def reference_run(state0, cfg):
                 while grad_ladder_next <= grad_now:
                     grad_ladder_next *= ratio
             if grad_now > guard**2:
-                records.append(reference_record(state, dt))
+                record(state, dt)
                 stop_reason = "grad_guard"
                 break
 
         if state.t >= next_sample - t_eps or state.t >= cfg.t_end - t_eps:
-            rec = reference_record(state, dt)
-            records.append(rec)
+            rec = record(state, dt)
             if ratio is None:
                 snapshots.append((state.t, state.u.copy()))
             next_sample += sample_dt
@@ -272,8 +304,8 @@ def reference_run(state0, cfg):
             estimate = estimate_t_star(records)
         except NoBlowupError:
             estimate = None
-    return RunResult(state=state, records=records, stop_reason=stop_reason,
-                     blowup=estimate, snapshots=snapshots)
+    return ReferenceRun(state=state, records=records, stop_reason=stop_reason,
+                        blowup=estimate, snapshots=snapshots, l4_trapezoid=trapezoid)
 
 
 def full_spectrum_quartic(u, p):
@@ -428,10 +460,79 @@ def reference_ground_state(grid, p, cfg=None):
     grad, m = terms.grad, terms.mass  # the gradient's transform is freed before rho is made
     return GroundStateResult(
         profile=profile,
+        mass=m,
         c_opt=2.0 / m,
         residual=history[-1],
         iterations=iteration,
         sharpness_ratio=terms.quartic(p) / (grad * m),
         residual_history=history,
         safeguarded_steps=0,
+    )
+
+
+class VirialFit(NamedTuple):
+    """Quadratic fit of the second moment: coeffs (c2, c1, c0) in t."""
+
+    coeffs: tuple[float, float, float]
+    leading_coeff_error: float
+
+
+def virial_check(records: list[ConservationRecord], e0: float) -> VirialFit:
+    """Fit second_moment(t) by a quadratic in t and report the coefficients.
+
+    While the field stays contained the flow satisfies
+
+        second_moment(t) = 8 E(u0) t^2 + c t + second_moment(0)
+
+    (the free limit pins the lead: for amplitude -> 0 it is exactly
+    4 ||grad u0||^2 = 8 E). ``leading_coeff_error`` is the relative deviation
+    of the fitted lead ``coeffs[0]`` from 8*e0, the denominator floored at
+    1e-12 so that e0 = 0 stays finite. Every record in the window must carry
+    a valid moment flag.
+    """
+    for r in records:
+        if not r.moment_valid:
+            raise DomainError(
+                f"boundary-contaminated second moment at t={r.t}; virial fit invalid"
+            )
+    if len(records) < 5:
+        raise DomainError(f"need at least 5 records for the virial fit, got {len(records)}")
+    t = np.array([r.t for r in records])
+    v = np.array([r.second_moment for r in records])
+    design = np.column_stack([t**2, t, np.ones_like(t)])
+    coeffs, *_ = np.linalg.lstsq(design, v, rcond=None)
+    lead = float(coeffs[0])
+    err = abs(lead - 8.0 * e0) / max(abs(8.0 * e0), 1e-12)
+    return VirialFit(tuple(float(c) for c in coeffs), float(err))
+
+
+def negative_energy_gaussian(grid: Grid2D, p: OperatorParams) -> Field:
+    """Construct well-localized data with negative energy, or prove it impossible.
+
+    Scans amplitude from 1 to 64 over Gaussians exp(-(x1^2 + (a x2)^2) / 2)
+    for each aspect a in 1, 1/2, 1/4, 1/8. Radial data alone cannot reach E < 0 in the whole range
+    -nu < gamma (the interaction average of B over radial fields is 1/2, so
+    they need nu + gamma/2 > 0); squeezing the spectrum onto the xi1 axis by
+    elongating along x2 pushes that average toward 1, which is what makes the
+    full range reachable. For -nu >= gamma the pointwise bound m <= 1 forces
+    the quartic term nonpositive and E >= 0 for every field, so the builder
+    refuses.
+    """
+    if -p.nu >= p.gamma:
+        raise DomainError(
+            f"negative-energy data require -nu < gamma; got nu={p.nu}, "
+            f"gamma={p.gamma} (energy is nonnegative for every field)"
+        )
+    x1, x2 = grid.coords()
+    for aspect in (1.0, 0.5, 0.25, 0.125):
+        base = np.exp(-(x1**2 + (aspect * x2) ** 2) / 2)
+        amp = 1.0
+        while amp <= 64.0:
+            u = Field(grid, amp * base)
+            if energy(u, p) < 0:
+                return u
+            amp *= 1.25
+    raise DomainError(
+        "no negative-energy Gaussian found on this grid; enlarge the box or "
+        "extend the aspect ladder"
     )

@@ -44,16 +44,21 @@ from dsbu.evolution import (
     EvolveConfig,
     SimulationState,
     estimate_t_star,
-    negative_energy_gaussian,
     run,
     strang_step,
-    virial_check,
 )
 from dsbu.exact import eval_pc_blowup, pde_residual
 from dsbu.ground_state import solve_ground_state
 from dsbu.snapshot_io import read_snapshot, write_snapshot
 
-from oracles import SnapshotList, brute_force_windowed_mass, direct_b_multiplier, townes_mass
+from oracles import (
+    SnapshotList,
+    brute_force_windowed_mass,
+    direct_b_multiplier,
+    negative_energy_gaussian,
+    townes_mass,
+    virial_check,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -178,14 +178,14 @@ class TestWindowedMassOnTheQuarter:
         assert full.best_mass == pytest.approx(got.best_mass, rel=1e-13, abs=0)
 
     def test_fft_budget(self, monkeypatch):
-        # the window's quarter transform and the inverse: 3/4 of (n/2+1)/n
-        # FFT-equivalents each, against 1/2 each on the grid
+        # the window's quarter transform and the inverse, each two real passes
+        # of n/2+1 lines: 1/2 of (n/2+1)/n FFT-equivalents each, as on the grid
         u = even_field(Grid2D(64, 12.0), EVEN_FIELDS["origin"])
         terms = quarter_terms(u)
         terms.rho_half  # made once per snapshot, outside the call
         counter = FFTCounter(monkeypatch)
         windowed_mass_sup(u, WindowSpec(DISK, 1.3), terms)
-        assert counter.total == pytest.approx(2 * 0.75 * (64 // 2 + 1) / 64, rel=1e-12)
+        assert counter.total == pytest.approx(2 * 0.5 * (64 // 2 + 1) / 64, rel=1e-12)
 
 
 def random_even_field(grid, seed):
@@ -239,7 +239,7 @@ class TestKernelSpectra:
         counter = FFTCounter(monkeypatch)
         # a radius with the same lattice points reuses the kept spectrum
         again = windowed_mass_sup(u, WindowSpec(DISK, 1.31), terms, kernels)
-        one = 0.75 * (g.n // 2 + 1) / g.n if space == "quarter" else 0.5
+        one = 0.5 * (g.n // 2 + 1) / g.n if space == "quarter" else 0.5
         assert counter.total == pytest.approx(one, rel=1e-12)
         assert again == first
 

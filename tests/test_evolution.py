@@ -28,16 +28,14 @@ from dsbu.evolution import (
     EvolveConfig,
     SimulationState,
     estimate_t_star,
-    negative_energy_gaussian,
     run,
     strang_step,
-    virial_check,
 )
 from dsbu.ground_state import solve_ground_state
 from dsbu.spectral import FieldTerms, Quarter, interaction_potential
 
 import oracles
-from oracles import SnapshotList, reference_run
+from oracles import SnapshotList, negative_energy_gaussian, reference_run, virial_check
 
 
 def gaussian(grid, amplitude=1.0, width=1.0):
@@ -219,35 +217,6 @@ class TestRun:
         )
         assert res.records[-1].dt_used == pytest.approx(1e-3 / rate, rel=0.2)
 
-    @pytest.mark.parametrize("c_adapt,certified", [(0.5, "every"), (0.04, "some"), (1e-4, "no")])
-    def test_rate_bound_keeps_the_exact_rules_dt(self, monkeypatch, c_adapt, certified):
-        # run skips forming max|L(|u|^2)| only where the bound proves dt0
-        # (c_adapt = 0.04: on the early steps, until the field focuses);
-        # forcing the exact rule on every step gives the same bits
-        g = Grid2D(64, 10.0)
-        s = SimulationState.initial(gaussian(g, amplitude=2.0), OperatorParams(1, 1.0))
-        cfg = EvolveConfig(t_end=0.2, dt0=1e-3, adaptive=True, c_adapt=c_adapt,
-                           sample_interval=0.01, guard=50.0)
-        formed = []
-        potential = FieldTerms.potential
-
-        def counted(terms, p):
-            formed.append(1)
-            return potential(terms, p)
-
-        monkeypatch.setattr(FieldTerms, "potential", counted)
-        got = run(s, cfg)
-        steps = got.state.step_index
-        assert {"every": 0 == len(formed), "some": 0 < len(formed) < steps,
-                "no": len(formed) == steps}[certified]
-        monkeypatch.setattr(FieldTerms, "potential_bound", lambda terms, p: math.inf)
-        exact = run(s, cfg)
-        assert got.state.step_index == exact.state.step_index
-        assert got.state.u.values.tobytes() == exact.state.u.values.tobytes()
-        assert got.records == exact.records
-        if certified == "no":
-            assert max(r.dt_used for r in got.records[1:]) < 0.5 * cfg.dt0
-
     def test_sup_guard_fires(self):
         # sparse sampling keeps the gradient check quiet so the per-step
         # sup check is what trips
@@ -269,9 +238,49 @@ class TestRun:
         assert res.stop_reason in ("grad_guard", "sup_guard")
         assert res.state.t < 5.0
 
+    @pytest.mark.parametrize("c_adapt,at_dt0", [(0.5, "every"), (0.01, "some"), (1e-4, "no")])
+    def test_adaptive_dt_is_the_exact_rule_on_the_last_mid_step_rate(self, monkeypatch,
+                                                                    c_adapt, at_dt0):
+        # dt = min(dt0, c_adapt / rate, t_end - t) on every step, bitwise, where
+        # rate is the max|L(|v|^2)| that the last step's mid-step field v gave
+        # (the first step: the initial field's); c_adapt = 0.01 holds dt0 until
+        # the field focuses
+        g = Grid2D(64, 10.0)
+        p = OperatorParams(1, 1.0)
+        u0 = gaussian(g, amplitude=2.0)
+        cfg = EvolveConfig(t_end=0.2, dt0=1e-3, adaptive=True, c_adapt=c_adapt,
+                           sample_interval=0.01, guard=50.0)
+        step, steps = evolution._spectral_step, []
+
+        def watched(what, out, v, e, dt, space, p):
+            mid = space.ifft_in_place(what * e[:, None] * e)
+            if space is not g:
+                mid = Quarter.unfold(mid, np.empty(g.shape, dtype=np.complex128))
+            rate = float(np.abs(interaction_potential(np.abs(mid) ** 2, g, p)).max())
+            got = step(what, out, v, e, dt, space, p)
+            steps.append((dt, rate, got[2]))
+            return got
+
+        monkeypatch.setattr(evolution, "_spectral_step", watched)
+        res = run(SimulationState.initial(u0, p), cfg)
+        assert res.stop_reason == "t_end" and res.state.step_index == len(steps)
+        rate = float(np.abs(interaction_potential(np.abs(u0.values) ** 2, g, p)).max())
+        assert steps[0][0] == pytest.approx(min(cfg.dt0, c_adapt / rate), rel=1e-12)
+        t = steps[0][0]
+        for (_, _, rate), (dt, mid_rate, returned) in zip(steps, steps[1:]):
+            assert dt == min(cfg.dt0, c_adapt / rate, cfg.t_end - t)
+            assert returned == pytest.approx(mid_rate, rel=1e-12)
+            t += dt
+        assert t == res.state.t
+        full = sum(dt == cfg.dt0 for dt, _, _ in steps)
+        assert {"every": full == len(steps) - 1, "some": 0 < full < len(steps) - 1,
+                "no": full == 0}[at_dt0]
+        if at_dt0 == "no":
+            assert max(dt for dt, _, _ in steps) < 0.5 * cfg.dt0
+
     def test_unbound_adaptive_run_matches_fixed_bitwise(self):
-        # with a huge c_adapt the rate bound never binds, dt stays dt0 and
-        # the cached half-step multiplier is reused exactly as in fixed mode
+        # with a huge c_adapt the rate never binds, dt stays dt0 and the
+        # cached free-flow factors are reused exactly as in fixed mode
         g = Grid2D(64, 10.0)
         p = OperatorParams(1, 1.0)
         u0 = gaussian(g, amplitude=1.5)
@@ -375,6 +384,10 @@ class TestEvolveConfig:
 RECORD_COLUMNS = ("t", "mass", "energy", "gradient_norm_sq", "second_moment",
                   "sup_abs_u", "l4_accum", "dt_used")
 
+#: The constant of the O(dt^2) bound on the gap between the midpoint and the
+#: trapezoid L4 sums (``assert_same_run``); the test runs need at most 0.06.
+L4_RULES_GAP = 0.25
+
 
 def energy_terms(rec):
     """(1/2) grad_sq + (1/4)|Q|: the size of the two terms whose difference is E."""
@@ -401,6 +414,16 @@ def assert_same_run(got, ref, t_end, kept=None, rel=1e-12):
     dt_used of a final step clipped to t_end is t_end - t, so besides the
     relative bound it may carry the absolute error that the bound allows on
     t, rel * t_end.
+
+    ``l4_accum`` is the midpoint sum of the mid-step integrals of |u|^4 in
+    both drivers, and is held to ``rel`` as well. Against ``strang_step``'s
+    trapezoid, ``ref.l4_trapezoid``, it is held to the O(dt^2) gap of the
+    two rules, ``L4_RULES_GAP`` dt^2 w (1 + w t) S m: with f(t) the
+    integral of |u|^4, the rules differ by dt^2/8 (f'(t) - f'(0)), and the
+    mid-step field by O(dt^2) of the flow per step. Here dt is the largest
+    step, S the largest sup|u|^2, m the mass, so that f <= S m, and
+    w = S + max ||grad u||^2 / m the frequency scale of the nonlinear and
+    the free flow.
     """
     assert got.stop_reason == ref.stop_reason
     assert got.state.step_index == ref.state.step_index
@@ -414,6 +437,12 @@ def assert_same_run(got, ref, t_end, kept=None, rel=1e-12):
                 scale = max(energy_terms(a), energy_terms(b))
             slack = rel * t_end if name == "dt_used" else 0.0
             assert abs(x - y) <= rel * scale + slack, (name, a.t, x, y)
+    dt = max(r.dt_used for r in got.records)
+    sup_sq, m = max(r.sup_abs_u for r in got.records) ** 2, got.records[0].mass
+    w = sup_sq + max(r.gradient_norm_sq for r in got.records) / m
+    for a, trapezoid in zip(got.records, ref.l4_trapezoid):
+        gap = L4_RULES_GAP * dt**2 * w * (1 + w * a.t) * sup_sq * m
+        assert abs(a.l4_accum - trapezoid) <= gap, (a.t, a.l4_accum, trapezoid)
     if kept is None:
         return
     assert len(kept) == len(ref.snapshots)
@@ -432,7 +461,7 @@ def drawn_gaussian(amplitude, width, n=64, box=12.0):
 
 
 class TestSpectralStateLoop:
-    """``run`` keeps u_hat between steps; it must reproduce repeated ``strang_step``."""
+    """``run`` merges the half-steps between steps; it must reproduce repeated ``strang_step``."""
 
     @settings(max_examples=8, deadline=None)
     @given(st.floats(0.3, 1.8), st.floats(0.7, 1.5))
@@ -526,6 +555,37 @@ class TestSpectralStateLoop:
         assert res.stop_reason == "t_end" and len(res.records) == 21
         assert res.snapshots == []
 
+    @pytest.mark.parametrize("even", [False, True], ids=["grid", "quarter"])
+    def test_spectral_step_is_one_merged_strang_step(self, even):
+        # from the spectrum w_hat of the field after a nonlinear substep: the
+        # mid-step field v = ifft2(E(dt) w_hat), its sup, |v|^4 integral and
+        # rate, and the spectrum of v exp(i dt L(|v|^2)); w_hat stays as it was
+        g = Grid2D(64, 12.0)
+        p = OperatorParams(1, 1.0)
+        x1, x2 = g.coords()
+        u = 1.5 * np.exp(-((x1 - (0.0 if even else 0.3)) ** 2 + x2**2) / 2) + 0j
+        assert Quarter.holds(u) == even
+        space = g.quarter if even else g
+        h = space.shape[0]
+        what = space.fft(u[:h, :h].copy(), np.empty(space.shape, dtype=np.complex128))
+        before = what.copy()
+        dt = 1e-3
+        e = np.exp(-1j * space.k**2 * dt)
+        out, v = np.empty_like(what), np.empty_like(what)
+        sup, l4, rate = evolution._spectral_step(what, out, v, e, dt, space, p)
+        assert what.tobytes() == before.tobytes()
+
+        mid = np.fft.ifft2(np.exp(-1j * g.ksq * dt) * np.fft.fft2(u))
+        theta = interaction_potential(np.abs(mid) ** 2, g, p)
+        assert sup == pytest.approx(np.abs(mid).max(), rel=1e-13)
+        assert l4 == pytest.approx(g.dx**2 * np.sum(np.abs(mid) ** 4), rel=1e-13)
+        assert rate == pytest.approx(np.abs(theta).max(), rel=1e-12)
+        stepped = space.ifft_in_place(out)
+        if even:
+            stepped = Quarter.unfold(stepped, np.empty(g.shape, dtype=np.complex128))
+        expected = mid * np.exp(1j * dt * theta)
+        assert np.max(np.abs(stepped - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     def test_nonfinite_initial_field_rejected(self):
         s = drawn_gaussian(1.0, 1.0)
         s.u.values[5, 7] = np.nan
@@ -536,17 +596,19 @@ class TestSpectralStateLoop:
 
     @pytest.fixture
     def fail_third_step(self, monkeypatch):
-        """Both drivers fail on their third step: ``run`` on a NaN in the new
-        field, ``reference_run`` on strang_step's BlowupOverflowError."""
+        """Both drivers fail on their third step: ``run`` on a NaN in the
+        spectrum that step reads (a copy: the run's own stays finite), so that
+        its mid-step field and rate are not finite, and ``reference_run`` on
+        strang_step's BlowupOverflowError."""
         step, ref_step = evolution._spectral_step, oracles.strang_step
         calls = []
 
-        def failing_third_step(uhat, *args):
+        def failing_third_step(what, *args):
             calls.append(1)
-            u = step(uhat, *args)
             if len(calls) == 3:
-                u[5, 7] = np.nan
-            return u
+                what = what.copy()
+                what[5, 7] = np.nan
+            return step(what, *args)
 
         def failing_third_ref_step(state, *args, **kwargs):
             if state.step_index == 2:
@@ -581,6 +643,29 @@ class TestSpectralStateLoop:
         assert kept[-1][1].values.tobytes() == got.state.u.values.tobytes()
         assert_same_run(got, reference_run(s, cfg), cfg.t_end, kept)
 
+    @cadences
+    def test_nonfinite_step_on_the_full_grid_keeps_last_finite_state(self, fail_third_step,
+                                                                     ratio):
+        # a Gaussian off the grid origin steps on the full grid, where the
+        # states' field is the buffer that the mid-step field and the
+        # boundary share
+        g = Grid2D(64, 12.0)
+        x1, x2 = g.coords()
+        u0 = Field(g, np.exp(-((x1 - 0.3) ** 2 + x2**2) / 2))
+        assert not Quarter.holds(u0.values)
+        s = SimulationState.initial(u0, OperatorParams(1, 1.0))
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1e-3, snapshot_grad_ratio=ratio)
+        kept = SnapshotList()
+        got = run(s, cfg, kept)
+        ref = reference_run(s, cfg)
+        assert got.stop_reason == "non_finite" and got.state.step_index == 2
+        assert np.all(np.isfinite(got.state.u.values))
+        diff = np.max(np.abs(got.state.u.values - ref.state.u.values))
+        assert diff <= 1e-12 * np.max(np.abs(ref.state.u.values))
+        assert kept[-1][0] == got.records[-1].t == got.state.t
+        assert kept[-1][1].values.tobytes() == got.state.u.values.tobytes()
+        assert_same_run(got, ref, cfg.t_end, kept)
+
 
 class EvenSnapshots(SnapshotList):
     """A ``SnapshotList`` that checks that each field it is handed equals its mirrors."""
@@ -606,12 +691,13 @@ GUARD_CFG = EvolveConfig(t_end=0.05, dt0=2e-3, adaptive=True, c_adapt=5e-3,
                          sample_interval=0.01, guard=50.0)
 
 # sha256 of the records (as float rows) and the final field of ``run`` on
-# ``guard_fields()`` with GUARD_CFG, made by the full-grid loop before the
-# quarter loop existed (numpy 2.4.6 on x86-64; other FFT builds may round
-# differently and so give other digests).
+# ``guard_fields()`` with GUARD_CFG, made by the merged-step loop on the full
+# grid (numpy 2.4.6 on x86-64; other FFT builds may round differently and so
+# give other digests). The records agree with ``reference_run`` to 2.7e-14
+# relative.
 FULL_GRID_DIGESTS = {
-    "shifted": "86d1acf6a45ebf254481a742e574fe5b65a99500b6d6eb5114746b5105858303",
-    "ulp": "01b19355cadaaa879235b934228196fdceb9357a44f8c2233bea7eff740ace83",
+    "shifted": "d249a30354916ebc29834319ada97cac2073a459be79428f9815be80b51b9595",
+    "ulp": "1e8dbe38c593abc42160656767c542365d11e49403d766a6fe19f8cbb90e7bca",
 }
 
 
@@ -651,19 +737,21 @@ class TestQuarterLoop:
         masses = [r.mass for r in got.records]
         assert max(abs(m - masses[0]) for m in masses) <= 1e-14 * masses[0]
 
-    def test_first_trapezoid_starts_from_the_quarter_sum(self):
-        # a field whose |u|^4 sums on the grid and on the quarter differ in the
-        # last bit; run reads the sum of its own space, not the state's
+    def test_first_l4_term_is_the_midpoint_on_the_quarter(self):
+        # one step of run adds dt times the |v|^4 integral of the mid-step
+        # field v = ifft(E(dt/2) fft(u0)), summed on the quarter
         g = Grid2D(64, 12.0)
         s = SimulationState.initial(gaussian(g, 1.5, 1.0), OperatorParams(1, 1.0))
         q = Quarter(g)
         h = q.shape[0]
-        l4_quarter = FieldTerms(s.u.values[:h, :h], q).l4
-        assert Quarter.holds(s.u.values) and l4_quarter != s.l4_last
         dt = 1e-3
-        got = run(replace(s, l4_last=math.nan), EvolveConfig(t_end=dt, dt0=dt))
+        what = q.fft(s.u.values[:h, :h].copy(), np.empty((h, h), dtype=np.complex128))
+        v = evolution._flowed(what, np.exp(-1j * q.k**2 * (dt / 2)), np.empty_like(what), q)
+        l4_mid = FieldTerms(v, q).l4
+        got = run(s, EvolveConfig(t_end=dt, dt0=dt))
         assert got.state.step_index == 1
-        assert got.state.l4_accum == 0.5 * dt * (l4_quarter + got.state.l4_last)
+        assert got.state.l4_last == l4_mid
+        assert got.state.l4_accum == dt * l4_mid
 
     def test_run_leaves_the_full_grid_multipliers_unbuilt(self):
         g = Grid2D(64, 12.0)
@@ -734,13 +822,16 @@ class FFTCounter:
 
 
 class TestFFTBudget:
-    """Transforms per step and per record inside ``run`` (the spectral-state budget).
+    """Transforms per step and per record inside ``run`` (the merged-step budget).
 
-    The centred Gaussian steps on its quarter, where a 2-D transform is two
-    passes of n/2+1 lines, c = (n/2+1)/n of one on the grid, and the real
-    pair of L costs 1.5c (its column pass is complex): 4.5c per fixed step
-    and 6c with the adaptive rate, against 4 and 5 on the full grid, which
-    the shifted Gaussian takes.
+    A step is two complex transforms and the real pair of L: 3
+    FFT-equivalents on the full grid, which the shifted Gaussian takes, and
+    3c on the quarter of the centred one, where each transform is two passes
+    of n/2+1 lines, c = (n/2+1)/n of one on the grid. Besides the steps, a
+    run takes one transform of the initial field, one per boundary field
+    formed (here each record after the first), and, when adaptive, the real
+    pair of the initial field's rate; a record takes the half spectrum of
+    |u|^2, half a transform, which the initial record shares with that rate.
     """
 
     def counted_run(self, monkeypatch, cfg, amplitude=1.2, shift=0.0):
@@ -767,30 +858,26 @@ class TestFFTBudget:
 
     c = (64 // 2 + 1) / 64
 
+    def assert_budget(self, counts, c, adaptive):
+        in_steps, steps, (in_rec, n_rec) = counts
+        assert n_rec == 6 and (steps > 50 if adaptive else steps == 50)
+        assert in_steps == pytest.approx((3 * steps + 1 + (n_rec - 1) + adaptive) * c, rel=1e-12)
+        assert in_rec == pytest.approx(0.5 * (n_rec - adaptive) * c, rel=1e-12)
+
     def test_fixed_step_budget(self, monkeypatch):
         cfg = EvolveConfig(t_end=0.05, dt0=1e-3, sample_interval=0.01, guard=50.0)
-        in_steps, steps, (in_rec, n_rec) = self.counted_run(monkeypatch, cfg)
-        assert steps == 50 and n_rec == 6
-        # 4.5c per step, plus the one transform of the initial field
-        assert in_steps <= (4.5 * steps + 1) * self.c + 1e-9
-        assert in_rec <= 0.75 * self.c * n_rec + 1e-9
+        self.assert_budget(self.counted_run(monkeypatch, cfg), self.c, False)
 
     def test_adaptive_step_budget(self, monkeypatch):
         cfg = EvolveConfig(t_end=0.05, dt0=1e-3, adaptive=True, c_adapt=1e-3,
                            sample_interval=0.01, guard=50.0)
-        in_steps, steps, (in_rec, n_rec) = self.counted_run(monkeypatch, cfg)
-        assert steps > 50
-        assert in_steps <= (6 * steps + 1) * self.c + 1e-9
-        assert in_rec <= 0.75 * self.c * n_rec + 1e-9
+        self.assert_budget(self.counted_run(monkeypatch, cfg), self.c, True)
 
-    @pytest.mark.parametrize("adaptive,per_step", [(False, 4), (True, 5)])
-    def test_full_grid_step_budget(self, monkeypatch, adaptive, per_step):
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_full_grid_step_budget(self, monkeypatch, adaptive):
         cfg = EvolveConfig(t_end=0.05, dt0=1e-3, adaptive=adaptive, c_adapt=1e-3,
                            sample_interval=0.01, guard=50.0)
-        in_steps, steps, (in_rec, n_rec) = self.counted_run(monkeypatch, cfg, shift=0.3)
-        assert steps >= 50
-        assert in_steps <= per_step * steps + 1
-        assert in_rec <= 0.5 * n_rec
+        self.assert_budget(self.counted_run(monkeypatch, cfg, shift=0.3), 1.0, adaptive)
 
 
 class TestEstimateTStar:

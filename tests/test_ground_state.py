@@ -183,8 +183,8 @@ class TestQuarterSolve:
 
     def test_fft_budget_per_iteration(self, monkeypatch, params_focusing):
         # Five quarter transforms of the real pair per iteration (r, N, the pair
-        # inside L and the update), each 3/4 of (n/2+1)/n FFT-equivalents; the
-        # full grid's complex loop takes 4.
+        # inside L and the update), each two real passes of n/2+1 lines, 1/2 of
+        # (n/2+1)/n FFT-equivalents; the full grid's complex loop takes 4.
         counter = FFTCounter(monkeypatch)
         grid = Grid2D(64, 20.0)
         counts = []
@@ -195,8 +195,8 @@ class TestQuarterSolve:
                                    GroundStateConfig(tol=1e-30, max_iter=max_iter))
             counts.append(counter.total - before)
         c = (grid.n // 2 + 1) / grid.n
-        assert counts[1] - counts[0] == pytest.approx(5 * 0.75 * c, rel=1e-12)
-        assert counts[0] == pytest.approx((5 * 5 + 4) * 0.75 * c, rel=1e-12)
+        assert counts[1] - counts[0] == pytest.approx(5 * 0.5 * c, rel=1e-12)
+        assert counts[0] == pytest.approx((5 * 5 + 4) * 0.5 * c, rel=1e-12)
 
 
 class TestAndersonMixing:
