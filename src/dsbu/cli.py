@@ -74,8 +74,10 @@ def _report(path: str | None, pairs: list[tuple[str, object]]) -> None:
 
 
 def _output_dir(cfg: RunConfig) -> str:
+    """The output directory, made if missing, with the run's resolved config written there."""
     out = os.environ.get("DSBU_OUTPUT_DIR", cfg.output_dir)
-    os.makedirs(out, exist_ok=True)
+    with _writing("output_dir", out):
+        os.makedirs(out, exist_ok=True)
     # resolved-config record: one config fully determines a run
     atomic_write(os.path.join(out, "run_config.txt"), config_summary(cfg) + "\n")
     return out
@@ -112,6 +114,16 @@ def _reading(what: str, path: str):
         yield
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
+@contextmanager
+def _writing(what: str, path: str):
+    """An output the block cannot make (any OSError) is a usage error naming it; a
+    file that ``atomic_write`` cannot write is one already."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def _load_config(path: str) -> RunConfig:
@@ -179,18 +191,21 @@ def _cmd_ground_state(cfg: RunConfig) -> int:
 
 class _SnapshotWriter:
     """The sink of ``dsbu evolve``: clears ``out`` of an earlier run's files, then
-    writes each snapshot there as soon as it is kept, from the run's live field."""
+    writes each snapshot there as soon as it is kept, from the samples on the run's
+    space (an even field's quarter as it is, ``write_snapshot``'s format 2). ``run``
+    calls it on its helper thread, one call at a time."""
 
     def __init__(self, cfg: RunConfig):
         self.out, self.couplings, self.written = _output_dir(cfg), (cfg.nu, cfg.gamma), 0
         # analyze would read what an earlier run left here as part of this one
-        for name in os.listdir(self.out):
-            if name in ("records.csv", "blowup.txt") or fnmatch(name, _SNAPSHOT_FILES):
-                os.remove(os.path.join(self.out, name))
+        with _writing("output_dir", self.out):
+            for name in os.listdir(self.out):
+                if name in ("records.csv", "blowup.txt") or fnmatch(name, _SNAPSHOT_FILES):
+                    os.remove(os.path.join(self.out, name))
 
-    def __call__(self, t: float, field: Field) -> None:
+    def __call__(self, t: float, values: np.ndarray, space) -> None:
         path = os.path.join(self.out, f"snap_{self.written:06d}.dsbu")
-        write_snapshot(path, field, SnapshotMeta(t, *self.couplings))
+        write_snapshot(path, (values, space), SnapshotMeta(t, *self.couplings))
         self.written += 1
 
 
@@ -218,7 +233,8 @@ def _cmd_evolve(cfg: RunConfig) -> int:
 
 
 class _SnapshotFiles:
-    """The named snapshots of ``directory`` as a sequence of (t, field). Item i
+    """The named snapshots of ``directory`` as a sequence of (t, field, even), with
+    the parity from the file's header (None for a version-1 file). Item i
     is read from its file when asked for, by index or by iteration (which
     goes through ``__getitem__``), so the trace holds only the fields it is
     measuring (at most three)."""
@@ -229,10 +245,10 @@ class _SnapshotFiles:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __getitem__(self, i: int) -> tuple[float, Field]:
+    def __getitem__(self, i: int) -> tuple[float, Field, bool | None]:
         with _reading("snapshot_dir", self.directory):
             field, meta = read_snapshot(os.path.join(self.directory, self.names[i]))
-        return meta.t, field
+        return meta.t, field, meta.even
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
@@ -374,10 +390,13 @@ def _keep_freed_memory() -> None:
     gives the freed top of the heap back to the OS and faults it in again on
     the next step, about 2000 minor faults per step at n = 512, unless
     something long-lived (such as a held snapshot) happens to sit above them.
-    The trace's two worker threads and the main thread share two arenas: with
-    one, the workers take turns on its lock and lose most of their gain; with
-    one per thread, each worker's buffers and freed temporaries sit in an
-    arena of its own, apart from the freed heap of the main one, and peak RSS
+    Both commands that do heavy work run more than one thread: ``analyze``
+    its trace's two workers besides the main thread, ``evolve`` the run's
+    boundary helper besides the time loop. They share two arenas: with one,
+    the threads take turns on its lock and lose most of their gain (an
+    ``evolve`` at n = 256 ran slower than with no helper at all); with one
+    per thread, each worker's buffers and freed temporaries sit in an arena
+    of its own, apart from the freed heap of the main one, and peak RSS
     grows by twice as much. Without glibc this does nothing.
     """
     import ctypes

@@ -31,12 +31,14 @@ kernels' half spectra are shared too, by both workers: the windows of
 nearby snapshots and schedules often hold the same lattice points, and each
 trace call keeps its last four kernel spectra (``KernelSpectra``). Both traces
 take a snapshot's functionals on its grid's ``quarter`` when the snapshot
-equals its mirrors in x1 and x2 sample for sample (``Quarter.holds``), as the
-snapshots of a run from even data do, and on the full grid otherwise. Each
-snapshot's measurement depends on no other snapshot, so both traces run it
-on two worker threads while the caller's iterable yields the next snapshot,
-and take the results in time order: the records, the summary and any error
-are those of a sequential walk.
+equals its mirrors in x1 and x2 sample for sample, as the snapshots of a
+run from even data do, and on the full grid otherwise; the parity is the
+caller's where it comes with the snapshot (from a snapshot file's header),
+else found by ``Quarter.holds``. Each snapshot's measurement depends on no
+other snapshot, so both traces run it on two worker threads while the
+caller's iterable yields the next snapshot, and take the results in time
+order: the records, the summary and any error are those of a sequential
+walk.
 """
 
 from __future__ import annotations
@@ -181,9 +183,10 @@ def windowed_mass_sup(
     )
 
 
-def _snapshot_terms(u: Field) -> FieldTerms:
-    """u's ``FieldTerms``: on the grid's ``quarter`` when u equals its mirrors, else on the grid."""
-    if not Quarter.holds(u.values):
+def _snapshot_terms(u: Field, even: bool | None) -> FieldTerms:
+    """u's ``FieldTerms``: on the grid's ``quarter`` when u equals its mirrors, else on the
+    grid. ``even`` is u's parity where the caller knows it; None has it found here."""
+    if not (Quarter.holds(u.values) if even is None else even):
         return FieldTerms.of(u)
     quarter = u.grid.quarter
     h = quarter.shape[0]
@@ -297,22 +300,23 @@ def _mass_ratios(terminal: list[ConcentrationRecord], threshold: float) -> dict:
     }
 
 
-def _in_time_order(snapshots: Iterable[tuple[float, Field]]) -> Iterator[tuple[float, Field]]:
-    """The (t, u) pairs of ``snapshots``; DomainError if there are none or t fails to increase."""
+def _in_time_order(snapshots: Iterable[tuple]) -> Iterator[tuple[float, Field, bool | None]]:
+    """The items (t, u) or (t, u, even) of ``snapshots`` as (t, u, even), with even None
+    where the item does not say; DomainError if there are none or t fails to increase."""
     last = None
-    for t, u in snapshots:
+    for t, u, *parity in snapshots:
         if last is not None and not t > last:
             raise DomainError(f"snapshot at t = {t} follows t = {last}; traces need increasing t")
         last = t
-        yield t, u
+        yield t, u, parity[0] if parity else None
     if last is None:
         raise DomainError("no snapshots to trace")
 
 
 def _traced_in_order(
-    snapshots: Iterable[tuple[float, Field]], work_for: Callable[[float], Callable],
+    snapshots: Iterable[tuple], work_for: Callable[[float], Callable],
 ) -> Iterator[tuple]:
-    """work(t, u) for each (t, u) of ``_in_time_order(snapshots)``, in that order.
+    """work(t, u, even) for each item of ``_in_time_order(snapshots)``, in that order.
 
     ``work = work_for(t0)`` is made from the first t before any call. The
     calls run on a pool of two threads while this thread reads the next
@@ -332,7 +336,7 @@ def _traced_in_order(
     try:
         while True:
             try:
-                t, u = next(ordered)
+                item = next(ordered)
             except StopIteration:
                 break
             except Exception:
@@ -340,10 +344,10 @@ def _traced_in_order(
                     future.result()
                 raise
             if work is None:
-                work = work_for(t)
+                work = work_for(item[0])
             if len(pending) == 2:
                 yield pending.popleft().result()
-            pending.append(pool.submit(work, t, u))
+            pending.append(pool.submit(work, *item))
         while pending:
             yield pending.popleft().result()
     finally:
@@ -363,11 +367,12 @@ def _shifted_schedules(schedule: LambdaSchedule, t0: float) -> dict[str, LambdaS
 
 def _disk_rows(
     schedules: dict[str, LambdaSchedule], params: OperatorParams, kernels: KernelSpectra,
-    t: float, u: Field,
+    t: float, u: Field, even: bool | None,
 ) -> tuple[float, bool, list[tuple[str, ConcentrationRecord]]]:
     """One snapshot of the disk trace: t, whether the main schedule skips it,
     and a (tag, record) pair for each schedule that keeps it. ``kernels`` is
-    the trace's ``KernelSpectra``, shared by both workers."""
+    the trace's ``KernelSpectra``, shared by both workers; ``even`` is u's
+    parity, if known."""
     rows, main_skips, terms = [], False, None
     for tag, sched in schedules.items():
         lam = sched(t)
@@ -375,7 +380,7 @@ def _disk_rows(
             main_skips = main_skips or tag == "main"
             continue
         if terms is None:
-            terms = _snapshot_terms(u)
+            terms = _snapshot_terms(u, even)
             rho = _unit_gradient_scale(terms.grad)
             quartic = rho**2 * terms.quartic(params)
             en = hamiltonian(1.0, quartic)
@@ -386,16 +391,17 @@ def _disk_rows(
 
 
 def disk_concentration_trace(
-    snapshots: Iterable[tuple[float, Field]],
+    snapshots: Iterable[tuple],
     schedule: LambdaSchedule,
     c_opt: float,
     params: OperatorParams,
 ) -> tuple[list[ConcentrationRecord], DiskTraceSummary]:
     """Disk-window concentration measurements along a blow-up run.
 
-    ``snapshots`` is any iterable of (t, u) in increasing t, walked once.
-    Snapshots with a nonpositive or sub-cell schedule value are skipped and
-    reported. The summary compares captured mass against 2/c_opt over the
+    ``snapshots`` is any iterable of (t, u) in increasing t, walked once, or
+    of (t, u, even) with u's parity where the caller knows it (a snapshot
+    file's header; None if it does not say). Snapshots with a nonpositive or
+    sub-cell schedule value are skipped and reported. The summary compares captured mass against 2/c_opt over the
     terminal segment, checks that lambda * ||grad u|| grows (the window
     hypothesis), that |rescaled energy| decays to zero up to 5% ripple, and
     how far the terminal interaction term sits from 2. Sensitivity of the
@@ -472,20 +478,22 @@ class SquareTraceSummary:
 
 def _square_rows(
     c_side: float, t_star: float, kernels: KernelSpectra, t: float, u: Field,
+    even: bool | None,
 ) -> tuple[float, bool, list[ConcentrationRecord]]:
-    """One snapshot of the square trace: t, whether it is skipped, and its record if kept."""
+    """One snapshot of the square trace: t, whether it is skipped, and its record if kept;
+    ``even`` is u's parity, if known."""
     if t >= t_star:
         return t, True, []
     side = c_side * np.sqrt(t_star - t)
     if side <= u.grid.dx:
         return t, True, []
     window = WindowSpec(SQUARE, side)
-    wm = windowed_mass_sup(u, window, _snapshot_terms(u), kernels)
+    wm = windowed_mass_sup(u, window, _snapshot_terms(u, even), kernels)
     return t, False, [ConcentrationRecord(t, window, *wm, None, None, None)]
 
 
 def square_concentration_trace(
-    snapshots: Iterable[tuple[float, Field]],
+    snapshots: Iterable[tuple],
     c_side: float,
     t_star: float,
     eta: float,
@@ -493,8 +501,9 @@ def square_concentration_trace(
     """Square-window trace with sidelength c_side * sqrt(t_star - t).
 
     Needs no gradient data (suits mass-only runs). ``snapshots`` is any
-    iterable of (t, u) in increasing t, walked once. Snapshots at or beyond
-    t_star, or with sub-cell windows, are skipped with their times reported.
+    iterable of (t, u) or (t, u, even) in increasing t, walked once, as in
+    the disk trace. Snapshots at or beyond t_star, or with sub-cell windows,
+    are skipped with their times reported.
     An even snapshot's window is maximized on its quarter, as in the disk trace.
     """
     if not c_side > 0:

@@ -12,7 +12,7 @@ class DsbuError(Exception):
     parser can report the line that set it.
     """
 
-    def __init__(self, message: str = "", key: str | None = None):
+    def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
 

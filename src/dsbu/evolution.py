@@ -41,7 +41,9 @@ through ``spectral.Quarter``: a complex transform takes two passes of n/2+1
 lines instead of two of n, and the real pair two real ones, so a step
 costs 3c FFT-equivalents, c = (n/2+1)/n, about 1.5, on a quarter of the
 memory. Each boundary that is read is one ``spectral.FieldTerms`` of u and
-w_hat, on the grid or on the quarter, which the record reads.
+w_hat, on the grid or on the quarter, which the record reads; ``run``
+forms u, builds the record and hands the snapshot to its sink on a helper
+thread, while the loop takes the next steps.
 ``strang_step`` is the same scheme one step at a time on a physical state
 of the full grid, with the L4 trapezoid; it is the reference oracle that
 ``run`` is tested against, on either path.
@@ -50,6 +52,8 @@ of the full grid, with the L4 trapezoid; it is the reference oracle that
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -273,6 +277,36 @@ def _spectral_step(
     return sup, l4, float(rate)
 
 
+def _boundary(
+    state: SimulationState, dt_used: float, terms: FieldTerms, e: np.ndarray | None,
+    record: bool, on_snapshot,
+) -> ConservationRecord | None:
+    """One boundary of ``run``, on its helper thread.
+
+    Forms the field u = ifft(e(k1) e(k2) terms.uhat) into ``terms.values``
+    (which hold it already when ``e`` is None), returns ``state``'s record
+    if ``record`` is set (else None), then hands u on its space to
+    ``on_snapshot`` if one is given.
+    """
+    space = terms.space
+    if e is not None:
+        _flowed(terms.uhat, e, terms.values, space)
+    result = _record(state, dt_used, terms) if record else None
+    if on_snapshot is not None:
+        on_snapshot(state.t, terms.values, space)
+    return result
+
+
+def _serve(jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    """``run``'s helper thread: ``_boundary`` of each argument tuple from ``jobs``, its
+    outcome put on ``done`` as (record, None) or (None, error), until a None."""
+    for args in iter(jobs.get, None):
+        try:
+            done.put((_boundary(*args), None))
+        except BaseException as exc:  # the loop raises it
+            done.put((None, exc))
+
+
 def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResult:
     """Step from state0 until t_end or until a stop criterion fires.
 
@@ -288,33 +322,40 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
 
     Each kept snapshot -- the initial field, each record step (or rung of
     the ladder) and the stop or final step -- is handed, in time order, to
-    ``on_snapshot(t, u)`` with the run's live field u, whose buffer the next
-    step may reuse: a sink that keeps the samples past the call must copy
-    them. With no sink, ``run`` keeps and copies nothing; a
-    ``snapshot_grad_ratio`` then still has the gradient guard read on every
-    step.
+    ``on_snapshot(t, values, space)``: the field's samples on the space the
+    run steps on, the grid or the ``Quarter`` of an even field, in a buffer
+    that later boundaries overwrite (a sink that keeps them copies them).
+    With no sink ``run`` keeps and copies nothing; a ``snapshot_grad_ratio``
+    then still has the gradient guard read on every step.
 
     The loop is the merged form of ``strang_step`` described in the module
     docstring: it carries the spectrum after the nonlinear substep from
-    step to step, in one of two spectrum buffers, and forms the boundary
-    field u only at a record, a snapshot, a stop or the last step, in the
-    buffer of the mid-step field. The free-flow factors of dt0 (the merged
-    one and the half-step one) are built once; any other dt costs an
-    n-point exponential. A non-finite step leaves the spectrum it started
-    from as it was, so the last finite state is formed from it. The loop
-    agrees with repeated ``strang_step`` to roundoff, except ``l4_accum``,
-    the midpoint sum of the mid-step integrals of |v|^4, where
+    step to step, in one of two spectrum buffers. The free-flow factors of
+    dt0 (the merged one and the half-step one) are built once; any other dt
+    costs an n-point exponential. A non-finite step leaves the spectrum it
+    started from as it was, so the last finite state is formed from it. The
+    loop agrees with repeated ``strang_step`` to roundoff, except
+    ``l4_accum``, the midpoint sum of the mid-step integrals of |v|^4, where
     ``strang_step`` accumulates the trapezoid.
+
+    Each boundary -- a record, a snapshot, a stop or the last step -- is
+    worked on one helper thread while the loop steps on: it forms the field
+    u = ifft(E(dt/2) w_hat), builds the record and calls the sink. The loop
+    reads the gradient from |w_hat|^2 for the guard and the ladder, waits
+    for the boundary before it (taking its record, or raising its error),
+    copies w_hat into the boundary's spectrum array and hands it over. With
+    one boundary in flight the records come in order, and the helper shares
+    nothing mutable with the loop but the boundary's two arrays (spectrum
+    and field), made once per run. The helper ends before ``run`` returns or
+    raises, and after a sink error no later snapshot is taken.
 
     An initial field equal sample for sample to its mirrors in x1 and in x2
     (u[i, j] = u[(n-i) mod n, j] = u[i, (n-j) mod n]) is stepped on its
     quarter (``spectral.Quarter``), any other field on the full grid; no
-    setting chooses. On the quarter the steps, the boundaries and the
-    records all stay there, and the run's states carry one n x n field,
-    ``live``, into which the quarter is unfolded only where a full field is
-    read: before the sink is handed it and, since the last state is always
-    the last one kept, in the result. ``run`` drops its references to the
-    caller's field once the sink has had it, and only then makes ``live``.
+    setting chooses. On the quarter the steps, the boundaries, the records
+    and the snapshots all stay there; ``run`` lets go of the caller's field
+    once it has the quarter's copy. The states of the loop carry no field;
+    the last one is unfolded once, into the result's state.
     """
     state = state0
     del state0
@@ -330,9 +371,12 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     space = grid.quarter if Quarter.holds(u) else grid
     if space is not grid:
         u = u[: space.shape[0], : space.shape[1]].copy()
-    # The loop's three complex arrays: two spectra, and the mid-step field,
-    # which receives the boundary field wherever that is read.
-    what, spare = space.fft(u, np.empty_like(u)), np.empty_like(u)
+    state = replace(state, u=None)
+    # The loop's two spectra and mid-step field; the boundary's spectrum and
+    # field, the helper's (on the quarter, the initial field's copy).
+    what, spare, v = space.fft(u, np.empty_like(u)), np.empty_like(u), np.empty_like(u)
+    hat, boundary = np.empty_like(u), u if space is not grid else np.empty_like(u)
+    last = u  # the last field formed
     terms = FieldTerms(u, space, what)
     # The first step's rate is the initial field's; each later one the last mid-step field's.
     rate = float(np.abs(terms.potential(p)).max()) if cfg.adaptive else 0.0
@@ -341,20 +385,6 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         if not terms.grad > 0.0:
             raise DomainError("run: snapshot ladder undefined for gradient-free fields")
         rung = terms.grad * ladder
-    records = [_record(state, 0.0, terms)]
-    del terms  # its density and half spectrum go before ``live`` is made
-    if on_snapshot is None:
-        on_snapshot = lambda t, u: None
-    on_snapshot(state.t, state.u)
-    live = None
-    if space is not grid:
-        state = replace(state, u=None)  # the caller's field goes before ``live`` is made
-        live = Field(grid, space.unfold(u, np.empty(grid.shape, dtype=np.complex128)))
-        state = replace(state, u=live)  # the initial field, bitwise
-        v = u  # the quarter copy serves as the mid-step field from here on
-    else:
-        v = np.empty_like(u)
-    boundary = live if live is not None else Field(grid, v)  # the field of the states
     k_sq, flows = space.k**2, {}
 
     def flow(tau: float) -> np.ndarray:
@@ -371,48 +401,73 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     next_sample = state.t + cfg.sample_interval
     stop = None
     t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
+    records = []
+    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
 
-    while state.t < cfg.t_end - t_eps:
-        dt = min(cfg.dt0, cfg.c_adapt / rate) if cfg.adaptive and rate > 0 else cfg.dt0
-        dt = min(dt, cfg.t_end - state.t)
-        sup, l4, rate = _spectral_step(what, spare, v, flow((dt_prev + dt) / 2), dt, space, p)
-        finite = math.isfinite(rate)
-        if finite:
-            what, spare, dt_prev = spare, what, dt
-            state = state.advanced(boundary, dt, l4, dt * l4)
-        end = state.t >= cfg.t_end - t_eps
-        due = end or state.t >= next_sample - t_eps
-        # The boundary's terms; the gradient reads |what|^2, the rest the
-        # field, which is formed only where something reads it.
-        terms = FieldTerms(None, space, what)
-        if not finite:
-            stop = "non_finite"  # state and what stay the last finite ones
-        elif sup > cfg.guard:
-            stop = "sup_guard"
-        elif (due or ladder is not None) and terms.grad > cfg.guard**2:
-            stop = "grad_guard"
-        if stop or end:
-            keep = state.t > kept_t
-        elif ladder is None:
-            keep = due
-        else:
-            keep = terms.grad >= rung
-            while rung <= terms.grad:
-                rung *= ladder
-        if stop or due or keep:
-            terms.values = _flowed(what, flow(dt_prev / 2), v, space)
-        # Record, then snapshot: the sink runs after the record's temporaries.
-        if stop or due:
-            records.append(_record(state, dt, terms))
-            next_sample += cfg.sample_interval
-        if keep:
-            if live is not None:
-                space.unfold(v, live.values)
-            on_snapshot(state.t, state.u)
-            kept_t = state.t
-        if stop:
-            break
-        del terms  # a record's density is not held through the next step
+    def settle() -> None:
+        """Wait for the boundary in flight; append its record, or raise its error."""
+        record, error = done.get()
+        if error is not None:
+            raise error
+        if record is not None:
+            records.append(record)
+
+    helper = threading.Thread(target=_serve, args=(jobs, done), name="dsbu-boundary")
+    helper.start()
+    try:
+        # The helper has the initial terms from here on, with the boundary's
+        # copy of the spectrum, which the steps do not write.
+        np.copyto(hat, what)
+        terms.uhat = hat
+        jobs.put((state, 0.0, terms, None, True, on_snapshot))
+        del terms, u
+        while state.t < cfg.t_end - t_eps:
+            dt = min(cfg.dt0, cfg.c_adapt / rate) if cfg.adaptive and rate > 0 else cfg.dt0
+            dt = min(dt, cfg.t_end - state.t)
+            sup, l4, rate = _spectral_step(what, spare, v, flow((dt_prev + dt) / 2), dt, space, p)
+            finite = math.isfinite(rate)
+            if finite:
+                what, spare, dt_prev = spare, what, dt
+                state = state.advanced(None, dt, l4, dt * l4)
+            end = state.t >= cfg.t_end - t_eps
+            due = end or state.t >= next_sample - t_eps
+            # The boundary's terms; the gradient reads |what|^2, the rest the
+            # field, which the helper forms where something reads it.
+            terms = FieldTerms(None, space, what)
+            if not finite:
+                stop = "non_finite"  # state and what stay the last finite ones
+            elif sup > cfg.guard:
+                stop = "sup_guard"
+            elif (due or ladder is not None) and terms.grad > cfg.guard**2:
+                stop = "grad_guard"
+            if stop or end:
+                keep = state.t > kept_t
+            elif ladder is None:
+                keep = due
+            else:
+                keep = terms.grad >= rung
+                while rung <= terms.grad:
+                    rung *= ladder
+            if stop or due or keep:
+                settle()
+                np.copyto(hat, what)
+                terms.uhat, terms.values, last = hat, boundary, boundary
+                jobs.put((state, dt, terms, flow(dt_prev / 2), bool(stop or due),
+                          on_snapshot if keep else None))
+            if stop or due:
+                next_sample += cfg.sample_interval
+            if keep:
+                kept_t = state.t
+            if stop:
+                break
+            del terms  # a boundary's terms are the helper's
+        settle()
+    finally:
+        jobs.put(None)
+        helper.join()
+    if space is not grid:
+        last = space.unfold(last, np.empty(grid.shape, dtype=np.complex128))
+    state = replace(state, u=Field(grid, last))
 
     estimate = None
     if stop:

@@ -1,22 +1,31 @@
 """Binary field snapshots.
 
-Layout (all little-endian):
+Layout (all little-endian), format version 2:
 
     magic   4 bytes  b"DSBU"
-    version u32      currently 1
+    version u32      2
     n       u32
     nu      i32
     box_length f64
     t          f64
     gamma      f64
-    payload  16*n*n bytes: complex128 samples, row-major, x2 fastest
+    parity  u32      1 for a field even in x1 and in x2, else 0
+    payload  16*m*m bytes: complex128 samples, row-major, x2 fastest;
+             m = n/2+1 for an even field (its quarter, indices 0..n/2 of
+             each axis, ``spectral.Quarter``), else m = n
     crc32   u32      checksum of the payload
 
+Version 1 files, the same layout without the parity word and always with
+the full n x n payload, are still read. An even field's quarter is 25.4%
+of the full payload at n = 256 and unfolds bitwise to the full field.
+
 Writes go through ``atomic_write`` (a temp file and an atomic rename, also
-used for every text file the CLI writes); reads validate magic,
-version, structural sizes, the header values (n and box_length by
-``Grid2D``, nu and gamma by ``OperatorParams``, t finite), and the checksum.
-``read_header`` makes every check but the checksum, from the header alone.
+used for every text file the CLI writes); a write that fails is a
+UsageError naming the path. Reads validate magic, version, the parity
+flag, structural sizes, the header values (n and box_length by
+``Grid2D``, nu and gamma by ``OperatorParams``, t finite), and the
+checksum. ``read_header`` makes every check but the checksum, from the
+header alone.
 """
 
 from __future__ import annotations
@@ -26,16 +35,18 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import SnapshotFormatError, UsageError
-from .spectral import Field, Grid2D, OperatorParams
+from .spectral import Field, Grid2D, OperatorParams, Quarter
 
 MAGIC = b"DSBU"
-VERSION = 1
+VERSION = 2
+#: The header of version 1; version 2 appends ``_PARITY``.
 _HEADER = struct.Struct("<4sIIiddd")
+_PARITY = struct.Struct("<I")
 
 
 #: One grid per (n, box_length) for every snapshot read; grids are immutable,
@@ -45,11 +56,18 @@ _shared_grid = functools.lru_cache(maxsize=8)(Grid2D)
 
 @dataclass(frozen=True)
 class SnapshotMeta:
-    """Run metadata carried alongside the field samples."""
+    """Run metadata carried alongside the field samples.
+
+    ``even`` is read from a version-2 header: whether the stored field is
+    even in x1 and in x2, None for a version-1 file, which does not say.
+    It describes the payload, not the run, so it takes no part in equality,
+    and ``write_snapshot`` takes the parity from the field it writes.
+    """
 
     t: float
     nu: int
     gamma: float
+    even: bool | None = dataclass_field(default=None, compare=False)
 
 
 def atomic_write(path: str, *chunks: bytes | str | np.ndarray) -> None:
@@ -57,41 +75,76 @@ def atomic_write(path: str, *chunks: bytes | str | np.ndarray) -> None:
 
     str chunks are written as UTF-8, any other as its bytes (a buffer such as
     bytes or a contiguous array). A reader sees the old file or the whole new one.
+    A file that cannot be written (any OSError) is a UsageError naming ``path``.
     """
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def write_snapshot(path: str, field: Field, meta: SnapshotMeta) -> None:
-    """Write a snapshot of the field's physical samples atomically."""
+def write_snapshot(
+    path: str, field: Field | tuple[np.ndarray, Grid2D | Quarter], meta: SnapshotMeta
+) -> None:
+    """Write a snapshot atomically, an even field as its quarter.
+
+    ``field`` is a ``Field``, whose parity ``Quarter.holds`` finds, or the
+    pair (values, space) that ``evolution.run``'s sink is handed: samples on
+    the grid, or on the ``Quarter`` of an even field.
+    """
+    if isinstance(field, Field):
+        grid, values = field.grid, field.values
+        space = grid.quarter if Quarter.holds(values) else grid
+        values = values[: space.shape[0], : space.shape[1]]
+    else:
+        values, space = field
+        grid = space if isinstance(space, Grid2D) else space.grid
     header = _HEADER.pack(
-        MAGIC, VERSION, field.grid.n, meta.nu, field.grid.box_length, meta.t, meta.gamma
-    )
-    payload = np.ascontiguousarray(field.values, dtype="<c16")
+        MAGIC, VERSION, grid.n, meta.nu, grid.box_length, meta.t, meta.gamma
+    ) + _PARITY.pack(space is not grid)
+    payload = np.ascontiguousarray(values, dtype="<c16")
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     atomic_write(path, header, payload, struct.pack("<I", crc))
 
 
-def _checked_header(path: str, fh) -> tuple[Grid2D, SnapshotMeta]:
-    """Grid and metadata from the header of the open snapshot ``fh``, checked with its size."""
+def _checked_header(path: str, fh) -> tuple[Grid2D, SnapshotMeta, int]:
+    """Grid, metadata and the payload's side m (n, or n/2+1 for an even field) from the
+    header of the open snapshot ``fh``, checked with its size."""
     size = os.fstat(fh.fileno()).st_size
     if size < _HEADER.size + 4:
         raise SnapshotFormatError(f"{path}: truncated file ({size} bytes)")
     magic, version, n, nu, box_length, t, gamma = _HEADER.unpack(fh.read(_HEADER.size))
     if magic != MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise SnapshotFormatError(f"{path}: unsupported format version {version}")
     if not math.isfinite(t):
         raise SnapshotFormatError(f"{path}: bad header: t = {t}, must be finite")
-    expected = _HEADER.size + 16 * n * n + 4
+    start, even, side = _HEADER.size, None, n
+    if version == VERSION:
+        start += _PARITY.size
+        if size < start + 4:
+            raise SnapshotFormatError(f"{path}: truncated file ({size} bytes)")
+        (parity,) = _PARITY.unpack(fh.read(_PARITY.size))
+        if parity not in (0, 1):
+            raise SnapshotFormatError(
+                f"{path}: bad parity flag {parity} in header bytes "
+                f"[{_HEADER.size}, {start}), must be 0 or 1"
+            )
+        even = parity == 1
+        side = n // 2 + 1 if even else n
+    expected = start + 16 * side * side + 4
     if size != expected:
         raise SnapshotFormatError(
-            f"{path}: structural size mismatch: header says n={n} "
-            f"(expect {expected} bytes), file has {size}"
+            f"{path}: structural size mismatch: header says n={n}"
+            f"{'' if even is None else f', parity {int(even)}'}: payload bytes "
+            f"[{start}, {expected - 4}) (expect {expected} bytes), file has {size}"
         )
     # grid and couplings are checked once the file size has vouched for n
     try:
@@ -99,7 +152,7 @@ def _checked_header(path: str, fh) -> tuple[Grid2D, SnapshotMeta]:
         OperatorParams(nu, gamma)
     except UsageError as exc:
         raise SnapshotFormatError(f"{path}: bad header: {exc}") from None
-    return grid, SnapshotMeta(t=t, nu=nu, gamma=gamma)
+    return grid, SnapshotMeta(t=t, nu=nu, gamma=gamma, even=even), side
 
 
 def read_header(path: str) -> SnapshotMeta:
@@ -109,19 +162,23 @@ def read_header(path: str) -> SnapshotMeta:
 
 
 def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:
-    """Read and validate a snapshot written by ``write_snapshot``.
+    """Read and validate a snapshot written by ``write_snapshot`` (format 1 or 2).
 
-    The payload is read straight into the field's array. Snapshots on the
+    The payload is read straight into an array, which is the field's or, for
+    an even field, its quarter, unfolded into the field. Snapshots on the
     same (n, box_length) share one ``Grid2D``.
     """
     with open(path, "rb") as fh:
-        grid, meta = _checked_header(path, fh)
-        values = np.empty((grid.n, grid.n), dtype="<c16")
+        grid, meta, side = _checked_header(path, fh)
+        start = fh.tell()
+        values = np.empty((side, side), dtype="<c16")
         fh.readinto(values)
         stored = fh.read(4)
     if stored != struct.pack("<I", zlib.crc32(values) & 0xFFFFFFFF):
         raise SnapshotFormatError(
             f"{path}: checksum mismatch over payload bytes "
-            f"[{_HEADER.size}, {_HEADER.size + values.nbytes})"
+            f"[{start}, {start + values.nbytes})"
         )
+    if side != grid.n:
+        values = Quarter.unfold(values, np.empty(grid.shape, dtype=np.complex128))
     return Field(grid, values), meta

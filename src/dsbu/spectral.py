@@ -226,13 +226,14 @@ class Quarter:
 
     Like a ``Grid2D``, a ``Quarter`` holds read-only arrays only, so one
     object, the grid's ``quarter``, is shared by every caller and thread.
+    Its ``grid`` is that grid, of the n x n fields that ``unfold`` makes.
     """
 
     edge = 1  # the full grid's last row and column, index n-1, mirror index 1
 
     def __init__(self, grid: Grid2D):
         n, h = grid.n, grid.n // 2 + 1
-        self.n, self.dx, self.shape = n, grid.dx, (h, h)
+        self.grid, self.n, self.dx, self.shape = grid, n, grid.dx, (h, h)
         self.x, self.k = grid.x[:h], grid.k[:h]
         self.b_half = _b_symbol(self.k)
         self.weight = np.full(h, 2.0)

@@ -51,6 +51,7 @@ from dsbu.spectral import (
     FieldTerms,
     Grid2D,
     OperatorParams,
+    Quarter,
     energy,
     gradient_norm_sq,
     interaction_potential,
@@ -198,11 +199,20 @@ def reference_record(state, dt_used, l4_accum):
     )
 
 
-class SnapshotList(list):
-    """A sink for ``evolution.run``: keeps each snapshot it is handed as (t, u.copy())."""
+def full_field(values, space):
+    """A new n x n ``Field`` of the samples ``values`` on ``space``: a copy on a
+    ``Grid2D``, the unfolded field on a ``Quarter``."""
+    if isinstance(space, Quarter):
+        return Field(space.grid, space.unfold(values, np.empty(space.grid.shape, complex)))
+    return Field(space, values.copy())
 
-    def __call__(self, t, u):
-        self.append((t, u.copy()))
+
+class SnapshotList(list):
+    """A sink for ``evolution.run``: keeps each snapshot it is handed, samples on the
+    run's space, as (t, u) with u its own n x n ``Field`` (``full_field``)."""
+
+    def __call__(self, t, values, space):
+        self.append((t, full_field(values, space)))
 
 
 @dataclass

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsbu import Field, Grid2D, cli
+from dsbu.spectral import Quarter
 from dsbu.cli import main
 from dsbu.config import RunConfig, config_summary, parse_config
 from dsbu.errors import ConfigError, SnapshotFormatError
@@ -24,6 +26,7 @@ from dsbu.evolution import BlowupEstimate, ConservationRecord, EvolveConfig, Run
 from dsbu.ground_state import GroundStateConfig
 from dsbu.snapshot_io import (
     _HEADER,
+    _PARITY,
     MAGIC,
     VERSION,
     SnapshotMeta,
@@ -177,10 +180,20 @@ def test_each_rule_rejects_on_its_line(command, text, line, key, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-def snapshot_blob(n=8, nu=1, box_length=4.0, t=0.5, gamma=1.0):
-    """Snapshot bytes with arbitrary header values and a valid payload CRC."""
-    header = _HEADER.pack(MAGIC, VERSION, n, nu, box_length, t, gamma)
-    payload = np.ones(n * n, dtype="<c16").tobytes()
+def snapshot_blob(n=8, nu=1, box_length=4.0, t=0.5, gamma=1.0, parity=0, payload=None):
+    """Snapshot bytes with arbitrary header values and a valid payload CRC.
+
+    Format 2 with the parity flag ``parity``, or format 1 for None. The
+    payload is ``payload``'s bytes, by default ones on the side that the
+    flag says: n/2+1 for 1, else n.
+    """
+    header = _HEADER.pack(MAGIC, 1 if parity is None else VERSION, n, nu, box_length, t, gamma)
+    if parity is not None:
+        header += _PARITY.pack(parity)
+    if payload is None:
+        side = n // 2 + 1 if parity == 1 else n
+        payload = np.ones(side * side, dtype="<c16")
+    payload = np.ascontiguousarray(payload, dtype="<c16").tobytes()
     return header + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
@@ -283,6 +296,83 @@ class TestSnapshotFormat:
         for reader in READERS:
             with pytest.raises(SnapshotFormatError, match="magic"):
                 reader(str(path))
+
+    def even_field(self, n=32, box=8.0):
+        g = Grid2D(n, box)
+        x1, x2 = g.coords()
+        field = Field(g, np.exp(-(x1**2 + (0.7 * x2) ** 2)) * (1.0 + 0.5j))
+        assert Quarter.holds(field.values)
+        return field
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "not even"])
+    def test_even_field_is_stored_as_its_quarter(self, even, tmp_path):
+        # an even field's payload is its (n/2+1)^2 quarter, any other keeps
+        # all n^2 samples; both read back bitwise and rewrite byte-identically
+        field = self.even_field() if even else self.make_field()
+        side = 17 if even else 32
+        path, again = tmp_path / "field.dsbu", tmp_path / "again.dsbu"
+        write_snapshot(str(path), field, SnapshotMeta(0.25, 1, 1.0))
+        blob = path.read_bytes()
+        assert len(blob) == _HEADER.size + _PARITY.size + 16 * side**2 + 4
+        assert _PARITY.unpack_from(blob, _HEADER.size) == (int(even),)
+        back, meta = read_snapshot(str(path))
+        assert back.values.tobytes() == field.values.tobytes()
+        assert meta.even is read_header(str(path)).even is even
+        write_snapshot(str(again), back, meta)
+        assert again.read_bytes() == blob
+
+    def test_samples_on_the_quarter_write_the_even_field(self, tmp_path):
+        # run's sink hands write_snapshot the quarter and its space
+        field = self.even_field()
+        quarter = field.grid.quarter
+        a, b = tmp_path / "a.dsbu", tmp_path / "b.dsbu"
+        write_snapshot(str(a), field, SnapshotMeta(0.5, 1, 1.0))
+        write_snapshot(str(b), (field.values[:17, :17].copy(), quarter), SnapshotMeta(0.5, 1, 1.0))
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "not even"])
+    def test_version_1_file_reads_bitwise(self, even, tmp_path):
+        field = self.even_field() if even else self.make_field()
+        path = tmp_path / "v1.dsbu"
+        path.write_bytes(snapshot_blob(n=32, box_length=8.0, t=0.75, parity=None,
+                                       payload=field.values))
+        back, meta = read_snapshot(str(path))
+        assert back.values.tobytes() == field.values.tobytes()
+        assert back.grid == field.grid
+        assert meta == read_header(str(path)) == SnapshotMeta(0.75, 1, 1.0)
+        assert meta.even is None
+
+    @pytest.mark.parametrize("parity", [2, 0xFFFFFFFF])
+    def test_bad_parity_flag_rejected_naming_its_bytes(self, parity, tmp_path):
+        path = tmp_path / "bad.dsbu"
+        path.write_bytes(snapshot_blob(parity=parity))
+        message = f"bad parity flag {parity} in header bytes [40, 44), must be 0 or 1"
+        for reader in READERS:
+            with pytest.raises(SnapshotFormatError, match=re.escape(message)):
+                reader(str(path))
+
+    @pytest.mark.parametrize("parity,side", [(1, 8), (0, 5)])
+    def test_payload_that_does_not_fit_its_parity_rejected(self, parity, side, tmp_path):
+        # n = 8: parity 1 promises a 5 x 5 payload, parity 0 an 8 x 8 one
+        path = tmp_path / "bad.dsbu"
+        path.write_bytes(snapshot_blob(parity=parity, payload=np.ones(side * side)))
+        end = 44 + 16 * (5 if parity else 8) ** 2
+        message = f"header says n=8, parity {parity}: payload bytes [44, {end})"
+        for reader in READERS:
+            with pytest.raises(SnapshotFormatError, match=re.escape(message)):
+                reader(str(path))
+
+    def test_corrupted_byte_of_a_quarter_payload_fails_the_checksum(self, tmp_path):
+        path = tmp_path / "even.dsbu"
+        write_snapshot(str(path), self.even_field(), SnapshotMeta(0.0, 1, 1.0))
+        blob = bytearray(path.read_bytes())
+        blob[_HEADER.size + _PARITY.size + 100] ^= 0x01
+        path.write_bytes(bytes(blob))
+        end = 44 + 16 * 17**2
+        with pytest.raises(SnapshotFormatError,
+                           match=re.escape(f"checksum mismatch over payload bytes [44, {end})")):
+            read_snapshot(str(path))
+        assert read_header(str(path)).even is True
 
 
 EVOLVE_CFG = """
@@ -404,6 +494,62 @@ class TestCli:
         recorded = (out / "records.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in traced] == [row.split(",")[0] for row in recorded]
         assert float(recorded[-1].split(",")[0]) == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("command", ["evolve", "ground-state"])
+    def test_output_dir_beneath_a_regular_file_exits_2(self, command, tmp_path, capsys):
+        # a path that cannot be made (root ignores permission bits, so a
+        # read-only directory would not fail) is a usage error naming it
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        cfg = tmp_path / "run.cfg"
+        text = EVOLVE_CFG if command == "evolve" else "mode = ground-state\nn = 64\noutput_dir = {out}\n"
+        cfg.write_text(text.format(out=out))
+        assert main([command, str(cfg)]) == 2
+        assert f"cannot write output_dir {out}: " in capsys.readouterr().err
+
+    def test_snapshot_write_that_fails_on_the_helper_exits_2(self, tmp_path, capsys):
+        # the third snapshot's temp file cannot be opened: evolve stops with a
+        # usage error naming it, and writes no later snapshot and no records
+        out = tmp_path / "run_out"
+        (out / "snap_000002.dsbu.tmp").mkdir(parents=True)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG.format(out=out))
+        threads = threading.active_count()
+        assert main(["evolve", str(cfg)]) == 2
+        assert f"cannot write {out / 'snap_000002.dsbu'}: " in capsys.readouterr().err
+        assert sorted(f.name for f in out.glob("snap_*")) == [
+            "snap_000000.dsbu", "snap_000001.dsbu", "snap_000002.dsbu.tmp"]
+        assert not (out / "records.csv").exists()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("trace", ["disk", "square"])
+    def test_version_1_snapshots_analyze_to_the_same_bytes(self, trace, tmp_path):
+        # an evolve run's even snapshots (quarter payloads) and the same
+        # fields repacked in format 1 (full payloads, no parity) give the same
+        # analysis.csv and analysis_summary.txt, byte for byte
+        runs = {"v2": tmp_path / "v2", "v1": tmp_path / "v1"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG.format(out=runs["v2"]))
+        assert main(["evolve", str(cfg)]) == 0
+        runs["v1"].mkdir()
+        snaps = sorted(runs["v2"].glob("snap_*.dsbu"))
+        for snap in snaps:
+            field, meta = read_snapshot(str(snap))
+            assert meta.even is True
+            (runs["v1"] / snap.name).write_bytes(snapshot_blob(
+                field.grid.n, meta.nu, field.grid.box_length, meta.t, meta.gamma,
+                parity=None, payload=field.values))
+        outputs = {}
+        for name, directory in runs.items():
+            an_cfg = tmp_path / f"an_{name}.cfg"
+            an_cfg.write_text(f"mode = analyze\nsnapshot_dir = {directory}\ntrace = {trace}\n"
+                              f"c_opt = 0.26\nt_star = 0.3\noutput_dir = {tmp_path / ('an_' + name)}\n")
+            assert main(["analyze", str(an_cfg)]) == 0
+            outputs[name] = [(tmp_path / f"an_{name}" / f).read_bytes()
+                             for f in ("analysis.csv", "analysis_summary.txt")]
+        assert len(outputs["v2"][0].splitlines()) == len(snaps) + 1
+        assert outputs["v1"] == outputs["v2"]
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         override = tmp_path / "override"

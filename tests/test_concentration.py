@@ -3,7 +3,7 @@
 import hashlib
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cached_property, partial
 from types import SimpleNamespace
 
@@ -577,6 +577,26 @@ class TestTracesOnTheQuarter:
             assert r.best_center == full.best_center and r.clamped == full.clamped
             assert r.best_mass == pytest.approx(full.best_mass, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("trace", ["disk", "square"])
+    def test_a_given_parity_is_taken_without_a_scan(self, trace, monkeypatch):
+        # (t, u, even) items, as analyze reads them with the parity from each
+        # file's header, give the bits of (t, u) pairs, whose parity is found
+        # by Quarter.holds, and never call it
+        snaps = even_snapshots() + [(2.0, edge_snapshots()[0][1])]
+        traced = {
+            "disk": lambda items: disk_concentration_trace(
+                items, replace(EDGE_SCHEDULE, t_star=2.5), 0.26, OperatorParams(1, 1.0)),
+            "square": lambda items: square_concentration_trace(
+                items, c_side=3.0, t_star=2.5, eta=0.1),
+        }[trace]
+        want = traced(snaps)
+        scans = []
+        monkeypatch.setattr(Quarter, "holds", lambda u: scans.append(1))
+        parities = [True] * (len(snaps) - 1) + [False]
+        got = traced([(t, u, even) for (t, u), even in zip(snaps, parities)])
+        assert scans == []
+        assert repr(got) == repr(want)
+
     def test_fields_that_are_not_even_keep_the_full_grid_bytes(self):
         # sha256 of the records of both traces on a Gaussian shifted in x1,
         # made before the traces took the quarter (numpy 2.4.6 on x86-64;
@@ -595,8 +615,9 @@ class TestTracesOnTheQuarter:
 
 
 def sequential_rows(work, snaps):
-    """The per-snapshot function over ``snaps`` in a plain loop on this thread."""
-    return [work(t, u) for t, u in snaps]
+    """The per-snapshot function over ``snaps`` in a plain loop on this thread, with no
+    parity given, as the traces take (t, u) pairs."""
+    return [work(t, u, None) for t, u in snaps]
 
 
 def assert_same_records(got, want):

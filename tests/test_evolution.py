@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import sys
+import threading
+import time
 import weakref
 from dataclasses import astuple, replace
 from functools import cached_property
@@ -668,11 +671,11 @@ class TestSpectralStateLoop:
 
 
 class EvenSnapshots(SnapshotList):
-    """A ``SnapshotList`` that checks that each field it is handed equals its mirrors."""
+    """A ``SnapshotList`` that checks that each field it is handed is on its grid's quarter."""
 
-    def __call__(self, t, u):
-        assert Quarter.holds(u.values), t
-        super().__call__(t, u)
+    def __call__(self, t, values, space):
+        assert space is space.grid.quarter and values.shape == space.shape, t
+        super().__call__(t, values, space)
 
 
 def guard_fields():
@@ -760,9 +763,10 @@ class TestQuarterLoop:
         assert got.state.step_index == 20 and len(got.records) == 5
         assert "ksq" not in vars(g) and "b_symbol" not in vars(g)
 
-    def test_run_lets_go_of_the_initial_field_after_the_first_snapshot(self, monkeypatch):
-        # the caller keeps no reference: run lets the field go once the sink
-        # has had it, and before it makes its own n x n field
+    def test_run_lets_go_of_the_initial_field_once_it_has_the_quarter(self, monkeypatch):
+        # the caller keeps no reference: run lets the n x n field go once it
+        # has the quarter's copy, which the sink is handed, and makes its own
+        # n x n field only for the result
         g = Grid2D(64, 12.0)
         values = gaussian(g, 1.5, 1.0).values
         initial = weakref.ref(values)
@@ -770,8 +774,8 @@ class TestQuarterLoop:
         del values
         seen, made = [], []
 
-        def sink(t, u):
-            seen.append(u.values is initial() if t == 0.0 else initial() is None)
+        def sink(t, values, space):
+            seen.append(initial() is None and space is g.quarter)
 
         def field(grid, values):
             made.append(initial() is None)
@@ -792,6 +796,87 @@ class TestQuarterLoop:
         assert Quarter.holds(got.state.u.values)
 
 
+class TestBoundaryHelper:
+    """``run`` works each boundary on one helper thread while the loop steps on."""
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3], ids=["quarter", "grid"])
+    @pytest.mark.parametrize("ratio,interval", [(2.0**0.125, 1e-9), (None, 0.05)],
+                             ids=["every step, ladder", "sparse"])
+    def test_records_and_snapshots_hold_under_fast_thread_switches(
+        self, monkeypatch, shift, ratio, interval,
+    ):
+        # records at every step with a snapshot ladder, or sparse ones, with
+        # the interpreter switching threads every microsecond, and a record
+        # and a sink slow enough for the loop to take several steps during
+        # each: the helper reads only the boundary's own arrays, which the
+        # loop rewrites only once it has waited for the boundary before, so
+        # each record and snapshot is the oracle's
+        record = evolution._record
+
+        def slow_record(*args):
+            time.sleep(2e-3)
+            return record(*args)
+
+        class SlowSink(SnapshotList):
+            def __call__(self, t, values, space):
+                time.sleep(2e-3)
+                super().__call__(t, values, space)
+
+        monkeypatch.setattr(evolution, "_record", slow_record)
+        g = Grid2D(64, 12.0)
+        x1, x2 = g.coords()
+        u0 = Field(g, 1.8 * np.exp(-((x1 - shift) ** 2 + x2**2) / (2 * 1.2**2)))
+        s = SimulationState.initial(u0, OperatorParams(1, 1.0))
+        cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, sample_interval=interval,
+                           snapshot_grad_ratio=ratio)
+        kept = SlowSink()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run(s, cfg, kept)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.state.step_index > 30 and len(kept) > 5
+        if ratio is not None:
+            assert len(got.records) == got.state.step_index + 1
+        assert kept[-1][1].values.tobytes() == got.state.u.values.tobytes()
+        assert_same_run(got, reference_run(s, cfg), cfg.t_end, kept)
+
+    def test_sink_error_comes_out_of_run_and_ends_the_helper(self):
+        calls = []
+
+        def sink(t, values, space):
+            calls.append(t)
+            if len(calls) == 3:
+                raise RuntimeError("sink failed on its third call")
+
+        cfg = EvolveConfig(t_end=0.02, dt0=1e-3, sample_interval=2e-3)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="third call"):
+            run(drawn_gaussian(1.5, 1.0), cfg, sink)
+        # the helper is gone before run raises, although the traceback still
+        # holds run's frame
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=2.0)
+            assert not thread.is_alive(), thread.name
+        assert threading.active_count() == len(before)
+        assert calls == pytest.approx([0.0, 2e-3, 4e-3], rel=1e-12)
+
+    def test_mass_drift_per_step_stays_within_its_measured_rate(self):
+        # the merged loop's mass drift grows linearly with the steps, at 6e-17
+        # to 3e-16 per step (an open finding); the helper builds the records
+        # with the same arithmetic and must leave that rate where it was:
+        # 2.07e-16 per step over this collapse's 147 steps
+        g = Grid2D(128, 2.5)
+        s = SimulationState.initial(gaussian(g, 8.8, 0.225), OperatorParams(1, 1.0))
+        got = run(s, EvolveConfig(t_end=0.05, adaptive=True, sample_interval=2e-4,
+                                  snapshot_grad_ratio=2.0**0.25))
+        assert got.stop_reason == "grad_guard" and len(got.records) > 50
+        masses = [r.mass for r in got.records]
+        drift = max(abs(m - masses[0]) for m in masses) / masses[0]
+        assert drift <= 4e-16 * got.state.step_index
+
+
 class FFTCounter:
     """Counts numpy.fft calls in complex 2-D FFT-equivalents (real transforms count half).
 
@@ -803,20 +888,33 @@ class FFTCounter:
     REAL = ("rfft2", "irfft2", "rfft", "irfft")
 
     def __init__(self, monkeypatch):
-        self.total = 0.0
+        self.by_thread = {}  # thread name -> count
+        self._lock = threading.Lock()
         for name in self.COMPLEX + self.REAL:
             weight = 1.0 if name in self.COMPLEX else 0.5
             monkeypatch.setattr(np.fft, name, self._counted(name, getattr(np.fft, name), weight))
+
+    @property
+    def total(self) -> float:
+        """The count over every thread."""
+        return sum(self.by_thread.values())
+
+    def here(self) -> float:
+        """The count of the calling thread."""
+        return self.by_thread.get(threading.current_thread().name, 0.0)
 
     def _counted(self, name, fn, weight):
         def counted(a, *args, **kwargs):
             out = fn(a, *args, **kwargs)
             if name.endswith("2"):
-                self.total += weight
+                amount = weight
             else:
                 shape = np.shape(a) if name == "rfft" else out.shape
                 m = shape[kwargs.get("axis", -1)]
-                self.total += weight * math.prod(shape) / (2 * m * m)
+                amount = weight * math.prod(shape) / (2 * m * m)
+            thread = threading.current_thread().name
+            with self._lock:
+                self.by_thread[thread] = self.by_thread.get(thread, 0.0) + amount
             return out
         return counted
 
@@ -827,11 +925,12 @@ class TestFFTBudget:
     A step is two complex transforms and the real pair of L: 3
     FFT-equivalents on the full grid, which the shifted Gaussian takes, and
     3c on the quarter of the centred one, where each transform is two passes
-    of n/2+1 lines, c = (n/2+1)/n of one on the grid. Besides the steps, a
-    run takes one transform of the initial field, one per boundary field
-    formed (here each record after the first), and, when adaptive, the real
-    pair of the initial field's rate; a record takes the half spectrum of
-    |u|^2, half a transform, which the initial record shares with that rate.
+    of n/2+1 lines, c = (n/2+1)/n of one on the grid. Besides the steps, the
+    loop's thread takes one transform of the initial field and, when
+    adaptive, the real pair of the initial field's rate. The helper thread
+    takes one transform per boundary field formed (here each record after
+    the first) and the records; a record takes the half spectrum of |u|^2,
+    half a transform, which the initial record shares with that rate.
     """
 
     def counted_run(self, monkeypatch, cfg, amplitude=1.2, shift=0.0):
@@ -840,9 +939,9 @@ class TestFFTBudget:
         record = evolution._record
 
         def counted_record(*args, **kwargs):
-            before = counter.total
+            before = counter.here()
             out = record(*args, **kwargs)
-            in_records[0] += counter.total - before
+            in_records[0] += counter.here() - before
             in_records[1] += 1
             return out
 
@@ -851,17 +950,19 @@ class TestFFTBudget:
         x1, x2 = g.coords()
         u0 = Field(g, amplitude * np.exp(-((x1 - shift) ** 2 + x2**2) / 2))
         s = SimulationState.initial(u0, OperatorParams(1, 1.0))
-        before = counter.total
+        before = counter.here()
         res = run(s, cfg)
-        steps = res.state.step_index
-        return counter.total - before - in_records[0], steps, in_records
+        in_loop = counter.here() - before
+        in_helper = counter.total - counter.by_thread.get(threading.current_thread().name, 0.0)
+        return in_loop, in_helper - in_records[0], res.state.step_index, in_records
 
     c = (64 // 2 + 1) / 64
 
     def assert_budget(self, counts, c, adaptive):
-        in_steps, steps, (in_rec, n_rec) = counts
+        in_loop, in_boundaries, steps, (in_rec, n_rec) = counts
         assert n_rec == 6 and (steps > 50 if adaptive else steps == 50)
-        assert in_steps == pytest.approx((3 * steps + 1 + (n_rec - 1) + adaptive) * c, rel=1e-12)
+        assert in_loop == pytest.approx((3 * steps + 1 + adaptive) * c, rel=1e-12)
+        assert in_boundaries == pytest.approx((n_rec - 1) * c, rel=1e-12)
         assert in_rec == pytest.approx(0.5 * (n_rec - adaptive) * c, rel=1e-12)
 
     def test_fixed_step_budget(self, monkeypatch):
