@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import fields
 from fnmatch import fnmatch
@@ -232,12 +233,12 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     return 0
 
 
-class _SnapshotFiles:
+class _SnapshotFiles(Sequence):
     """The named snapshots of ``directory`` as a sequence of (t, field, even), with
     the parity from the file's header (None for a version-1 file). Item i
-    is read from its file when asked for, by index or by iteration (which
-    goes through ``__getitem__``), so the trace holds only the fields it is
-    measuring (at most three)."""
+    is read from its file when asked for, so the trace holds only the field
+    it is measuring; as a sequence it may be traced on two processes, each
+    reading its own half of the files."""
 
     def __init__(self, directory: str, names: list[str]):
         self.directory, self.names = directory, names
@@ -390,14 +391,14 @@ def _keep_freed_memory() -> None:
     gives the freed top of the heap back to the OS and faults it in again on
     the next step, about 2000 minor faults per step at n = 512, unless
     something long-lived (such as a held snapshot) happens to sit above them.
-    Both commands that do heavy work run more than one thread: ``analyze``
-    its trace's two workers besides the main thread, ``evolve`` the run's
-    boundary helper besides the time loop. They share two arenas: with one,
-    the threads take turns on its lock and lose most of their gain (an
-    ``evolve`` at n = 256 ran slower than with no helper at all); with one
-    per thread, each worker's buffers and freed temporaries sit in an arena
-    of its own, apart from the freed heap of the main one, and peak RSS
-    grows by twice as much. Without glibc this does nothing.
+    ``evolve`` runs the run's boundary helper thread besides the time loop
+    (``analyze`` runs one thread in each of its two processes). The threads
+    share two arenas: with one, they take turns on its lock and lose most of
+    the helper's gain (an ``evolve`` at n = 256 ran slower than with no
+    helper at all); with one per thread, each thread's buffers and freed
+    temporaries sit in an arena of its own, apart from the freed heap of the
+    main one, and peak RSS grows by twice as much. Without glibc this does
+    nothing.
     """
     import ctypes
 

@@ -27,27 +27,36 @@ homogeneous of degree 0, so the scaling identities ||grad v||^2 = 1 and
 quartic(v) = rho^2 quartic(u) give E(v) = 1/2 - quartic(v)/4 from u alone.
 Each kept snapshot's |u|^2 is transformed once, and that half spectrum is
 shared by quartic(u) and every window of the three schedules. The window
-kernels' half spectra are shared too, by both workers: the windows of
-nearby snapshots and schedules often hold the same lattice points, and each
-trace call keeps its last four kernel spectra (``KernelSpectra``). Both traces
+kernels' half spectra are shared too: the windows of nearby snapshots and
+schedules often hold the same lattice points, and each trace call keeps its
+last four kernel spectra (``KernelSpectra``). Both traces
 take a snapshot's functionals on its grid's ``quarter`` when the snapshot
 equals its mirrors in x1 and x2 sample for sample, as the snapshots of a
 run from even data do, and on the full grid otherwise; the parity is the
 caller's where it comes with the snapshot (from a snapshot file's header),
 else found by ``Quarter.holds``. Each snapshot's measurement depends on no
-other snapshot, so both traces run it on two worker threads while the
-caller's iterable yields the next snapshot, and take the results in time
-order: the records, the summary and any error are those of a sequential
-walk.
+other snapshot, so both traces walk a sequence of snapshots on two
+processes: a forked child measures the later half while this process
+measures the earlier half, and the results come in time order (where the
+platform can fork and this process runs no other thread; else the walk is
+sequential, here). The records,
+the summary and any error are those of a sequential walk. Hooks that count
+calls in this process (a profiler, a test's counter) see only the earlier
+half of such a walk; an iterable that is not a sequence is walked here alone.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,14 +114,15 @@ def _window_kernel(off: np.ndarray, w: WindowSpec) -> np.ndarray:
 
 
 class KernelSpectra:
-    """The read-only half spectra of window kernels, shared by a trace's worker threads.
+    """The read-only half spectra of window kernels, kept for a trace and safe to share
+    between threads.
 
     A disk or square kernel is a nested lattice point set: growing the
     window only adds points. On a given space, the grid or its ``Quarter``,
     the count of its points therefore fixes it, and its spectrum is kept
     under (grid, space shape, window shape, count). At most ``size``
     spectra are held; the least recently used goes first. A miss transforms
-    the kernel outside the lock, so both workers may transform at once.
+    the kernel outside the lock, so two threads may transform at once.
     """
 
     size = 4
@@ -300,17 +310,41 @@ def _mass_ratios(terminal: list[ConcentrationRecord], threshold: float) -> dict:
     }
 
 
+def _check_increasing(t: float, last: float | None) -> None:
+    if last is not None and not t > last:
+        raise DomainError(f"snapshot at t = {t} follows t = {last}; traces need increasing t")
+
+
 def _in_time_order(snapshots: Iterable[tuple]) -> Iterator[tuple[float, Field, bool | None]]:
     """The items (t, u) or (t, u, even) of ``snapshots`` as (t, u, even), with even None
     where the item does not say; DomainError if there are none or t fails to increase."""
     last = None
     for t, u, *parity in snapshots:
-        if last is not None and not t > last:
-            raise DomainError(f"snapshot at t = {t} follows t = {last}; traces need increasing t")
+        _check_increasing(t, last)
         last = t
         yield t, u, parity[0] if parity else None
     if last is None:
         raise DomainError("no snapshots to trace")
+
+
+def _later_half(snapshots: Sequence[tuple], start: int, work: Callable) -> bytes:
+    """The pickled outcome of work over items ``start``.. of ``snapshots``: the t of item
+    ``start`` (None if reading it failed), the results, and the first error or None.
+    An error that does not survive a pickle round trip is sent as a ``DomainError``
+    naming its type and message."""
+    t_first, results, error = None, [], None
+    try:
+        for item in _in_time_order(snapshots[i] for i in range(start, len(snapshots))):
+            if t_first is None:
+                t_first = item[0]
+            results.append(work(*item))
+    except Exception as exc:
+        error = exc
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        error = DomainError(f"{type(error).__name__}: {error}")
+    return pickle.dumps((t_first, results, error))
 
 
 def _traced_in_order(
@@ -318,40 +352,78 @@ def _traced_in_order(
 ) -> Iterator[tuple]:
     """work(t, u, even) for each item of ``_in_time_order(snapshots)``, in that order.
 
-    ``work = work_for(t0)`` is made from the first t before any call. The
-    calls run on a pool of two threads while this thread reads the next
-    snapshot. At most two calls wait unconsumed, so at most three snapshots
-    are held at once. Results and errors come in snapshot order: when
-    reading a snapshot fails (a corrupt file, a t that does not increase),
-    the pending calls are waited for first, so an earlier snapshot's error
-    is the one raised, as in a sequential walk. numpy's FFTs release the GIL
-    and give the same bits on any thread.
+    ``work = work_for(t0)`` is made once, from the first t. A sequence of
+    n >= 2 items is walked on two processes where the platform can fork and
+    this process runs no other thread (a lock another thread held at the
+    fork would stay held in the child): after reading item 0 this process
+    forks one child, which walks items m..n-1, m = ceil(n/2), and
+    sends its results, or its first error, back as one pickle through a
+    pipe, then leaves by ``os._exit``. This process walks items 0..m-1,
+    yields their results, then checks that t increases from item m-1 to
+    item m and yields the child's. Any other iterable is walked here, in
+    order. Either way the results and the error are a sequential walk's:
+    an error in the first half ends the child, and the child's error is
+    raised after the first half's results, with its type and message. The
+    child is reaped on every path, an early ``close()`` included. Each
+    process measures with its own state (its own ``KernelSpectra``); the
+    same kernel gives the same bits, so the results do too. Anything that
+    counts calls inside this process sees only the first half of a split
+    walk: the child's reads and measurements happen in the child. A child
+    that ends without its whole outcome (killed, or failing with no error to
+    send) is a ``RuntimeError`` naming its snapshots and exit code.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    ordered = _in_time_order(snapshots)
-    work = None
-    pending: deque = deque()
-    pool = ThreadPoolExecutor(2)
-    try:
-        while True:
-            try:
-                item = next(ordered)
-            except StopIteration:
-                break
-            except Exception:
-                for future in pending:
-                    future.result()
-                raise
+    count = len(snapshots) if isinstance(snapshots, Sequence) else 0
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        work = None
+        for item in _in_time_order(snapshots):
             if work is None:
                 work = work_for(item[0])
-            if len(pending) == 2:
-                yield pending.popleft().result()
-            pending.append(pool.submit(work, *item))
-        while pending:
-            yield pending.popleft().result()
+            yield work(*item)
+        return
+    first = snapshots[0]
+    work = work_for(first[0])
+    split = (count + 1) // 2
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the child never returns into the caller
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(_later_half(snapshots, split, work))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+    try:
+        last = None
+        for item in _in_time_order(chain([first], (snapshots[i] for i in range(1, split)))):
+            last = item[0]
+            yield work(*item)
+        payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        pid = None
     finally:
-        pool.shutdown(cancel_futures=True)
+        pipe.close()
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not payload:
+        raise RuntimeError(f"the trace's worker for snapshots {split}..{count - 1} ended "
+                           f"without its result (exit code {code})")
+    t_first, results, error = pickle.loads(payload)
+    if t_first is not None:
+        _check_increasing(t_first, last)
+    yield from results
+    if error is not None:
+        raise error
 
 
 #: Keys of the disk trace's schedules and of its record lists.
@@ -371,8 +443,8 @@ def _disk_rows(
 ) -> tuple[float, bool, list[tuple[str, ConcentrationRecord]]]:
     """One snapshot of the disk trace: t, whether the main schedule skips it,
     and a (tag, record) pair for each schedule that keeps it. ``kernels`` is
-    the trace's ``KernelSpectra``, shared by both workers; ``even`` is u's
-    parity, if known."""
+    the trace's ``KernelSpectra`` (each process of a split walk has its own);
+    ``even`` is u's parity, if known."""
     rows, main_skips, terms = [], False, None
     for tag, sched in schedules.items():
         lam = sched(t)
@@ -400,9 +472,11 @@ def disk_concentration_trace(
 
     ``snapshots`` is any iterable of (t, u) in increasing t, walked once, or
     of (t, u, even) with u's parity where the caller knows it (a snapshot
-    file's header; None if it does not say). Snapshots with a nonpositive or
-    sub-cell schedule value are skipped and reported. The summary compares captured mass against 2/c_opt over the
-    terminal segment, checks that lambda * ||grad u|| grows (the window
+    file's header; None if it does not say). A sequence of two or more may be
+    walked on two processes (``_traced_in_order``), with a sequential walk's
+    outcome. Snapshots with a nonpositive or sub-cell schedule value are
+    skipped and reported. The summary compares captured mass against 2/c_opt
+    over the terminal segment, checks that lambda * ||grad u|| grows (the window
     hypothesis), that |rescaled energy| decays to zero up to 5% ripple, and
     how far the terminal interaction term sits from 2. Sensitivity of the
     mass ratios to the extrapolated t_star is reported from two schedules
@@ -502,8 +576,9 @@ def square_concentration_trace(
 
     Needs no gradient data (suits mass-only runs). ``snapshots`` is any
     iterable of (t, u) or (t, u, even) in increasing t, walked once, as in
-    the disk trace. Snapshots at or beyond t_star, or with sub-cell windows,
-    are skipped with their times reported.
+    the disk trace (a sequence of two or more on two processes). Snapshots
+    at or beyond t_star, or with sub-cell windows, are skipped with their
+    times reported.
     An even snapshot's window is maximized on its quarter, as in the disk trace.
     """
     if not c_side > 0:

@@ -2,7 +2,11 @@
 
 DomainError marks inputs that violate a mathematical precondition (CLI exit
 code 1); UsageError marks malformed invocations and configs (exit code 2).
+Every error survives a pickle round trip with its type, message and fields,
+as the concentration traces need to send one from their child process.
 """
+
+import copyreg
 
 
 class DsbuError(Exception):
@@ -15,6 +19,10 @@ class DsbuError(Exception):
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
+
+    def __reduce__(self):
+        # rebuilt without __init__, whose arguments differ between subclasses
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DomainError(DsbuError):

@@ -730,10 +730,13 @@ class TestCli:
         assert f"{last}: checksum mismatch" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_snapshots_stream_through_evolve_and_analyze(self, tmp_path):
+    def test_snapshots_stream_through_evolve_and_analyze(self, tmp_path, monkeypatch):
         """Neither command holds its snapshots. At n = 128, 51 snapshots raise
         each command's peak traced memory by less than 4 field sizes over the
-        same command with 2 (same steps); each held field would add one."""
+        same command with 2 (same steps); each held field would add one.
+        ``analyze`` is measured twice: as it runs, where this process traces
+        the earlier half of the snapshots, and with ``os.fork`` taken away,
+        where it traces them all."""
         field_bytes = 16 * 128 * 128
 
         def peak(*argv):
@@ -753,13 +756,17 @@ class TestCli:
             peaks["evolve", name] = peak("evolve", str(run_cfg))
         assert len(list((tmp_path / "many").glob("snap_*.dsbu"))) == 51
         read_snapshot(str(tmp_path / "two" / "snap_000000.dsbu"))  # the shared grid, built once
-        for name in ("many", "two"):
-            an_cfg = tmp_path / f"an_{name}.cfg"
-            an_cfg.write_text(f"mode = analyze\nsnapshot_dir = {tmp_path / name}\ntrace = disk\n"
-                              f"c_opt = 0.26\nt_star = 0.5\n"
-                              f"output_dir = {tmp_path / ('analysis_' + name)}\n")
-            peaks["analyze", name] = peak("analyze", str(an_cfg))
-        for command in ("evolve", "analyze"):
+        for command in ("analyze", "analyze here"):
+            if command == "analyze here":
+                monkeypatch.delattr(os, "fork")
+            for name in ("many", "two"):
+                an_cfg = tmp_path / f"an_{name}.cfg"
+                an_out = tmp_path / f"analysis_{name}_{len(peaks)}"
+                an_cfg.write_text(f"mode = analyze\nsnapshot_dir = {tmp_path / name}\n"
+                                  f"trace = disk\nc_opt = 0.26\nt_star = 0.5\n"
+                                  f"output_dir = {an_out}\n")
+                peaks[command, name] = peak("analyze", str(an_cfg))
+        for command in ("evolve", "analyze", "analyze here"):
             extra = peaks[command, "many"] - peaks[command, "two"]
             assert extra < 4 * field_bytes, (command, extra / field_bytes)
 

@@ -1,8 +1,12 @@
 """Windowed-mass and rescaled-snapshot diagnostics tests."""
 
 import hashlib
+import os
+import pickle
+import signal
 import sys
 import threading
+from collections.abc import Sequence
 from dataclasses import fields, replace
 from functools import cached_property, partial
 from types import SimpleNamespace
@@ -506,7 +510,8 @@ class TestDiskTraceOnePass:
         snaps = edge_snapshots()
         monkeypatch.setattr(Grid2D, "__init__", no_grid)
         monkeypatch.setattr(concentration, "FieldTerms", CountingTerms)
-        disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, OperatorParams(1, 1.0))
+        # an iterator is walked in this process, where the counter sees every call
+        disk_concentration_trace(iter(snaps), EDGE_SCHEDULE, 0.26, OperatorParams(1, 1.0))
         # every snapshot kept by some schedule (all but t = 0.995 and 1.01), once
         assert sorted(grads) == sorted(id(u.values) for t, u in snaps if t < 0.99)
 
@@ -554,7 +559,8 @@ class TestTracesOnTheQuarter:
         params = OperatorParams(1, 1.0)
         snaps = even_snapshots()  # which make their grids' quarters
         quarter_use.made.clear()
-        records, summary = disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, params)
+        # walked in this process (an iterator), so the recorder sees every snapshot
+        records, summary = disk_concentration_trace(iter(snaps), EDGE_SCHEDULE, 0.26, params)
         assert_measured_on_the_grids_quarters(snaps, quarter_use)
         ref_records, ref_summary = reference_disk_trace(snaps, EDGE_SCHEDULE, 0.26, params)
         assert len(records) == len(ref_records) == 6
@@ -569,7 +575,7 @@ class TestTracesOnTheQuarter:
     def test_square_trace_matches_the_full_grid(self, quarter_use):
         snaps = even_snapshots()
         quarter_use.made.clear()
-        records, _ = square_concentration_trace(snaps, c_side=3.0, t_star=1.0, eta=0.1)
+        records, _ = square_concentration_trace(iter(snaps), c_side=3.0, t_star=1.0, eta=0.1)
         assert_measured_on_the_grids_quarters(snaps, quarter_use)
         assert len(records) == 6
         for (t, u), r in zip(snaps, records):
@@ -589,11 +595,12 @@ class TestTracesOnTheQuarter:
             "square": lambda items: square_concentration_trace(
                 items, c_side=3.0, t_star=2.5, eta=0.1),
         }[trace]
-        want = traced(snaps)
+        # walked in this process (iterators), so the counter sees every snapshot
+        want = traced(iter(snaps))
         scans = []
         monkeypatch.setattr(Quarter, "holds", lambda u: scans.append(1))
         parities = [True] * (len(snaps) - 1) + [False]
-        got = traced([(t, u, even) for (t, u), even in zip(snaps, parities)])
+        got = traced(iter([(t, u, even) for (t, u), even in zip(snaps, parities)]))
         assert scans == []
         assert repr(got) == repr(want)
 
@@ -627,13 +634,54 @@ def assert_same_records(got, want):
             assert getattr(r, f.name) == getattr(ref, f.name), f.name
 
 
-class TestTracesOnTwoThreads:
-    """Both traces consume their pooled per-snapshot results in snapshot order."""
+class LoggedSnapshots(Sequence):
+    """A snapshot list that appends "<pid> read <i>" to ``log`` (a file, so that a forked
+    child's reads show too) for each item read, and raises ``SnapshotFormatError`` on
+    reading the items of ``corrupt``."""
+
+    def __init__(self, snaps, log, corrupt=()):
+        self.snaps, self.log, self.corrupt = snaps, log, corrupt
+
+    def __len__(self):
+        return len(self.snaps)
+
+    def __getitem__(self, i):
+        item = self.snaps[i]  # an IndexError, which ends iteration, is not a read
+        with open(self.log, "a") as fh:
+            fh.write(f"{os.getpid()} read {i}\n")
+        if i in self.corrupt:
+            raise SnapshotFormatError(f"snapshot {i}: truncated payload")
+        return item
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_of(snaps):
+    """The first item of the child's half of a split walk of ``snaps``."""
+    return (len(snaps) + 1) // 2
+
+
+class TestTracesOnTwoProcesses:
+    """A sequence of snapshots is traced on two processes, a sequential walk's outcome."""
 
     SNAPSHOT_SETS = {"even": even_snapshots, "full grid": edge_snapshots}
+    TRACES = {
+        "disk": lambda snaps: disk_concentration_trace(
+            snaps, EDGE_SCHEDULE, 0.26, OperatorParams(1, 1.0)),
+        "square": lambda snaps: square_concentration_trace(snaps, c_side=3.0, t_star=1.0, eta=0.1),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_child_before_or_after(self):
+        assert_no_child_left()
+        yield
+        assert_no_child_left()
 
     @pytest.mark.parametrize("name", SNAPSHOT_SETS)
-    def test_disk_trace_equals_a_sequential_loop(self, name):
+    def test_disk_trace_equals_a_sequential_walk(self, name):
         snaps = self.SNAPSHOT_SETS[name]()
         params = OperatorParams(1, 1.0)
         work = partial(concentration._disk_rows,
@@ -641,85 +689,161 @@ class TestTracesOnTwoThreads:
                        concentration.KernelSpectra())
         want = sequential_rows(work, snaps)
         assert list(concentration._traced_in_order(snaps, lambda t0: work)) == want
-        records, summary = disk_concentration_trace(snaps, EDGE_SCHEDULE, 0.26, params)
+        records, summary = self.TRACES["disk"](snaps)
         assert_same_records(records, [rec for _, _, rows in want for tag, rec in rows
                                       if tag == "main"])
-        assert summary.skipped_times == [t for t, skips, _ in want if skips]
+        assert repr((records, summary)) == repr(self.TRACES["disk"](iter(snaps)))
 
     @pytest.mark.parametrize("name", SNAPSHOT_SETS)
-    def test_square_trace_equals_a_sequential_loop(self, name):
+    def test_square_trace_equals_a_sequential_walk(self, name):
         snaps = self.SNAPSHOT_SETS[name]()
         work = partial(concentration._square_rows, 3.0, 1.0, concentration.KernelSpectra())
         want = sequential_rows(work, snaps)
-        records, summary = square_concentration_trace(snaps, c_side=3.0, t_star=1.0, eta=0.1)
+        assert list(concentration._traced_in_order(snaps, lambda t0: work)) == want
+        records, summary = self.TRACES["square"](snaps)
         assert_same_records(records, [rec for _, _, rows in want for rec in rows])
-        assert summary.skipped_times == [t for t, skips, _ in want if skips]
+        assert repr((records, summary)) == repr(self.TRACES["square"](iter(snaps)))
 
-    def test_at_most_three_snapshots_read_ahead_of_the_consumer(self):
-        read = []
-
-        def source():
-            for t, u in edge_snapshots():
-                read.append(t)
-                yield t, u
-
+    def test_work_made_once_and_each_item_read_once(self, tmp_path):
+        log = tmp_path / "log"
+        snaps = LoggedSnapshots(edge_snapshots(), log)
         work = partial(concentration._square_rows, 3.0, 1.0, concentration.KernelSpectra())
-        for i, (t, _, _) in enumerate(concentration._traced_in_order(source(), lambda t0: work)):
-            assert t == EDGE_TIMES[i] and len(read) <= i + 3
-        assert len(read) == len(EDGE_TIMES)
 
-    @pytest.mark.parametrize("failure", ["corrupt file", "t not increasing"])
-    def test_an_earlier_snapshot_error_comes_first(self, failure):
-        params = OperatorParams(1, 1.0)
-        snaps = edge_snapshots()[:4]
-        flat = Field(EDGE_GRID, np.zeros(EDGE_GRID.shape))  # gradient-free: no rescaling
+        def work_for(t0):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} work_for {t0}\n")
+            return work
 
-        def source():
-            yield from snaps[:2]
-            yield 0.35, flat
-            if failure == "corrupt file":
-                raise SnapshotFormatError("snapshot 3: truncated payload")
-            yield 0.1, snaps[3][1]
+        got = list(concentration._traced_in_order(snaps, work_for))
+        assert got == sequential_rows(work, edge_snapshots())
+        lines = [line.split() for line in log.read_text().splitlines()]
+        me = str(os.getpid())
+        assert lines[0] == [me, "read", "0"] and lines[1] == [me, "work_for", "0.0"]
+        reads = {int(i): pid for pid, what, i in lines if what == "read"}
+        assert sum(what == "work_for" for _, what, _ in lines) == 1
+        assert len(reads) == sum(what == "read" for _, what, _ in lines) == len(snaps)
+        m = split_of(snaps)
+        assert {reads[i] for i in range(m)} == {me}
+        child = {reads[i] for i in range(m, len(snaps))}
+        assert len(child) == 1 and me not in child
 
-        before = threading.active_count()
-        with pytest.raises(DomainError, match="gradient-free"):
-            disk_concentration_trace(source(), EDGE_SCHEDULE, 0.26, params)
-        assert threading.active_count() == before
-        # without the gradient-free snapshot the reader's own error surfaces
-        message = "truncated payload" if failure == "corrupt file" else "traces need increasing t"
-        with pytest.raises(DomainError, match=message):
-            disk_concentration_trace((s for s in source() if s[1] is not flat),
-                                     EDGE_SCHEDULE, 0.26, params)
-        assert threading.active_count() == before
+    # On the 9 edge snapshots, split at 5: the t given to some items, the
+    # items made gradient-free (which the disk trace rejects where a schedule
+    # keeps them, at any t below 0.99), the items whose read fails, and the
+    # error that a sequential walk meets first.
+    CASES = {
+        "parent's half": ({}, (1,), (6,), "gradient-free"),
+        "parent's half before the child's t order": ({7: 0.9}, (3,), (), "gradient-free"),
+        "child's half, a read": ({}, (), (6,), "snapshot 6: truncated payload"),
+        "child's half, a measurement": ({}, (5,), (7,), "gradient-free"),
+        "child's half, a t order": ({7: 0.9}, (), (), "t = 0.9 follows t = 0.975"),
+        "at the split, t equal": ({5: 0.9}, (), (), "t = 0.9 follows t = 0.9"),
+        "at the split, t below": ({5: 0.3}, (), (6,), "t = 0.3 follows t = 0.9"),
+        "at the split, before a measurement error": (
+            {5: 0.3}, (5,), (), "t = 0.3 follows t = 0.9"),
+    }
 
-    def test_stress_with_frequent_thread_switches(self, quarter_use):
-        # Both workers transform on one Quarter per grid: with a switch forced
-        # every microsecond, runs of even snapshots on one grid, as the two
-        # workers take them together, still give the sequential loop's bits
-        grids, snaps = [Grid2D(128, box) for box in (6.0, 7.0, 8.0)], []
-        for k, t in enumerate(np.linspace(0.0, 0.9, 30)):
-            grid = grids[k // 10]
-            width = 0.3 + (1.0 - t)
-            snaps.append((float(t), even_field(grid, lambda x1, x2: np.exp(
-                -((x1 / width) ** 2 + (0.8 * x2 / width) ** 2) / 2) / width)))
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_first_error_in_time_order_comes_out(self, case, tmp_path):
+        times, flats, corrupt, message = self.CASES[case]
+        snaps = edge_snapshots()
+        assert split_of(snaps) == 5
+        for i, t in times.items():
+            snaps[i] = t, snaps[i][1]
+        for i in flats:
+            snaps[i] = snaps[i][0], Field(EDGE_GRID, np.zeros(EDGE_GRID.shape))
+        logged = LoggedSnapshots(snaps, tmp_path / "log", corrupt)
+        errors = []
+        for items in (logged, iter(logged)):  # split, then sequential
+            with pytest.raises(DomainError) as caught:
+                self.TRACES["disk"](items)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert message in errors[0][1]
+
+    def test_an_error_that_does_not_pickle_comes_as_a_domain_error(self):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        parent = os.getpid()
         work = partial(concentration._square_rows, 3.0, 1.0, concentration.KernelSpectra())
-        quarter_use.made.clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+
+        def failing(t, u, even):
+            if os.getpid() != parent and t > 0.95:
+                raise LocalError(f"bad snapshot at {t}")
+            return work(t, u, even)
+
+        traced = concentration._traced_in_order(edge_snapshots(), lambda t0: failing)
+        with pytest.raises(DomainError, match="^LocalError: bad snapshot at 0.955$"):
+            list(traced)
+
+    def test_a_child_that_sends_nothing_is_an_error(self):
+        parent = os.getpid()
+
+        def exiting(t, u, even):
+            if os.getpid() != parent:
+                raise SystemExit(3)
+            return t
+
+        traced = concentration._traced_in_order(edge_snapshots(), lambda t0: exiting)
+        with pytest.raises(RuntimeError,
+                           match=r"snapshots 5\.\.8 ended without its result \(exit code 1\)"):
+            list(traced)
+
+    def test_a_child_killed_while_it_sends_is_an_error(self, monkeypatch):
+        # the child writes the start of a whole payload to its pipe end, then dies
+        pipes, make_pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(make_pipe()) or pipes[-1])
+        parent = os.getpid()
+
+        def dying(t, u, even):
+            if os.getpid() != parent:
+                os.write(pipes[-1][1], pickle.dumps((t, [t] * 100, None))[:40])
+                os.kill(os.getpid(), signal.SIGKILL)
+            return t
+
+        traced = concentration._traced_in_order(edge_snapshots(), lambda t0: dying)
+        with pytest.raises(RuntimeError,
+                           match=r"snapshots 5\.\.8 ended without its result \(exit code -9\)"):
+            list(traced)
+
+    @pytest.mark.parametrize("reason", ["no fork", "another thread"])
+    def test_walked_here_where_a_fork_is_unsafe(self, reason, tmp_path, monkeypatch):
+        log = tmp_path / "log"
+        snaps = edge_snapshots()
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        if reason == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            other.start()
         try:
-            runs = [list(concentration._traced_in_order(snaps, lambda t0: work))
-                    for _ in range(5)]
+            got = self.TRACES["disk"](LoggedSnapshots(snaps, log))
         finally:
-            sys.setswitchinterval(interval)
-        assert_measured_on_the_grids_quarters(snaps, quarter_use)
-        want = sequential_rows(work, snaps)
-        assert all(got == want for got in runs)
+            stop.set()
+            if other.is_alive():
+                other.join()
+        assert repr(got) == repr(self.TRACES["disk"](iter(snaps)))
+        me = str(os.getpid())
+        assert log.read_text().splitlines() == [f"{me} read {i}" for i in range(len(snaps))]
 
-    def test_threads_end_with_the_trace(self):
-        before = threading.active_count()
-        disk_concentration_trace(even_snapshots(), EDGE_SCHEDULE, 0.26, OperatorParams(1, 1.0))
-        square_concentration_trace(edge_snapshots(), c_side=3.0, t_star=1.0, eta=0.1)
-        assert threading.active_count() == before
+    @pytest.mark.parametrize("end", ["return", "parent's error", "child's error", "close"])
+    def test_no_child_outlives_the_trace(self, end):
+        # the fixture checks that no child is left, running or unreaped
+        snaps = edge_snapshots()
+        flat = Field(EDGE_GRID, np.zeros(EDGE_GRID.shape))
+        if end == "return":
+            self.TRACES["disk"](snaps)
+        elif end == "close":
+            work = partial(concentration._square_rows, 3.0, 1.0, concentration.KernelSpectra())
+            traced = concentration._traced_in_order(snaps, lambda t0: work)
+            assert next(traced)[0] == snaps[0][0]
+            traced.close()
+        else:
+            i = 1 if end == "parent's error" else 6
+            snaps[i] = snaps[i][0], flat
+            with pytest.raises(DomainError, match="gradient-free"):
+                self.TRACES["disk"](snaps)
 
 
 class TestSquareTrace:
