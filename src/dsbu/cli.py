@@ -194,7 +194,7 @@ class _SnapshotWriter:
     """The sink of ``dsbu evolve``: clears ``out`` of an earlier run's files, then
     writes each snapshot there as soon as it is kept, from the samples on the run's
     space (an even field's quarter as it is, ``write_snapshot``'s format 2). ``run``
-    calls it on its helper thread, one call at a time."""
+    calls it on the calling thread, one call at a time."""
 
     def __init__(self, cfg: RunConfig):
         self.out, self.couplings, self.written = _output_dir(cfg), (cfg.nu, cfg.gamma), 0
@@ -391,14 +391,8 @@ def _keep_freed_memory() -> None:
     gives the freed top of the heap back to the OS and faults it in again on
     the next step, about 2000 minor faults per step at n = 512, unless
     something long-lived (such as a held snapshot) happens to sit above them.
-    ``evolve`` runs the run's boundary helper thread besides the time loop
-    (``analyze`` runs one thread in each of its two processes). The threads
-    share two arenas: with one, they take turns on its lock and lose most of
-    the helper's gain (an ``evolve`` at n = 256 ran slower than with no
-    helper at all); with one per thread, each thread's buffers and freed
-    temporaries sit in an arena of its own, apart from the freed heap of the
-    main one, and peak RSS grows by twice as much. Without glibc this does
-    nothing.
+    A forked worker (``run``'s stepper, a trace's later half) inherits the
+    setting. Without glibc this does nothing.
     """
     import ctypes
 
@@ -408,7 +402,6 @@ def _keep_freed_memory() -> None:
         return
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB of freed heap
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
-    mallopt(-8, 2)  # M_ARENA_MAX: the main heap and one more
 
 
 def main(argv: list[str] | None = None) -> int:

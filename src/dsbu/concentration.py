@@ -47,9 +47,6 @@ half of such a walk; an iterable that is not a sequence is walked here alone.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -60,6 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._fork import Worker, may_fork
 from .errors import DomainError
 from .spectral import (
     Field,
@@ -327,24 +325,18 @@ def _in_time_order(snapshots: Iterable[tuple]) -> Iterator[tuple[float, Field, b
         raise DomainError("no snapshots to trace")
 
 
-def _later_half(snapshots: Sequence[tuple], start: int, work: Callable) -> bytes:
-    """The pickled outcome of work over items ``start``.. of ``snapshots``: the t of item
-    ``start`` (None if reading it failed), the results, and the first error or None.
-    An error that does not survive a pickle round trip is sent as a ``DomainError``
-    naming its type and message."""
-    t_first, results, error = None, [], None
+def _later_half(snapshots: Sequence[tuple], start: int, work: Callable) -> tuple:
+    """The outcome of work over items ``start``.. of ``snapshots``: ((the t of item
+    ``start``, None if reading it failed; the results), the first error or None)."""
+    t_first, results = None, []
     try:
         for item in _in_time_order(snapshots[i] for i in range(start, len(snapshots))):
             if t_first is None:
                 t_first = item[0]
             results.append(work(*item))
     except Exception as exc:
-        error = exc
-    try:
-        pickle.loads(pickle.dumps(error))
-    except Exception:
-        error = DomainError(f"{type(error).__name__}: {error}")
-    return pickle.dumps((t_first, results, error))
+        return (t_first, results), exc
+    return (t_first, results), None
 
 
 def _traced_in_order(
@@ -353,12 +345,10 @@ def _traced_in_order(
     """work(t, u, even) for each item of ``_in_time_order(snapshots)``, in that order.
 
     ``work = work_for(t0)`` is made once, from the first t. A sequence of
-    n >= 2 items is walked on two processes where the platform can fork and
-    this process runs no other thread (a lock another thread held at the
-    fork would stay held in the child): after reading item 0 this process
-    forks one child, which walks items m..n-1, m = ceil(n/2), and
-    sends its results, or its first error, back as one pickle through a
-    pipe, then leaves by ``os._exit``. This process walks items 0..m-1,
+    n >= 2 items is walked on two processes where ``_fork.may_fork`` allows
+    it: after reading item 0 this process forks one ``_fork.Worker``, which
+    walks items m..n-1, m = ceil(n/2), and sends its results, or its first
+    error, back. This process walks items 0..m-1,
     yields their results, then checks that t increases from item m-1 to
     item m and yields the child's. Any other iterable is walked here, in
     order. Either way the results and the error are a sequential walk's:
@@ -373,7 +363,7 @@ def _traced_in_order(
     send) is a ``RuntimeError`` naming its snapshots and exit code.
     """
     count = len(snapshots) if isinstance(snapshots, Sequence) else 0
-    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if count < 2 or not may_fork():
         work = None
         for item in _in_time_order(snapshots):
             if work is None:
@@ -383,42 +373,13 @@ def _traced_in_order(
     first = snapshots[0]
     work = work_for(first[0])
     split = (count + 1) // 2
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:  # the child never returns into the caller
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(_later_half(snapshots, split, work))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    pipe = open(read_end, "rb")
-    try:
+    later = lambda send, wait: _later_half(snapshots, split, work)
+    with Worker(later, f"the trace's worker for snapshots {split}..{count - 1}") as worker:
         last = None
         for item in _in_time_order(chain([first], (snapshots[i] for i in range(1, split)))):
             last = item[0]
             yield work(*item)
-        payload = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        pid = None
-    finally:
-        pipe.close()
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0 or not payload:
-        raise RuntimeError(f"the trace's worker for snapshots {split}..{count - 1} ended "
-                           f"without its result (exit code {code})")
-    t_first, results, error = pickle.loads(payload)
+        (t_first, results), error = worker.outcome()
     if t_first is not None:
         _check_increasing(t_first, last)
     yield from results

@@ -42,8 +42,8 @@ lines instead of two of n, and the real pair two real ones, so a step
 costs 3c FFT-equivalents, c = (n/2+1)/n, about 1.5, on a quarter of the
 memory. Each boundary that is read is one ``spectral.FieldTerms`` of u and
 w_hat, on the grid or on the quarter, which the record reads; ``run``
-forms u, builds the record and hands the snapshot to its sink on a helper
-thread, while the loop takes the next steps.
+forms u, builds the record and hands the snapshot to its sink in the
+calling process, while a forked stepper process takes the next steps.
 ``strang_step`` is the same scheme one step at a time on a physical state
 of the full grid, with the L4 trapezoid; it is the reference oracle that
 ``run`` is tested against, on either path.
@@ -52,12 +52,13 @@ of the full grid, with the L4 trapezoid; it is the reference oracle that
 from __future__ import annotations
 
 import math
-import queue
-import threading
+import mmap
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from ._fork import Worker, may_fork
 from .errors import (
     BlowupOverflowError,
     DomainError,
@@ -281,7 +282,7 @@ def _boundary(
     state: SimulationState, dt_used: float, terms: FieldTerms, e: np.ndarray | None,
     record: bool, on_snapshot,
 ) -> ConservationRecord | None:
-    """One boundary of ``run``, on its helper thread.
+    """One boundary of ``run``, in the caller's process.
 
     Forms the field u = ifft(e(k1) e(k2) terms.uhat) into ``terms.values``
     (which hold it already when ``e`` is None), returns ``state``'s record
@@ -297,14 +298,89 @@ def _boundary(
     return result
 
 
-def _serve(jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
-    """``run``'s helper thread: ``_boundary`` of each argument tuple from ``jobs``, its
-    outcome put on ``done`` as (record, None) or (None, error), until a None."""
-    for args in iter(jobs.get, None):
-        try:
-            done.put((_boundary(*args), None))
-        except BaseException as exc:  # the loop raises it
-            done.put((None, exc))
+def _steps(
+    state: SimulationState, what: np.ndarray, rate: float, rung: float, cfg: EvolveConfig,
+    space: Grid2D | Quarter, flow, at_boundary,
+) -> str | None:
+    """``run``'s time loop from ``state``, of spectrum ``what``, to its stop reason (None at t_end).
+
+    ``rate`` is the first step's adaptive rate and ``rung`` the ladder's
+    first. At each boundary after the initial one the loop calls
+    ``at_boundary(state, dt_used, dt_prev, terms, record, keep)``, where
+    ``terms.uhat`` is the spectrum, which owes the free flow of dt_prev / 2,
+    and the loop overwrites it two steps later.
+    """
+    p = state.params
+    spare, v = np.empty_like(what), np.empty_like(what)
+    ladder = cfg.snapshot_grad_ratio
+    dt_prev = 0.0  # the free flow still owed by ``what``: E(dt_prev/2)
+    kept_t = state.t
+    next_sample = state.t + cfg.sample_interval
+    stop = None
+    t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
+    while state.t < cfg.t_end - t_eps:
+        dt = min(cfg.dt0, cfg.c_adapt / rate) if cfg.adaptive and rate > 0 else cfg.dt0
+        dt = min(dt, cfg.t_end - state.t)
+        sup, l4, rate = _spectral_step(what, spare, v, flow((dt_prev + dt) / 2), dt, space, p)
+        finite = math.isfinite(rate)
+        if finite:
+            what, spare, dt_prev = spare, what, dt
+            state = state.advanced(None, dt, l4, dt * l4)
+        end = state.t >= cfg.t_end - t_eps
+        due = end or state.t >= next_sample - t_eps
+        # The boundary's terms; the gradient reads |what|^2, the rest the
+        # field, which the boundary forms where something reads it.
+        terms = FieldTerms(None, space, what)
+        if not finite:
+            stop = "non_finite"  # state and what stay the last finite ones
+        elif sup > cfg.guard:
+            stop = "sup_guard"
+        elif (due or ladder is not None) and terms.grad > cfg.guard**2:
+            stop = "grad_guard"
+        if stop or end:
+            keep = state.t > kept_t
+        elif ladder is None:
+            keep = due
+        else:
+            keep = terms.grad >= rung
+            while rung <= terms.grad:
+                rung *= ladder
+        if stop or due or keep:
+            at_boundary(state, dt, dt_prev, terms, bool(stop or due), keep)
+        if stop or due:
+            next_sample += cfg.sample_interval
+        if keep:
+            kept_t = state.t
+        if stop:
+            break
+    return stop
+
+
+def _stepper(steps, hat: np.ndarray, send, wait) -> tuple:
+    """The work of ``run``'s stepper process: ``steps(at_boundary)``, to (stop, error).
+
+    At each boundary it waits for the caller's release of the one before
+    (none is owed for the first), copies the spectrum into the shared
+    ``hat`` and sends (state, dt used, dt_prev, record, keep). It ends once
+    the caller has released the last one.
+    """
+    owed = False  # whether the caller still works the boundary sent last
+
+    def at_boundary(state, dt_used, dt_prev, terms, record, keep) -> None:
+        nonlocal owed
+        if owed:
+            wait()
+        np.copyto(hat, terms.uhat)
+        send((state, dt_used, dt_prev, record, keep))
+        owed = True
+
+    try:
+        outcome = steps(at_boundary), None
+    except Exception as exc:
+        outcome = None, exc
+    if owed:
+        wait()  # so that the caller's last release finds this end open
+    return outcome
 
 
 def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResult:
@@ -322,32 +398,38 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
 
     Each kept snapshot -- the initial field, each record step (or rung of
     the ladder) and the stop or final step -- is handed, in time order, to
-    ``on_snapshot(t, values, space)``: the field's samples on the space the
-    run steps on, the grid or the ``Quarter`` of an even field, in a buffer
-    that later boundaries overwrite (a sink that keeps them copies them).
-    With no sink ``run`` keeps and copies nothing; a ``snapshot_grad_ratio``
-    then still has the gradient guard read on every step.
+    ``on_snapshot(t, values, space)`` on the calling thread: the field's
+    samples on the space the run steps on, the grid or the ``Quarter`` of
+    an even field, in a buffer that later boundaries overwrite (a sink that
+    keeps them copies them). With no sink ``run`` keeps and copies nothing;
+    a ``snapshot_grad_ratio`` then still has the gradient guard read on
+    every step.
 
-    The loop is the merged form of ``strang_step`` described in the module
-    docstring: it carries the spectrum after the nonlinear substep from
-    step to step, in one of two spectrum buffers. The free-flow factors of
-    dt0 (the merged one and the half-step one) are built once; any other dt
-    costs an n-point exponential. A non-finite step leaves the spectrum it
-    started from as it was, so the last finite state is formed from it. The
-    loop agrees with repeated ``strang_step`` to roundoff, except
-    ``l4_accum``, the midpoint sum of the mid-step integrals of |v|^4, where
-    ``strang_step`` accumulates the trapezoid.
+    The loop (``_steps``) is the merged form of ``strang_step`` described
+    in the module docstring: it carries the spectrum after the nonlinear
+    substep from step to step, in one of two spectrum buffers. The
+    free-flow factors of dt0 (the merged one and the half-step one) are
+    built once; any other dt costs an n-point exponential. A non-finite
+    step leaves the spectrum it started from as it was, so the last finite
+    state is formed from it. The loop agrees with repeated ``strang_step``
+    to roundoff, except ``l4_accum``, the midpoint sum of the mid-step
+    integrals of |v|^4, where ``strang_step`` accumulates the trapezoid.
 
     Each boundary -- a record, a snapshot, a stop or the last step -- is
-    worked on one helper thread while the loop steps on: it forms the field
-    u = ifft(E(dt/2) w_hat), builds the record and calls the sink. The loop
-    reads the gradient from |w_hat|^2 for the guard and the ladder, waits
-    for the boundary before it (taking its record, or raising its error),
-    copies w_hat into the boundary's spectrum array and hands it over. With
-    one boundary in flight the records come in order, and the helper shares
-    nothing mutable with the loop but the boundary's two arrays (spectrum
-    and field), made once per run. The helper ends before ``run`` returns or
-    raises, and after a sink error no later snapshot is taken.
+    worked in the calling process: it forms the field
+    u = ifft(E(dt/2) w_hat), builds the record and calls the sink. Where
+    ``_fork.may_fork`` allows it, the loop runs in a forked stepper process
+    (a ``_fork.Worker``) while this one works the boundaries. The two share
+    one boundary spectrum (an anonymous shared mapping): at each boundary
+    the stepper waits until this process has worked the one before, copies
+    w_hat there and sends the boundary's state; at the end it sends its
+    stop reason, or its error, which ``run`` raises after the boundaries
+    before it. After a sink error the stepper is killed and no later
+    snapshot is taken; the stepper is reaped on every path. So hooks in
+    this process (a profiler, a test's counter) see the boundaries but not
+    the steps, and a monkeypatch made before ``run`` holds in both
+    processes. Elsewhere the loop and the boundaries take turns in the
+    calling thread, with the same bits.
 
     An initial field equal sample for sample to its mirrors in x1 and in x2
     (u[i, j] = u[(n-i) mod n, j] = u[i, (n-j) mod n]) is stepped on its
@@ -372,19 +454,17 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     if space is not grid:
         u = u[: space.shape[0], : space.shape[1]].copy()
     state = replace(state, u=None)
-    # The loop's two spectra and mid-step field; the boundary's spectrum and
-    # field, the helper's (on the quarter, the initial field's copy).
-    what, spare, v = space.fft(u, np.empty_like(u)), np.empty_like(u), np.empty_like(u)
-    hat, boundary = np.empty_like(u), u if space is not grid else np.empty_like(u)
-    last = u  # the last field formed
+    # The loop's spectrum; the boundaries' field (on the quarter, the initial field's copy).
+    what = space.fft(u, np.empty_like(u))
+    boundary = u if space is not grid else np.empty_like(u)
     terms = FieldTerms(u, space, what)
     # The first step's rate is the initial field's; each later one the last mid-step field's.
     rate = float(np.abs(terms.potential(p)).max()) if cfg.adaptive else 0.0
-    ladder = cfg.snapshot_grad_ratio
-    if ladder is not None:
+    rung = 0.0
+    if cfg.snapshot_grad_ratio is not None:
         if not terms.grad > 0.0:
             raise DomainError("run: snapshot ladder undefined for gradient-free fields")
-        rung = terms.grad * ladder
+        rung = terms.grad * cfg.snapshot_grad_ratio
     k_sq, flows = space.k**2, {}
 
     def flow(tau: float) -> np.ndarray:
@@ -396,75 +476,36 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
                 flows[tau] = e
         return e
 
-    dt_prev = 0.0  # the free flow still owed by ``what``: E(dt_prev/2)
-    kept_t = state.t
-    next_sample = state.t + cfg.sample_interval
-    stop = None
-    t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
-    records = []
-    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+    records, last = [], u  # the last field formed is the run's last state
 
-    def settle() -> None:
-        """Wait for the boundary in flight; append its record, or raise its error."""
-        record, error = done.get()
+    def work(now, dt_used, dt_prev, terms, record, keep) -> None:
+        """The boundary of state ``now`` and ``terms``, its field formed into ``boundary``
+        where the terms have none; its record is appended, and ``now`` is the run's state."""
+        nonlocal state, last
+        state, e = now, None
+        if terms.values is None:
+            terms.values, e = boundary, flow(dt_prev / 2)
+        rec = _boundary(state, dt_used, terms, e, record, on_snapshot if keep else None)
+        last = terms.values
+        if rec is not None:
+            records.append(rec)
+
+    steps = partial(_steps, state, what, rate, rung, cfg, space, flow)
+    if not may_fork():
+        work(state, 0.0, 0.0, terms, True, True)
+        del terms, u
+        stop = steps(work)
+    else:
+        hat = np.frombuffer(mmap.mmap(-1, what.nbytes), dtype=what.dtype).reshape(what.shape)
+        with Worker(partial(_stepper, steps, hat), "the run's stepper", replies=True) as worker:
+            work(state, 0.0, 0.0, terms, True, True)
+            del terms, u
+            for now, dt_used, dt_prev, record, keep in worker.messages():
+                work(now, dt_used, dt_prev, FieldTerms(None, space, hat), record, keep)
+                worker.release()
+            stop, error = worker.outcome()
         if error is not None:
             raise error
-        if record is not None:
-            records.append(record)
-
-    helper = threading.Thread(target=_serve, args=(jobs, done), name="dsbu-boundary")
-    helper.start()
-    try:
-        # The helper has the initial terms from here on, with the boundary's
-        # copy of the spectrum, which the steps do not write.
-        np.copyto(hat, what)
-        terms.uhat = hat
-        jobs.put((state, 0.0, terms, None, True, on_snapshot))
-        del terms, u
-        while state.t < cfg.t_end - t_eps:
-            dt = min(cfg.dt0, cfg.c_adapt / rate) if cfg.adaptive and rate > 0 else cfg.dt0
-            dt = min(dt, cfg.t_end - state.t)
-            sup, l4, rate = _spectral_step(what, spare, v, flow((dt_prev + dt) / 2), dt, space, p)
-            finite = math.isfinite(rate)
-            if finite:
-                what, spare, dt_prev = spare, what, dt
-                state = state.advanced(None, dt, l4, dt * l4)
-            end = state.t >= cfg.t_end - t_eps
-            due = end or state.t >= next_sample - t_eps
-            # The boundary's terms; the gradient reads |what|^2, the rest the
-            # field, which the helper forms where something reads it.
-            terms = FieldTerms(None, space, what)
-            if not finite:
-                stop = "non_finite"  # state and what stay the last finite ones
-            elif sup > cfg.guard:
-                stop = "sup_guard"
-            elif (due or ladder is not None) and terms.grad > cfg.guard**2:
-                stop = "grad_guard"
-            if stop or end:
-                keep = state.t > kept_t
-            elif ladder is None:
-                keep = due
-            else:
-                keep = terms.grad >= rung
-                while rung <= terms.grad:
-                    rung *= ladder
-            if stop or due or keep:
-                settle()
-                np.copyto(hat, what)
-                terms.uhat, terms.values, last = hat, boundary, boundary
-                jobs.put((state, dt, terms, flow(dt_prev / 2), bool(stop or due),
-                          on_snapshot if keep else None))
-            if stop or due:
-                next_sample += cfg.sample_interval
-            if keep:
-                kept_t = state.t
-            if stop:
-                break
-            del terms  # a boundary's terms are the helper's
-        settle()
-    finally:
-        jobs.put(None)
-        helper.join()
     if space is not grid:
         last = space.unfold(last, np.empty(grid.shape, dtype=np.complex128))
     state = replace(state, u=Field(grid, last))

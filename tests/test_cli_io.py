@@ -35,6 +35,8 @@ from dsbu.snapshot_io import (
     write_snapshot,
 )
 
+from test_evolution import assert_no_child_left
+
 #: Both snapshot readers make the same header checks.
 READERS = (read_snapshot, read_header)
 
@@ -508,9 +510,10 @@ class TestCli:
         assert main([command, str(cfg)]) == 2
         assert f"cannot write output_dir {out}: " in capsys.readouterr().err
 
-    def test_snapshot_write_that_fails_on_the_helper_exits_2(self, tmp_path, capsys):
+    def test_snapshot_write_that_fails_exits_2(self, tmp_path, capsys):
         # the third snapshot's temp file cannot be opened: evolve stops with a
-        # usage error naming it, and writes no later snapshot and no records
+        # usage error naming it, writes no later snapshot and no records, and
+        # leaves no stepper process behind
         out = tmp_path / "run_out"
         (out / "snap_000002.dsbu.tmp").mkdir(parents=True)
         cfg = tmp_path / "run.cfg"
@@ -522,6 +525,7 @@ class TestCli:
             "snap_000000.dsbu", "snap_000001.dsbu", "snap_000002.dsbu.tmp"]
         assert not (out / "records.csv").exists()
         assert threading.active_count() == threads
+        assert_no_child_left()
 
     @pytest.mark.parametrize("trace", ["disk", "square"])
     def test_version_1_snapshots_analyze_to_the_same_bytes(self, trace, tmp_path):
@@ -734,9 +738,9 @@ class TestCli:
         """Neither command holds its snapshots. At n = 128, 51 snapshots raise
         each command's peak traced memory by less than 4 field sizes over the
         same command with 2 (same steps); each held field would add one.
-        ``analyze`` is measured twice: as it runs, where this process traces
-        the earlier half of the snapshots, and with ``os.fork`` taken away,
-        where it traces them all."""
+        Each command is measured twice: as it runs, where this process works
+        evolve's boundaries and traces the earlier half of the snapshots, and
+        with ``os.fork`` taken away, where it does all the work itself."""
         field_bytes = 16 * 128 * 128
 
         def peak(*argv):
@@ -748,14 +752,18 @@ class TestCli:
                 tracemalloc.stop()
 
         peaks = {}
-        for name, interval in (("many", 0.004), ("two", 0.2)):
-            run_cfg = tmp_path / f"{name}.cfg"
-            run_cfg.write_text(f"mode = evolve\nn = 128\nbox_length = 16\namplitude = 1.2\n"
-                               f"t_end = 0.2\ndt0 = 0.004\nsample_interval = {interval}\n"
-                               f"guard = 10.0\noutput_dir = {tmp_path / name}\n")
-            peaks["evolve", name] = peak("evolve", str(run_cfg))
+        for here in ("", " here"):
+            if here:
+                monkeypatch.delattr(os, "fork")
+            for name, interval in (("many", 0.004), ("two", 0.2)):
+                run_cfg = tmp_path / f"{name}.cfg"
+                run_cfg.write_text(f"mode = evolve\nn = 128\nbox_length = 16\namplitude = 1.2\n"
+                                   f"t_end = 0.2\ndt0 = 0.004\nsample_interval = {interval}\n"
+                                   f"guard = 10.0\noutput_dir = {tmp_path / name}\n")
+                peaks["evolve" + here, name] = peak("evolve", str(run_cfg))
         assert len(list((tmp_path / "many").glob("snap_*.dsbu"))) == 51
         read_snapshot(str(tmp_path / "two" / "snap_000000.dsbu"))  # the shared grid, built once
+        monkeypatch.undo()
         for command in ("analyze", "analyze here"):
             if command == "analyze here":
                 monkeypatch.delattr(os, "fork")
@@ -766,23 +774,30 @@ class TestCli:
                                   f"trace = disk\nc_opt = 0.26\nt_star = 0.5\n"
                                   f"output_dir = {an_out}\n")
                 peaks[command, name] = peak("analyze", str(an_cfg))
-        for command in ("evolve", "analyze", "analyze here"):
+        for command in ("evolve", "evolve here", "analyze", "analyze here"):
             extra = peaks[command, "many"] - peaks[command, "two"]
             assert extra < 4 * field_bytes, (command, extra / field_bytes)
 
-    def test_evolve_and_ground_state_hold_few_fields(self, tmp_path, capsys):
+    def test_evolve_and_ground_state_hold_few_fields(self, tmp_path, capsys, monkeypatch):
         """At n = 128 the traced peak of ``dsbu evolve`` stays within 4.5 field
         sizes and that of ``dsbu ground-state`` within 4: neither builds the
         grid's n x n multipliers for its quarter, evolve lets the initial field
         go after the first snapshot, and the solver frees its loop arrays
-        before the full-grid report."""
+        before the full-grid report. ``evolve`` is measured twice: as it runs,
+        where this process works the boundaries, and with ``os.fork`` taken
+        away, where it takes the steps as well."""
         field_bytes = 16 * 128 * 128
+        evolve = (4.5, "mode = evolve\nn = 128\nbox_length = 16\namplitude = 1.2\n"
+                       "t_end = 0.2\ndt0 = 0.004\nsample_interval = 0.2\nguard = 10.0\n")
         cfgs = {
-            "evolve": (4.5, "mode = evolve\nn = 128\nbox_length = 16\namplitude = 1.2\n"
-                            "t_end = 0.2\ndt0 = 0.004\nsample_interval = 0.2\nguard = 10.0\n"),
+            "evolve": evolve,
+            "evolve here": evolve,
             "ground-state": (4.0, "mode = ground-state\nn = 128\nbox_length = 16\n"),
         }
-        for command, (bound, text) in cfgs.items():
+        for name, (bound, text) in cfgs.items():
+            command = name.split()[0]
+            if name == "evolve here":
+                monkeypatch.delattr(os, "fork")
             cfg = tmp_path / f"{command}.cfg"
             cfg.write_text(text + f"output_dir = {tmp_path / command}\n")
             tracemalloc.start()
@@ -791,7 +806,7 @@ class TestCli:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= bound * field_bytes, (command, peak / field_bytes)
+            assert peak <= bound * field_bytes, (name, peak / field_bytes)
         capsys.readouterr()
 
     def test_time_steps_reuse_freed_memory(self, tmp_path):

@@ -34,7 +34,7 @@ from dsbu.spectral import FieldTerms, Quarter, density
 from dsbu.exact import eval_pc_blowup, eval_standing_wave
 
 from oracles import brute_force_windowed_mass, reference_disk_trace
-from test_evolution import FFTCounter
+from test_evolution import FFTCounter, assert_no_child_left
 
 
 def bump(grid, center, width=0.4, amplitude=1.0):
@@ -654,11 +654,6 @@ class LoggedSnapshots(Sequence):
         return item
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def split_of(snaps):
     """The first item of the child's half of a split walk of ``snaps``."""
     return (len(snaps) + 1) // 2
@@ -798,7 +793,7 @@ class TestTracesOnTwoProcesses:
 
         def dying(t, u, even):
             if os.getpid() != parent:
-                os.write(pipes[-1][1], pickle.dumps((t, [t] * 100, None))[:40])
+                os.write(pipes[-1][1], pickle.dumps((True, ((t, [t] * 100), None)))[:40])
                 os.kill(os.getpid(), signal.SIGKILL)
             return t
 

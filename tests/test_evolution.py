@@ -2,7 +2,8 @@
 
 import hashlib
 import math
-import sys
+import os
+import signal
 import threading
 import time
 import weakref
@@ -49,6 +50,13 @@ def gaussian(grid, amplitude=1.0, width=1.0):
 @pytest.fixture(scope="module")
 def ground_state_128():
     return solve_ground_state(Grid2D(128, 20.0), OperatorParams(1, 1.0))
+
+
+@pytest.fixture
+def in_one_process(monkeypatch):
+    """``run`` with ``os.fork`` taken away: its loop and its boundaries take turns in this
+    process, where a hook sees every call (with a fork, the steps happen in the stepper)."""
+    monkeypatch.delattr(os, "fork")
 
 
 def synthetic_record(t, grad_sq, moment=1.0, valid=True):
@@ -242,8 +250,9 @@ class TestRun:
         assert res.state.t < 5.0
 
     @pytest.mark.parametrize("c_adapt,at_dt0", [(0.5, "every"), (0.01, "some"), (1e-4, "no")])
-    def test_adaptive_dt_is_the_exact_rule_on_the_last_mid_step_rate(self, monkeypatch,
-                                                                    c_adapt, at_dt0):
+    def test_adaptive_dt_is_the_exact_rule_on_the_last_mid_step_rate(
+        self, monkeypatch, in_one_process, c_adapt, at_dt0,
+    ):
         # dt = min(dt0, c_adapt / rate, t_end - t) on every step, bitwise, where
         # rate is the max|L(|v|^2)| that the last step's mid-step field v gave
         # (the first step: the initial field's); c_adapt = 0.01 holds dt0 until
@@ -319,7 +328,7 @@ class TestRun:
         with pytest.raises(DomainError, match="gradient-free"):
             run(s, cfg)
 
-    def test_snapshot_ladder_takes_one_gradient_per_boundary(self, monkeypatch):
+    def test_snapshot_ladder_takes_one_gradient_per_boundary(self, monkeypatch, in_one_process):
         # the ladder check and the record share the boundary's gradient:
         # one for the initial field and one per step, with no sink as well
         calls = []
@@ -756,12 +765,29 @@ class TestQuarterLoop:
         assert got.state.l4_last == l4_mid
         assert got.state.l4_accum == dt * l4_mid
 
-    def test_run_leaves_the_full_grid_multipliers_unbuilt(self):
+    def test_run_leaves_the_full_grid_multipliers_unbuilt(self, in_one_process):
         g = Grid2D(64, 12.0)
         s = SimulationState.initial(gaussian(g, 1.5, 1.0), OperatorParams(1, 1.0))
         got = run(s, EvolveConfig(t_end=0.02, dt0=1e-3, adaptive=True, sample_interval=5e-3))
         assert got.state.step_index == 20 and len(got.records) == 5
         assert "ksq" not in vars(g) and "b_symbol" not in vars(g)
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "here"])
+    @pytest.mark.parametrize("shift", [0.0, 0.3], ids=["quarter", "grid"])
+    def test_a_run_with_no_step_returns_its_initial_field(self, monkeypatch, fork, shift):
+        # t_end lies within the loop's tolerance of t0, so no step is taken
+        g = Grid2D(32, 8.0)
+        x1, x2 = g.coords()
+        u0 = Field(g, 1.2 * np.exp(-((x1 - shift) ** 2 + x2**2) / 2))
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        kept = SnapshotList()
+        got = run(SimulationState.initial(u0, OperatorParams(1, 1.0)), EvolveConfig(t_end=1e-13),
+                  kept)
+        assert got.stop_reason == "t_end" and got.state.step_index == 0
+        assert len(got.records) == 1 and [t for t, _ in kept] == [0.0]
+        assert got.state.u.values.tobytes() == u0.values.tobytes()
+        assert_no_child_left()
 
     def test_run_lets_go_of_the_initial_field_once_it_has_the_quarter(self, monkeypatch):
         # the caller keeps no reference: run lets the n x n field go once it
@@ -796,21 +822,42 @@ class TestQuarterLoop:
         assert Quarter.holds(got.state.u.values)
 
 
-class TestBoundaryHelper:
-    """``run`` works each boundary on one helper thread while the loop steps on."""
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_bytes(res, kept=None):
+    """The records, the final state and the kept snapshots of a run, as bytes."""
+    rows = np.array([astuple(r) for r in res.records], dtype=float)
+    state = np.array([res.state.t, res.state.l4_last, res.state.l4_accum, res.state.step_index])
+    parts = [rows.tobytes(), state.tobytes(), res.state.u.values.tobytes(),
+             res.stop_reason.encode()]
+    for t, f in kept or []:
+        parts += [np.float64(t).tobytes(), f.values.tobytes()]
+    return b"".join(parts)
+
+
+class TestStepperProcess:
+    """``run`` steps in a forked stepper process and works each boundary in this one."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_before_or_after(self):
+        assert_no_child_left()
+        yield
+        assert_no_child_left()
 
     @pytest.mark.parametrize("shift", [0.0, 0.3], ids=["quarter", "grid"])
     @pytest.mark.parametrize("ratio,interval", [(2.0**0.125, 1e-9), (None, 0.05)],
                              ids=["every step, ladder", "sparse"])
-    def test_records_and_snapshots_hold_under_fast_thread_switches(
+    def test_records_and_snapshots_are_the_sequential_bits(
         self, monkeypatch, shift, ratio, interval,
     ):
         # records at every step with a snapshot ladder, or sparse ones, with
-        # the interpreter switching threads every microsecond, and a record
-        # and a sink slow enough for the loop to take several steps during
-        # each: the helper reads only the boundary's own arrays, which the
-        # loop rewrites only once it has waited for the boundary before, so
-        # each record and snapshot is the oracle's
+        # a record and a sink slow enough for the stepper to take several
+        # steps during each: it rewrites the boundary spectrum only once this
+        # process has worked the boundary before, so each record and snapshot
+        # is the sequential path's, bit for bit, and the oracle's
         record = evolution._record
 
         def slow_record(*args):
@@ -830,19 +877,18 @@ class TestBoundaryHelper:
         cfg = EvolveConfig(t_end=1.0, adaptive=True, guard=6.0, sample_interval=interval,
                            snapshot_grad_ratio=ratio)
         kept = SlowSink()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = run(s, cfg, kept)
-        finally:
-            sys.setswitchinterval(interval)
+        got = run(s, cfg, kept)
         assert got.state.step_index > 30 and len(kept) > 5
         if ratio is not None:
             assert len(got.records) == got.state.step_index + 1
         assert kept[-1][1].values.tobytes() == got.state.u.values.tobytes()
         assert_same_run(got, reference_run(s, cfg), cfg.t_end, kept)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            here = SnapshotList()
+            assert run_bytes(run(s, cfg, here), here) == run_bytes(got, kept)
 
-    def test_sink_error_comes_out_of_run_and_ends_the_helper(self):
+    def test_sink_error_comes_out_of_run_and_ends_the_stepper(self):
         calls = []
 
         def sink(t, values, space):
@@ -851,21 +897,92 @@ class TestBoundaryHelper:
                 raise RuntimeError("sink failed on its third call")
 
         cfg = EvolveConfig(t_end=0.02, dt0=1e-3, sample_interval=2e-3)
-        before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="third call"):
             run(drawn_gaussian(1.5, 1.0), cfg, sink)
-        # the helper is gone before run raises, although the traceback still
-        # holds run's frame
-        for thread in set(threading.enumerate()) - before:
-            thread.join(timeout=2.0)
-            assert not thread.is_alive(), thread.name
-        assert threading.active_count() == len(before)
         assert calls == pytest.approx([0.0, 2e-3, 4e-3], rel=1e-12)
+
+    def test_stepper_error_comes_out_after_the_boundaries_before_it(self, monkeypatch):
+        step, calls, kept = evolution._spectral_step, [], SnapshotList()
+
+        def failing_third_step(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DomainError("step 3 failed")
+            return step(*args)
+
+        monkeypatch.setattr(evolution, "_spectral_step", failing_third_step)
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1e-3)
+        with pytest.raises(DomainError, match="^step 3 failed$"):
+            run(drawn_gaussian(1.5, 1.0), cfg, kept)
+        # the steps, and so the calls, happened in the stepper
+        assert calls == [] and [t for t, _ in kept] == pytest.approx([0.0, 1e-3, 2e-3])
+
+    def test_an_error_that_does_not_pickle_comes_as_a_domain_error(self, monkeypatch):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        def failing_step(*args):
+            raise LocalError("no step")
+
+        monkeypatch.setattr(evolution, "_spectral_step", failing_step)
+        with pytest.raises(DomainError, match="^LocalError: no step$"):
+            run(drawn_gaussian(1.5, 1.0), EvolveConfig(t_end=0.01, dt0=1e-3))
+
+    def test_a_killed_stepper_is_an_error(self, monkeypatch):
+        step, parent = evolution._spectral_step, os.getpid()
+
+        calls = []
+
+        def dying(*args):  # in the stepper, on its third step
+            calls.append(1)
+            if os.getpid() != parent and len(calls) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return step(*args)
+
+        monkeypatch.setattr(evolution, "_spectral_step", dying)
+        kept = SnapshotList()
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=1e-3)
+        with pytest.raises(RuntimeError, match=r"stepper ended without its result "
+                                               r"\(exit code -9\)"):
+            run(drawn_gaussian(1.5, 1.0), cfg, kept)
+        assert len(kept) == 3
+
+    @pytest.mark.parametrize("reason", ["no fork", "another thread"])
+    def test_run_here_where_a_fork_is_unsafe(self, monkeypatch, reason):
+        s = drawn_gaussian(1.5, 1.0)
+        cfg = EvolveConfig(t_end=0.01, dt0=1e-3, sample_interval=2e-3,
+                           snapshot_grad_ratio=2.0**0.25)
+        forked = SnapshotList()
+        want = run_bytes(run(s, cfg, forked), forked)
+        step, pids = evolution._spectral_step, []
+
+        def watched(*args):
+            pids.append(os.getpid())
+            return step(*args)
+
+        monkeypatch.setattr(evolution, "_spectral_step", watched)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        if reason == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            other.start()
+        try:
+            kept = SnapshotList()
+            got = run(s, cfg, kept)
+        finally:
+            stop.set()
+            if other.is_alive():
+                other.join(timeout=10)
+        assert not other.is_alive()
+        assert pids == [os.getpid()] * 10
+        assert run_bytes(got, kept) == want
 
     def test_mass_drift_per_step_stays_within_its_measured_rate(self):
         # the merged loop's mass drift grows linearly with the steps, at 6e-17
-        # to 3e-16 per step (an open finding); the helper builds the records
-        # with the same arithmetic and must leave that rate where it was:
+        # to 3e-16 per step (an open finding); the boundaries build the records
+        # with the same arithmetic in either process and must leave that rate
+        # where it was:
         # 2.07e-16 per step over this collapse's 147 steps
         g = Grid2D(128, 2.5)
         s = SimulationState.initial(gaussian(g, 8.8, 0.225), OperatorParams(1, 1.0))
@@ -888,33 +1005,20 @@ class FFTCounter:
     REAL = ("rfft2", "irfft2", "rfft", "irfft")
 
     def __init__(self, monkeypatch):
-        self.by_thread = {}  # thread name -> count
-        self._lock = threading.Lock()
+        self.total = 0.0
         for name in self.COMPLEX + self.REAL:
             weight = 1.0 if name in self.COMPLEX else 0.5
             monkeypatch.setattr(np.fft, name, self._counted(name, getattr(np.fft, name), weight))
-
-    @property
-    def total(self) -> float:
-        """The count over every thread."""
-        return sum(self.by_thread.values())
-
-    def here(self) -> float:
-        """The count of the calling thread."""
-        return self.by_thread.get(threading.current_thread().name, 0.0)
 
     def _counted(self, name, fn, weight):
         def counted(a, *args, **kwargs):
             out = fn(a, *args, **kwargs)
             if name.endswith("2"):
-                amount = weight
+                self.total += weight
             else:
                 shape = np.shape(a) if name == "rfft" else out.shape
                 m = shape[kwargs.get("axis", -1)]
-                amount = weight * math.prod(shape) / (2 * m * m)
-            thread = threading.current_thread().name
-            with self._lock:
-                self.by_thread[thread] = self.by_thread.get(thread, 0.0) + amount
+                self.total += weight * math.prod(shape) / (2 * m * m)
             return out
         return counted
 
@@ -922,39 +1026,44 @@ class FFTCounter:
 class TestFFTBudget:
     """Transforms per step and per record inside ``run`` (the merged-step budget).
 
-    A step is two complex transforms and the real pair of L: 3
-    FFT-equivalents on the full grid, which the shifted Gaussian takes, and
-    3c on the quarter of the centred one, where each transform is two passes
-    of n/2+1 lines, c = (n/2+1)/n of one on the grid. Besides the steps, the
-    loop's thread takes one transform of the initial field and, when
-    adaptive, the real pair of the initial field's rate. The helper thread
-    takes one transform per boundary field formed (here each record after
-    the first) and the records; a record takes the half spectrum of |u|^2,
-    half a transform, which the initial record shares with that rate.
+    Counted on ``run``'s sequential path (``in_one_process``), where this
+    process takes every transform. A step is two complex transforms and
+    the real pair of L: 3 FFT-equivalents on the full grid, which the
+    shifted Gaussian takes, and 3c on the quarter of the centred one, where
+    each transform is two passes of n/2+1 lines, c = (n/2+1)/n of one on
+    the grid. Outside the boundaries ``run`` takes one transform of the
+    initial field and, when adaptive, the real pair of the initial field's
+    rate. Each boundary field formed (here each record after the first)
+    takes one transform, and each record the half spectrum of |u|^2, half
+    a transform, which the initial record shares with that rate.
     """
 
     def counted_run(self, monkeypatch, cfg, amplitude=1.2, shift=0.0):
         counter = FFTCounter(monkeypatch)
-        in_records = [0.0, 0]
-        record = evolution._record
+        counts = {"_boundary": [0.0, 0], "_record": [0.0, 0]}
 
-        def counted_record(*args, **kwargs):
-            before = counter.here()
-            out = record(*args, **kwargs)
-            in_records[0] += counter.here() - before
-            in_records[1] += 1
-            return out
+        def counted(name):
+            fn = getattr(evolution, name)
 
-        monkeypatch.setattr(evolution, "_record", counted_record)
+            def wrapped(*args, **kwargs):
+                before = counter.total
+                out = fn(*args, **kwargs)
+                counts[name][0] += counter.total - before
+                counts[name][1] += 1
+                return out
+            return wrapped
+
+        for name in counts:
+            monkeypatch.setattr(evolution, name, counted(name))
         g = Grid2D(64, 12.0)
         x1, x2 = g.coords()
         u0 = Field(g, amplitude * np.exp(-((x1 - shift) ** 2 + x2**2) / 2))
         s = SimulationState.initial(u0, OperatorParams(1, 1.0))
-        before = counter.here()
+        before = counter.total
         res = run(s, cfg)
-        in_loop = counter.here() - before
-        in_helper = counter.total - counter.by_thread.get(threading.current_thread().name, 0.0)
-        return in_loop, in_helper - in_records[0], res.state.step_index, in_records
+        in_loop = counter.total - before - counts["_boundary"][0]
+        in_boundaries = counts["_boundary"][0] - counts["_record"][0]
+        return in_loop, in_boundaries, res.state.step_index, counts["_record"]
 
     c = (64 // 2 + 1) / 64
 
@@ -965,17 +1074,17 @@ class TestFFTBudget:
         assert in_boundaries == pytest.approx((n_rec - 1) * c, rel=1e-12)
         assert in_rec == pytest.approx(0.5 * (n_rec - adaptive) * c, rel=1e-12)
 
-    def test_fixed_step_budget(self, monkeypatch):
+    def test_fixed_step_budget(self, monkeypatch, in_one_process):
         cfg = EvolveConfig(t_end=0.05, dt0=1e-3, sample_interval=0.01, guard=50.0)
         self.assert_budget(self.counted_run(monkeypatch, cfg), self.c, False)
 
-    def test_adaptive_step_budget(self, monkeypatch):
+    def test_adaptive_step_budget(self, monkeypatch, in_one_process):
         cfg = EvolveConfig(t_end=0.05, dt0=1e-3, adaptive=True, c_adapt=1e-3,
                            sample_interval=0.01, guard=50.0)
         self.assert_budget(self.counted_run(monkeypatch, cfg), self.c, True)
 
     @pytest.mark.parametrize("adaptive", [False, True])
-    def test_full_grid_step_budget(self, monkeypatch, adaptive):
+    def test_full_grid_step_budget(self, monkeypatch, in_one_process, adaptive):
         cfg = EvolveConfig(t_end=0.05, dt0=1e-3, adaptive=adaptive, c_adapt=1e-3,
                            sample_interval=0.01, guard=50.0)
         self.assert_budget(self.counted_run(monkeypatch, cfg, shift=0.3), 1.0, adaptive)
