@@ -28,42 +28,40 @@ class Worker:
     """A forked child that runs ``work(send, wait)``, used as a context manager.
 
     ``send(message)`` sends a message to this process, which takes them in
-    order from ``messages``. With ``replies`` set, ``wait()`` blocks in the
-    child until this process calls ``release``; without it ``wait`` is
-    None. ``work`` returns a pair (result, error), which the child sends
-    last, as ``outcome``'s value: exit code 0 once it is sent, 1 if
-    anything raised. An error that does not survive a pickle round trip is
-    sent as a ``DomainError`` naming its type and message. ``what`` names
-    the worker in the ``RuntimeError`` of a child that ends without its
-    outcome. On leaving the ``with`` block this process closes its pipe
-    ends and kills and reaps a child that ``messages`` has not reaped.
+    order from ``messages``; each ``wait()`` blocks in the child until this
+    process calls ``release`` once more. ``work`` returns a pair (result,
+    error), which the child sends last, as ``outcome``'s value: exit code 0
+    once it is sent, 1 if anything raised. An error that does not survive a
+    pickle round trip is sent as a ``DomainError`` naming its type and
+    message. ``what`` names the worker in the ``RuntimeError`` of a child
+    that ends without its outcome. On leaving the ``with`` block this
+    process closes its pipe ends and kills and reaps a child that
+    ``messages`` has not reaped. Each process runs one thread.
     """
 
-    def __init__(self, work: Callable, what: str, replies: bool = False):
+    def __init__(self, work: Callable, what: str):
         self.what, self.result = what, None
-        inbox, self.outbox = os.pipe() if replies else (None, None)
+        inbox, self.outbox = os.pipe()
         results, out = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
             for fd in (inbox, self.outbox, results, out):
-                if fd is not None:
-                    os.close(fd)
+                os.close(fd)
             raise
         if self.pid == 0:  # the child never returns into the caller
             status = 1
             try:
                 os.close(results)
-                if replies:
-                    os.close(self.outbox)
+                os.close(self.outbox)
                 with open(out, "wb") as pipe:
 
                     def post(done: bool, value) -> None:
                         pickle.dump((done, value), pipe)
                         pipe.flush()
 
-                    wait = (lambda: os.read(inbox, 1)) if replies else None
-                    result, error = work(lambda message: post(False, message), wait)
+                    result, error = work(lambda message: post(False, message),
+                                         lambda: os.read(inbox, 1))
                     try:
                         pickle.loads(pickle.dumps(error))
                     except Exception:
@@ -73,8 +71,7 @@ class Worker:
             finally:
                 os._exit(status)
         os.close(out)
-        if replies:
-            os.close(inbox)
+        os.close(inbox)
         self.results = open(results, "rb")
 
     def __enter__(self) -> Worker:
@@ -82,8 +79,7 @@ class Worker:
 
     def __exit__(self, *exc) -> None:
         self.results.close()
-        if self.outbox is not None:
-            os.close(self.outbox)
+        os.close(self.outbox)
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)

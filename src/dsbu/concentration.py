@@ -47,7 +47,6 @@ half of such a walk; an iterable that is not a sequence is walked here alone.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -112,41 +111,34 @@ def _window_kernel(off: np.ndarray, w: WindowSpec) -> np.ndarray:
 
 
 class KernelSpectra:
-    """The read-only half spectra of window kernels, kept for a trace and safe to share
-    between threads.
+    """The read-only half spectra of window kernels, kept for a trace; one serves one thread.
 
     A disk or square kernel is a nested lattice point set: growing the
     window only adds points. On a given space, the grid or its ``Quarter``,
     the count of its points therefore fixes it, and its spectrum is kept
     under (grid, space shape, window shape, count). At most ``size``
-    spectra are held; the least recently used goes first. A miss transforms
-    the kernel outside the lock, so two threads may transform at once.
+    spectra are held; the least recently used goes first. Each trace call
+    makes its own, and each process of a split walk holds its own copy.
     """
 
     size = 4
 
     def __init__(self):
         self._spectra: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._spectra)
+        return len(self._spectra)
 
     def spectrum(self, key: tuple, kernel: np.ndarray, space: Grid2D | Quarter) -> np.ndarray:
         """The spectrum kept under ``key``, else ``space.rfft(kernel)``, kept from now on."""
-        with self._lock:
-            spectrum = self._spectra.get(key)
-            if spectrum is not None:
-                self._spectra.move_to_end(key)
-                return spectrum
-        spectrum = space.rfft(kernel)
-        spectrum.flags.writeable = False
-        with self._lock:
-            if key not in self._spectra and len(self._spectra) == self.size:
+        spectrum = self._spectra.get(key)
+        if spectrum is None:
+            spectrum = space.rfft(kernel)
+            spectrum.flags.writeable = False
+            if len(self._spectra) == self.size:
                 self._spectra.popitem(last=False)
-            spectrum = self._spectra.setdefault(key, spectrum)
-            self._spectra.move_to_end(key)
+            self._spectra[key] = spectrum
+        self._spectra.move_to_end(key)
         return spectrum
 
 

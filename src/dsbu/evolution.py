@@ -313,7 +313,7 @@ def _steps(
     p = state.params
     spare, v = np.empty_like(what), np.empty_like(what)
     ladder = cfg.snapshot_grad_ratio
-    dt_prev = 0.0  # the free flow still owed by ``what``: E(dt_prev/2)
+    dt_prev = 0.0  # the free flow that ``what`` has yet to take: E(dt_prev/2)
     kept_t = state.t
     next_sample = state.t + cfg.sample_interval
     stop = None
@@ -359,27 +359,23 @@ def _steps(
 def _stepper(steps, hat: np.ndarray, send, wait) -> tuple:
     """The work of ``run``'s stepper process: ``steps(at_boundary)``, to (stop, error).
 
-    At each boundary it waits for the caller's release of the one before
-    (none is owed for the first), copies the spectrum into the shared
-    ``hat`` and sends (state, dt used, dt_prev, record, keep). It ends once
-    the caller has released the last one.
+    At each boundary it waits for a release, copies the spectrum into the
+    shared ``hat`` and sends (state, dt used, dt_prev, record, keep); it
+    waits once more after ``steps`` returns, so that the caller's release of
+    the last boundary finds this end open. The caller releases once before
+    the first boundary and once after working each.
     """
-    owed = False  # whether the caller still works the boundary sent last
 
     def at_boundary(state, dt_used, dt_prev, terms, record, keep) -> None:
-        nonlocal owed
-        if owed:
-            wait()
+        wait()
         np.copyto(hat, terms.uhat)
         send((state, dt_used, dt_prev, record, keep))
-        owed = True
 
     try:
         outcome = steps(at_boundary), None
     except Exception as exc:
         outcome = None, exc
-    if owed:
-        wait()  # so that the caller's last release finds this end open
+    wait()
     return outcome
 
 
@@ -407,29 +403,29 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
 
     The loop (``_steps``) is the merged form of ``strang_step`` described
     in the module docstring: it carries the spectrum after the nonlinear
-    substep from step to step, in one of two spectrum buffers. The
-    free-flow factors of dt0 (the merged one and the half-step one) are
-    built once; any other dt costs an n-point exponential. A non-finite
-    step leaves the spectrum it started from as it was, so the last finite
-    state is formed from it. The loop agrees with repeated ``strang_step``
-    to roundoff, except ``l4_accum``, the midpoint sum of the mid-step
-    integrals of |v|^4, where ``strang_step`` accumulates the trapezoid.
+    substep from step to step, in one of two spectrum buffers, and each
+    step and boundary builds its free-flow factor, one n-point exponential.
+    A non-finite step leaves the spectrum it started from as it was, so
+    the last finite state is formed from it. The loop agrees with repeated
+    ``strang_step`` to roundoff, except ``l4_accum``, the midpoint sum of
+    the mid-step integrals of |v|^4, where ``strang_step`` accumulates the
+    trapezoid.
 
     Each boundary -- a record, a snapshot, a stop or the last step -- is
     worked in the calling process: it forms the field
     u = ifft(E(dt/2) w_hat), builds the record and calls the sink. Where
     ``_fork.may_fork`` allows it, the loop runs in a forked stepper process
-    (a ``_fork.Worker``) while this one works the boundaries. The two share
-    one boundary spectrum (an anonymous shared mapping): at each boundary
-    the stepper waits until this process has worked the one before, copies
-    w_hat there and sends the boundary's state; at the end it sends its
-    stop reason, or its error, which ``run`` raises after the boundaries
-    before it. After a sink error the stepper is killed and no later
-    snapshot is taken; the stepper is reaped on every path. So hooks in
-    this process (a profiler, a test's counter) see the boundaries but not
-    the steps, and a monkeypatch made before ``run`` holds in both
-    processes. Elsewhere the loop and the boundaries take turns in the
-    calling thread, with the same bits.
+    (a ``_fork.Worker``) while this one works the boundaries; each process
+    runs one thread. The two share one boundary spectrum (an anonymous
+    shared mapping), which the stepper fills only once this process has
+    released it (see ``_stepper``), and then sends the boundary's state; at
+    the end it sends its stop reason, or its error, which ``run`` raises
+    after the boundaries before it. After a sink error the stepper is
+    killed and no later snapshot is taken; the stepper is reaped on every
+    path. So hooks in this process (a profiler, a test's counter) see the
+    boundaries but not the steps, and a monkeypatch made before ``run``
+    holds in both processes. Elsewhere the loop and the boundaries take
+    turns in the calling thread, with the same bits.
 
     An initial field equal sample for sample to its mirrors in x1 and in x2
     (u[i, j] = u[(n-i) mod n, j] = u[i, (n-j) mod n]) is stepped on its
@@ -465,16 +461,11 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         if not terms.grad > 0.0:
             raise DomainError("run: snapshot ladder undefined for gradient-free fields")
         rung = terms.grad * cfg.snapshot_grad_ratio
-    k_sq, flows = space.k**2, {}
+    k_sq = space.k**2
 
     def flow(tau: float) -> np.ndarray:
-        """The axis factor e(k) = exp(-i k^2 tau) of the free flow over tau; kept for dt0."""
-        e = flows.get(tau)
-        if e is None:
-            e = np.exp(-1j * k_sq * tau)
-            if tau in (cfg.dt0 / 2, cfg.dt0):
-                flows[tau] = e
-        return e
+        """The axis factor e(k) = exp(-i k^2 tau) of the free flow over tau."""
+        return np.exp(-1j * k_sq * tau)
 
     records, last = [], u  # the last field formed is the run's last state
 
@@ -497,7 +488,8 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         stop = steps(work)
     else:
         hat = np.frombuffer(mmap.mmap(-1, what.nbytes), dtype=what.dtype).reshape(what.shape)
-        with Worker(partial(_stepper, steps, hat), "the run's stepper", replies=True) as worker:
+        with Worker(partial(_stepper, steps, hat), "the run's stepper") as worker:
+            worker.release()  # the slot is free for the first boundary
             work(state, 0.0, 0.0, terms, True, True)
             del terms, u
             for now, dt_used, dt_prev, record, keep in worker.messages():

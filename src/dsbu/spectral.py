@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,32 +44,6 @@ REALITY_TOL = 1e-12
 BOUNDARY_DECAY_TOL = 1e-10
 
 
-class cached_property:
-    """``functools.cached_property`` without its lock.
-
-    On Python 3.11 that decorator holds one lock per class attribute, shared
-    by every instance, while it computes; two threads reading the ``grad`` of
-    two different ``FieldTerms`` then take turns through whole transforms. A
-    ``FieldTerms`` serves one thread, so its cache needs no lock; a grid's
-    multipliers and its ``quarter`` are shared, and two threads that build
-    one at once each publish the same read-only bits, so theirs needs none
-    either.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.attrname = name
-
-    def __get__(self, instance, owner):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
-
-
 class Grid2D:
     """Uniform n x n grid on the periodic square [-L/2, L/2)^2.
 
@@ -77,7 +52,10 @@ class Grid2D:
     built with the grid; the n x n multipliers ``ksq`` and ``b_symbol`` on
     first use, which a field stepped or traced on its quarter never makes;
     ``quarter``, the grid's one ``Quarter``, on first use too. Every array is
-    read-only, so a grid may be shared freely between fields and threads.
+    read-only, so a grid may be shared freely between fields. dsbu runs one
+    thread per process, but a grid stays safe to read from several threads:
+    ``functools.cached_property`` builds each cached value under its lock
+    (Python 3.11), and every build gives the same read-only bits.
     """
 
     def __init__(self, n: int, box_length: float):
@@ -224,8 +202,9 @@ class Quarter:
     * a sum weighs indices 0 and n/2 of each axis once and every other index
       twice, for itself and its mirror, in both spaces.
 
-    Like a ``Grid2D``, a ``Quarter`` holds read-only arrays only, so one
-    object, the grid's ``quarter``, is shared by every caller and thread.
+    Like a ``Grid2D``, a ``Quarter`` holds read-only arrays only, and each
+    transform makes its own buffers, so one object, the grid's ``quarter``,
+    is shared by every caller, and stays safe to call from several threads.
     Its ``grid`` is that grid, of the n x n fields that ``unfold`` makes.
     """
 

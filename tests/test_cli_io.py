@@ -35,7 +35,7 @@ from dsbu.snapshot_io import (
     write_snapshot,
 )
 
-from test_evolution import assert_no_child_left
+from test_evolution import assert_no_child_left, open_fds
 
 #: Both snapshot readers make the same header checks.
 READERS = (read_snapshot, read_header)
@@ -513,19 +513,19 @@ class TestCli:
     def test_snapshot_write_that_fails_exits_2(self, tmp_path, capsys):
         # the third snapshot's temp file cannot be opened: evolve stops with a
         # usage error naming it, writes no later snapshot and no records, and
-        # leaves no stepper process behind
+        # leaves no stepper process or open pipe end behind
         out = tmp_path / "run_out"
         (out / "snap_000002.dsbu.tmp").mkdir(parents=True)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(EVOLVE_CFG.format(out=out))
-        threads = threading.active_count()
+        threads, fds = threading.active_count(), open_fds()
         assert main(["evolve", str(cfg)]) == 2
         assert f"cannot write {out / 'snap_000002.dsbu'}: " in capsys.readouterr().err
         assert sorted(f.name for f in out.glob("snap_*")) == [
             "snap_000000.dsbu", "snap_000001.dsbu", "snap_000002.dsbu.tmp"]
         assert not (out / "records.csv").exists()
         assert threading.active_count() == threads
-        assert_no_child_left()
+        assert_no_child_left(fds)
 
     @pytest.mark.parametrize("trace", ["disk", "square"])
     def test_version_1_snapshots_analyze_to_the_same_bytes(self, trace, tmp_path):

@@ -4,7 +4,6 @@ import hashlib
 import os
 import pickle
 import signal
-import sys
 import threading
 from collections.abc import Sequence
 from dataclasses import fields, replace
@@ -34,7 +33,7 @@ from dsbu.spectral import FieldTerms, Quarter, density
 from dsbu.exact import eval_pc_blowup, eval_standing_wave
 
 from oracles import brute_force_windowed_mass, reference_disk_trace
-from test_evolution import FFTCounter, assert_no_child_left
+from test_evolution import FFTCounter, assert_no_child_left, open_fds
 
 
 def bump(grid, center, width=0.4, amplitude=1.0):
@@ -246,43 +245,6 @@ class TestKernelSpectra:
         one = 0.5 * (g.n // 2 + 1) / g.n if space == "quarter" else 0.5
         assert counter.total == pytest.approx(one, rel=1e-12)
         assert again == first
-
-    def test_shared_by_threads_under_frequent_switches(self):
-        # six threads on one cache, a switch forced every microsecond: every
-        # result is the fresh call's and the cache never exceeds its bound
-        g = Grid2D(32, 8.0)
-        u = random_even_field(g, 4)
-        full = FieldTerms.of(u)
-        full.rho_half
-        windows = [WindowSpec(shape, size) for shape in (DISK, SQUARE) for size in SIZE_LADDER
-                   if size > g.dx]
-        want = [windowed_mass_sup(u, w, full) for w in windows]
-        kernels = concentration.KernelSpectra()
-        errors, sizes = [], []
-
-        def worker(seed):
-            try:
-                order = np.random.default_rng(seed).permutation(len(windows))
-                for k in order:
-                    if windowed_mass_sup(u, windows[k], full, kernels) != want[k]:
-                        errors.append(windows[k])
-                    sizes.append(len(kernels))
-            except Exception as exc:  # surfaced below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert len(sizes) == 6 * len(windows) and max(sizes) <= kernels.size
 
 
 class TestRescaledSnapshot:
@@ -670,10 +632,11 @@ class TestTracesOnTwoProcesses:
     }
 
     @pytest.fixture(autouse=True)
-    def no_child_before_or_after(self):
+    def nothing_left_open(self):
         assert_no_child_left()
+        fds = open_fds()
         yield
-        assert_no_child_left()
+        assert_no_child_left(fds)
 
     @pytest.mark.parametrize("name", SNAPSHOT_SETS)
     def test_disk_trace_equals_a_sequential_walk(self, name):
@@ -824,7 +787,8 @@ class TestTracesOnTwoProcesses:
 
     @pytest.mark.parametrize("end", ["return", "parent's error", "child's error", "close"])
     def test_no_child_outlives_the_trace(self, end):
-        # the fixture checks that no child is left, running or unreaped
+        # the fixture checks that no child is left, running or unreaped, and no
+        # file descriptor open
         snaps = edge_snapshots()
         flat = Field(EDGE_GRID, np.zeros(EDGE_GRID.shape))
         if end == "return":

@@ -822,9 +822,21 @@ class TestQuarterLoop:
         assert Quarter.holds(got.state.u.values)
 
 
-def assert_no_child_left():
+def open_fds():
+    """The names of this process's open file descriptors; None where /proc/self/fd is missing."""
+    try:
+        return set(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def assert_no_child_left(fds=None):
+    """No child of this process runs or waits to be reaped, and, given ``fds`` from an
+    earlier ``open_fds()``, the same file descriptors are open as then."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    if fds is not None:
+        assert open_fds() == fds
 
 
 def run_bytes(res, kept=None):
@@ -842,10 +854,11 @@ class TestStepperProcess:
     """``run`` steps in a forked stepper process and works each boundary in this one."""
 
     @pytest.fixture(autouse=True)
-    def no_child_before_or_after(self):
+    def nothing_left_open(self):
         assert_no_child_left()
+        fds = open_fds()
         yield
-        assert_no_child_left()
+        assert_no_child_left(fds)
 
     @pytest.mark.parametrize("shift", [0.0, 0.3], ids=["quarter", "grid"])
     @pytest.mark.parametrize("ratio,interval", [(2.0**0.125, 1e-9), (None, 0.05)],

@@ -22,7 +22,6 @@ from dsbu import (
     sample_scaled,
     second_moment,
 )
-from dsbu import spectral
 from dsbu.errors import DomainError, GridMismatchError, UsageError
 from dsbu.spectral import PHYSICAL, FieldTerms, Quarter, density, interaction_potential
 
@@ -502,66 +501,46 @@ class TestQuarterOnThreads:
         assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
 
+def on_two_threads(read):
+    """Run ``read(0)`` and ``read(1)`` on two threads and wait for both."""
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 class TestFieldTermsOnThreads:
-    def test_two_threads_compute_cached_terms_at_once(self, monkeypatch):
-        # Python 3.11's functools.cached_property would hold one lock for
-        # ``rho`` of every FieldTerms while it computes, so the second thread
-        # could not reach the barrier until the first had passed it
-        barrier = threading.Barrier(2, timeout=10)
-
-        def waiting_density(values):
-            barrier.wait()
-            return density(values)
-
-        monkeypatch.setattr(spectral, "density", waiting_density)
+    def test_two_threads_get_the_serial_cached_terms(self):
+        # each thread reads the cached terms of its own FieldTerms and gets
+        # the bits of a serial read
         g = Grid2D(16, 5.0)
-        terms = [FieldTerms(gaussian_field(g, width=w).values, g) for w in (1.0, 1.5)]
-        errors = []
+        values = [gaussian_field(g, width=w).values for w in (1.0, 1.5)]
+        terms = [FieldTerms(v, g) for v in values]
+        got = [None, None]
 
-        def read(t):
-            try:
-                t.rho
-            except threading.BrokenBarrierError as exc:
-                errors.append(exc)
+        def read(i):
+            got[i] = terms[i].rho, terms[i].grad, terms[i].quartic(OperatorParams(1, 1.0))
 
-        threads = [threading.Thread(target=read, args=(t,)) for t in terms]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=20)
-        assert not any(thread.is_alive() for thread in threads) and not errors
-        assert all(np.array_equal(t.rho, density(t.values)) for t in terms)
+        on_two_threads(read)
+        for v, (rho, grad, quartic) in zip(values, got):
+            want = FieldTerms(v, g)
+            assert np.array_equal(rho, density(v)) and grad == want.grad
+            assert quartic == want.quartic(OperatorParams(1, 1.0))
 
 
 class TestGridMultipliersOnThreads:
-    def test_two_threads_build_the_symbol_at_once(self, monkeypatch):
-        # both threads are inside the build at the same moment (a locking
-        # cache would keep the second out, and the barrier would break); each
-        # gets the same read-only bits
-        barrier = threading.Barrier(2, timeout=10)
-
-        def waiting_symbol(k):
-            barrier.wait()
-            return b_symbol(k)
-
-        b_symbol = spectral._b_symbol
-        monkeypatch.setattr(spectral, "_b_symbol", waiting_symbol)
+    def test_two_threads_get_the_serial_read_only_symbol(self):
+        # two threads read the symbol of one grid that has not built it yet;
+        # each gets the serial bits, read-only
         g = Grid2D(64, 12.0)
-        got, errors = [None, None], []
+        got = [None, None]
 
         def read(i):
-            try:
-                got[i] = g.b_half
-            except threading.BrokenBarrierError as exc:
-                errors.append(exc)
+            got[i] = g.b_half
 
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=20)
-        assert not any(thread.is_alive() for thread in threads) and not errors
-        monkeypatch.undo()
+        on_two_threads(read)
         want = Grid2D(64, 12.0).b_half
         for b in got:
             assert np.array_equal(b, want) and not b.flags.writeable
