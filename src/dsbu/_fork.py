@@ -85,8 +85,12 @@ class Worker:
             os.waitpid(self.pid, 0)
 
     def release(self) -> None:
-        """Let the child's ``wait`` return once."""
-        os.write(self.outbox, b"\0")
+        """Let the child's ``wait`` return once. A child that has ended, whose end of
+        the pipe is closed, is left for ``messages`` to report with its exit code."""
+        try:
+            os.write(self.outbox, b"\0")
+        except BrokenPipeError:
+            pass
 
     def messages(self) -> Iterator:
         """The child's messages, in order, until its outcome, which is kept for ``outcome``;

@@ -30,8 +30,10 @@ from .spectral import (
     Field,
     Grid2D,
     OperatorParams,
+    Quarter,
     apply_b,
     apply_l,
+    full_field,
     gradient_norm_sq,
     mass,
 )
@@ -150,7 +152,8 @@ def _initial_state(cfg: RunConfig) -> SimulationState:
     key = "snapshot_path" if cfg.ic == "snapshot" else "profile_path"
     path = getattr(cfg, key)
     with _reading(key, path):
-        u0, meta = read_snapshot(path)
+        (values, space), meta = read_snapshot(path)
+    u0 = full_field(values, space)
     # run_config.txt records the config's couplings; the run must use them
     if (meta.nu, meta.gamma) != (cfg.nu, cfg.gamma):
         raise UsageError(
@@ -234,11 +237,11 @@ def _cmd_evolve(cfg: RunConfig) -> int:
 
 
 class _SnapshotFiles(Sequence):
-    """The named snapshots of ``directory`` as a sequence of (t, field, even), with
-    the parity from the file's header (None for a version-1 file). Item i
-    is read from its file when asked for, so the trace holds only the field
-    it is measuring; as a sequence it may be traced on two processes, each
-    reading its own half of the files."""
+    """The named snapshots of ``directory`` as a sequence of (t, values, space), the
+    samples as ``read_snapshot`` gives them, on the space the file holds (an even
+    field's quarter as it is stored). Item i is read from its file when asked for, so
+    the trace holds only the field it is measuring; as a sequence it may be traced on
+    two processes, each reading its own half of the files."""
 
     def __init__(self, directory: str, names: list[str]):
         self.directory, self.names = directory, names
@@ -246,10 +249,10 @@ class _SnapshotFiles(Sequence):
     def __len__(self) -> int:
         return len(self.names)
 
-    def __getitem__(self, i: int) -> tuple[float, Field, bool | None]:
+    def __getitem__(self, i: int) -> tuple[float, np.ndarray, Grid2D | Quarter]:
         with _reading("snapshot_dir", self.directory):
-            field, meta = read_snapshot(os.path.join(self.directory, self.names[i]))
-        return meta.t, field, meta.even
+            (values, space), meta = read_snapshot(os.path.join(self.directory, self.names[i]))
+        return meta.t, values, space
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:

@@ -29,18 +29,18 @@ Each kept snapshot's |u|^2 is transformed once, and that half spectrum is
 shared by quartic(u) and every window of the three schedules. The window
 kernels' half spectra are shared too: the windows of nearby snapshots and
 schedules often hold the same lattice points, and each trace call keeps its
-last four kernel spectra (``KernelSpectra``). Both traces
-take a snapshot's functionals on its grid's ``quarter`` when the snapshot
-equals its mirrors in x1 and x2 sample for sample, as the snapshots of a
-run from even data do, and on the full grid otherwise; the parity is the
-caller's where it comes with the snapshot (from a snapshot file's header),
-else found by ``Quarter.holds``. Each snapshot's measurement depends on no
-other snapshot, so both traces walk a sequence of snapshots on two
-processes: a forked child measures the later half while this process
-measures the earlier half, and the results come in time order (where the
-platform can fork and this process runs no other thread; else the walk is
-sequential, here). The records,
-the summary and any error are those of a sequential walk. Hooks that count
+last four kernel spectra (``KernelSpectra``). Both traces measure a
+snapshot on its space, (values, space): the grid's ``quarter`` for a
+snapshot equal to its mirrors in x1 and x2 sample for sample, as the
+snapshots of a run from even data are, else the full grid. An item gives
+them as ``evolution.run``'s sink and ``snapshot_io.read_snapshot`` do, or
+is a ``Field``, whose space ``spectral.on_its_space`` finds. Each
+snapshot's measurement depends on no other snapshot, so both traces walk a
+sequence of snapshots on two processes: a forked child measures the later
+half while this process measures the earlier half, and the results come in
+time order (where the platform can fork and this process runs no other
+thread; else the walk is sequential, here). The records, the summary and
+any error are those of a sequential walk. Hooks that count
 calls in this process (a profiler, a test's counter) see only the earlier
 half of such a walk; an iterable that is not a sequence is walked here alone.
 """
@@ -66,6 +66,7 @@ from .spectral import (
     Quarter,
     gradient_norm_sq,
     hamiltonian,
+    on_its_space,
 )
 
 DISK = "disk"
@@ -143,17 +144,16 @@ class KernelSpectra:
 
 
 def windowed_mass_sup(
-    u: Field, w: WindowSpec, terms: FieldTerms | None = None,
-    kernels: KernelSpectra | None = None,
+    u: Field | FieldTerms, w: WindowSpec, kernels: KernelSpectra | None = None,
 ) -> WindowedMass:
     """Maximize the window-captured mass over all grid centers.
 
     Ties break toward the lexicographically smallest index. A window at
     least as large as the box captures everything; the result is then the
-    total mass with ``clamped`` set. ``terms`` are u's ``FieldTerms`` when
-    the caller already has them (the disk trace shares one ``rho_half`` per
-    snapshot across its windows), on the grid or on the ``Quarter`` of a u
-    even in x1 and x2; without them the map is made on the grid. On the
+    total mass with ``clamped`` set. ``u`` is a ``Field``, whose map is made
+    on the grid, or u's ``FieldTerms`` where the caller has them (the disk
+    trace shares one ``rho_half`` per snapshot across its windows), on the
+    grid or on the ``Quarter`` of a u even in x1 and x2. On the
     quarter the window and |u|^2 are even, so the map of captured mass is
     too, and it is made from the window's quarter. Every mirror of a quarter
     index comes later in C order, so the first maximum over the quarter is
@@ -161,12 +161,11 @@ def windowed_mass_sup(
     later calls with the same kernel (each trace call has one); the same
     kernel gives the same bits, so the result is that of a call without it.
     """
-    grid = u.grid
+    terms = FieldTerms.of(u) if isinstance(u, Field) else u
+    space = terms.space
+    grid = space.grid
     if not w.size > grid.dx:
         raise DomainError(f"window size {w.size} must exceed one cell (dx={grid.dx})")
-    if terms is None:
-        terms = FieldTerms.of(u)
-    space = terms.space
     kernel = _window_kernel(_periodic_offsets(grid)[: space.shape[0]], w)
     count = int(np.count_nonzero(kernel))
     if kernels is None:
@@ -181,16 +180,6 @@ def windowed_mass_sup(
         best_center=(float(grid.x[idx[0]]), float(grid.x[idx[1]])),
         clamped=count == kernel.size,
     )
-
-
-def _snapshot_terms(u: Field, even: bool | None) -> FieldTerms:
-    """u's ``FieldTerms``: on the grid's ``quarter`` when u equals its mirrors, else on the
-    grid. ``even`` is u's parity where the caller knows it; None has it found here."""
-    if not (Quarter.holds(u.values) if even is None else even):
-        return FieldTerms.of(u)
-    quarter = u.grid.quarter
-    h = quarter.shape[0]
-    return FieldTerms(u.values[:h, :h], quarter)
 
 
 def _unit_gradient_scale(grad: float) -> float:
@@ -305,14 +294,15 @@ def _check_increasing(t: float, last: float | None) -> None:
         raise DomainError(f"snapshot at t = {t} follows t = {last}; traces need increasing t")
 
 
-def _in_time_order(snapshots: Iterable[tuple]) -> Iterator[tuple[float, Field, bool | None]]:
-    """The items (t, u) or (t, u, even) of ``snapshots`` as (t, u, even), with even None
-    where the item does not say; DomainError if there are none or t fails to increase."""
+def _in_time_order(snapshots: Iterable[tuple]) -> Iterator[tuple]:
+    """The items (t, values, space) or (t, u) of ``snapshots`` as (t, values, space), a
+    ``Field`` u on the space of ``on_its_space``; DomainError if there are none or t
+    fails to increase."""
     last = None
-    for t, u, *parity in snapshots:
+    for t, *field in snapshots:
         _check_increasing(t, last)
         last = t
-        yield t, u, parity[0] if parity else None
+        yield t, *(field if len(field) == 2 else on_its_space(*field))
     if last is None:
         raise DomainError("no snapshots to trace")
 
@@ -334,7 +324,7 @@ def _later_half(snapshots: Sequence[tuple], start: int, work: Callable) -> tuple
 def _traced_in_order(
     snapshots: Iterable[tuple], work_for: Callable[[float], Callable],
 ) -> Iterator[tuple]:
-    """work(t, u, even) for each item of ``_in_time_order(snapshots)``, in that order.
+    """work(t, values, space) for each item of ``_in_time_order(snapshots)``, in that order.
 
     ``work = work_for(t0)`` is made once, from the first t. A sequence of
     n >= 2 items is walked on two processes where ``_fork.may_fork`` allows
@@ -392,25 +382,24 @@ def _shifted_schedules(schedule: LambdaSchedule, t0: float) -> dict[str, LambdaS
 
 def _disk_rows(
     schedules: dict[str, LambdaSchedule], params: OperatorParams, kernels: KernelSpectra,
-    t: float, u: Field, even: bool | None,
+    t: float, values: np.ndarray, space: Grid2D | Quarter,
 ) -> tuple[float, bool, list[tuple[str, ConcentrationRecord]]]:
-    """One snapshot of the disk trace: t, whether the main schedule skips it,
-    and a (tag, record) pair for each schedule that keeps it. ``kernels`` is
-    the trace's ``KernelSpectra`` (each process of a split walk has its own);
-    ``even`` is u's parity, if known."""
+    """One snapshot of the disk trace, its samples ``values`` on ``space``: t, whether the
+    main schedule skips it, and a (tag, record) pair for each schedule that keeps it.
+    ``kernels`` is the trace's ``KernelSpectra`` (each process of a split walk has its own)."""
     rows, main_skips, terms = [], False, None
     for tag, sched in schedules.items():
         lam = sched(t)
-        if lam <= u.grid.dx:
+        if lam <= space.dx:
             main_skips = main_skips or tag == "main"
             continue
         if terms is None:
-            terms = _snapshot_terms(u, even)
+            terms = FieldTerms(values, space)
             rho = _unit_gradient_scale(terms.grad)
             quartic = rho**2 * terms.quartic(params)
             en = hamiltonian(1.0, quartic)
         window = WindowSpec(DISK, lam)
-        wm = windowed_mass_sup(u, window, terms, kernels)
+        wm = windowed_mass_sup(terms, window, kernels)
         rows.append((tag, ConcentrationRecord(t, window, *wm, rho, quartic, en)))
     return t, main_skips, rows
 
@@ -423,10 +412,11 @@ def disk_concentration_trace(
 ) -> tuple[list[ConcentrationRecord], DiskTraceSummary]:
     """Disk-window concentration measurements along a blow-up run.
 
-    ``snapshots`` is any iterable of (t, u) in increasing t, walked once, or
-    of (t, u, even) with u's parity where the caller knows it (a snapshot
-    file's header; None if it does not say). A sequence of two or more may be
-    walked on two processes (``_traced_in_order``), with a sequential walk's
+    ``snapshots`` is any iterable, walked once, of (t, values, space) in
+    increasing t, the samples of u at time t on their space (the items that
+    ``evolution.run`` hands its sink), or of (t, u) with u a ``Field``, measured
+    on the space that ``spectral.on_its_space`` finds. A sequence of two or
+    more may be walked on two processes (``_traced_in_order``), with a sequential walk's
     outcome. Snapshots with a nonpositive or sub-cell schedule value are
     skipped and reported. The summary compares captured mass against 2/c_opt
     over the terminal segment, checks that lambda * ||grad u|| grows (the window
@@ -436,9 +426,8 @@ def disk_concentration_trace(
     with t_star shifted by +-2% of the trace span, traced in the same pass.
     The rescaled diagnostics do not depend on the schedule: each snapshot's
     are computed once, when the first schedule keeps it, from the scaling
-    identities and the ``FieldTerms`` of u, whose one transform of |u|^2 its
-    windows share: on the quarter of a snapshot even in x1 and x2, and on
-    the grid otherwise.
+    identities and the ``FieldTerms`` of u on its space, whose one transform
+    of |u|^2 its windows share.
     """
     rows: dict[str, list[ConcentrationRecord]] = {tag: [] for tag in _SCHEDULE_TAGS}
     skipped: list[float] = []
@@ -504,18 +493,18 @@ class SquareTraceSummary:
 
 
 def _square_rows(
-    c_side: float, t_star: float, kernels: KernelSpectra, t: float, u: Field,
-    even: bool | None,
+    c_side: float, t_star: float, kernels: KernelSpectra, t: float, values: np.ndarray,
+    space: Grid2D | Quarter,
 ) -> tuple[float, bool, list[ConcentrationRecord]]:
-    """One snapshot of the square trace: t, whether it is skipped, and its record if kept;
-    ``even`` is u's parity, if known."""
+    """One snapshot of the square trace, its samples ``values`` on ``space``: t, whether it
+    is skipped, and its record if kept."""
     if t >= t_star:
         return t, True, []
     side = c_side * np.sqrt(t_star - t)
-    if side <= u.grid.dx:
+    if side <= space.dx:
         return t, True, []
     window = WindowSpec(SQUARE, side)
-    wm = windowed_mass_sup(u, window, _snapshot_terms(u, even), kernels)
+    wm = windowed_mass_sup(FieldTerms(values, space), window, kernels)
     return t, False, [ConcentrationRecord(t, window, *wm, None, None, None)]
 
 
@@ -528,11 +517,10 @@ def square_concentration_trace(
     """Square-window trace with sidelength c_side * sqrt(t_star - t).
 
     Needs no gradient data (suits mass-only runs). ``snapshots`` is any
-    iterable of (t, u) or (t, u, even) in increasing t, walked once, as in
-    the disk trace (a sequence of two or more on two processes). Snapshots
-    at or beyond t_star, or with sub-cell windows, are skipped with their
-    times reported.
-    An even snapshot's window is maximized on its quarter, as in the disk trace.
+    iterable of (t, values, space) or (t, u) in increasing t, walked once,
+    as in the disk trace (a sequence of two or more on two processes), and
+    each window is maximized on the snapshot's space. Snapshots at or beyond
+    t_star, or with sub-cell windows, are skipped with their times reported.
     """
     if not c_side > 0:
         raise DomainError(f"c_side must be positive, got {c_side}")

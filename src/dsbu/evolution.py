@@ -72,8 +72,10 @@ from .spectral import (
     OperatorParams,
     Quarter,
     density,
+    full_field,
     interaction_potential,
     l4_norm_4,
+    on_its_space,
 )
 
 
@@ -278,26 +280,6 @@ def _spectral_step(
     return sup, l4, float(rate)
 
 
-def _boundary(
-    state: SimulationState, dt_used: float, terms: FieldTerms, e: np.ndarray | None,
-    record: bool, on_snapshot,
-) -> ConservationRecord | None:
-    """One boundary of ``run``, in the caller's process.
-
-    Forms the field u = ifft(e(k1) e(k2) terms.uhat) into ``terms.values``
-    (which hold it already when ``e`` is None), returns ``state``'s record
-    if ``record`` is set (else None), then hands u on its space to
-    ``on_snapshot`` if one is given.
-    """
-    space = terms.space
-    if e is not None:
-        _flowed(terms.uhat, e, terms.values, space)
-    result = _record(state, dt_used, terms) if record else None
-    if on_snapshot is not None:
-        on_snapshot(state.t, terms.values, space)
-    return result
-
-
 def _steps(
     state: SimulationState, what: np.ndarray, rate: float, rung: float, cfg: EvolveConfig,
     space: Grid2D | Quarter, flow, at_boundary,
@@ -397,7 +379,9 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     ``on_snapshot(t, values, space)`` on the calling thread: the field's
     samples on the space the run steps on, the grid or the ``Quarter`` of
     an even field, in a buffer that later boundaries overwrite (a sink that
-    keeps them copies them). With no sink ``run`` keeps and copies nothing;
+    keeps them copies them). (values, space) is the form that
+    ``snapshot_io.write_snapshot`` takes, and (t, values, space) an item of
+    the concentration traces. With no sink ``run`` keeps and copies nothing;
     a ``snapshot_grad_ratio`` then still has the gradient guard read on
     every step.
 
@@ -420,7 +404,8 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     shared mapping), which the stepper fills only once this process has
     released it (see ``_stepper``), and then sends the boundary's state; at
     the end it sends its stop reason, or its error, which ``run`` raises
-    after the boundaries before it. After a sink error the stepper is
+    after the boundaries before it; a stepper that dies instead is a
+    ``RuntimeError`` naming its exit code. After a sink error the stepper is
     killed and no later snapshot is taken; the stepper is reaped on every
     path. So hooks in this process (a profiler, a test's counter) see the
     boundaries but not the steps, and a monkeypatch made before ``run``
@@ -429,11 +414,12 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
 
     An initial field equal sample for sample to its mirrors in x1 and in x2
     (u[i, j] = u[(n-i) mod n, j] = u[i, (n-j) mod n]) is stepped on its
-    quarter (``spectral.Quarter``), any other field on the full grid; no
-    setting chooses. On the quarter the steps, the boundaries, the records
-    and the snapshots all stay there; ``run`` lets go of the caller's field
-    once it has the quarter's copy. The states of the loop carry no field;
-    the last one is unfolded once, into the result's state.
+    quarter (``spectral.Quarter``), any other field on the full grid, as
+    ``spectral.on_its_space`` decides; no setting chooses. On the quarter
+    the steps, the boundaries, the records and the snapshots all stay there;
+    ``run`` lets go of the caller's field once it has the quarter's copy.
+    The states of the loop carry no field; the last one is unfolded once,
+    into the result's state.
     """
     state = state0
     del state0
@@ -443,12 +429,11 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         raise UsageError("t_end must exceed the initial time")
     cfg = cfg.resolved(grid.dx, cfg.t_end - state.t)
 
-    u = state.u.values
-    if not np.all(np.isfinite(u)):
+    if not np.all(np.isfinite(state.u.values)):
         raise DomainError("run: initial field contains non-finite values")
-    space = grid.quarter if Quarter.holds(u) else grid
+    u, space = on_its_space(state.u)
     if space is not grid:
-        u = u[: space.shape[0], : space.shape[1]].copy()
+        u = u.copy()
     state = replace(state, u=None)
     # The loop's spectrum; the boundaries' field (on the quarter, the initial field's copy).
     what = space.fft(u, np.empty_like(u))
@@ -470,16 +455,19 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     records, last = [], u  # the last field formed is the run's last state
 
     def work(now, dt_used, dt_prev, terms, record, keep) -> None:
-        """The boundary of state ``now`` and ``terms``, its field formed into ``boundary``
-        where the terms have none; its record is appended, and ``now`` is the run's state."""
+        """The boundary of state ``now``, in this process: where ``terms`` hold no field it
+        forms u = ifft(E(dt_prev/2) terms.uhat) into ``boundary``; it appends the record if
+        ``record`` is set, then hands u on its space to the sink if ``keep`` is. ``now`` is
+        the run's state and u its last field from here on."""
         nonlocal state, last
-        state, e = now, None
+        state = now
         if terms.values is None:
-            terms.values, e = boundary, flow(dt_prev / 2)
-        rec = _boundary(state, dt_used, terms, e, record, on_snapshot if keep else None)
+            terms.values = _flowed(terms.uhat, flow(dt_prev / 2), boundary, space)
+        if record:
+            records.append(_record(state, dt_used, terms))
+        if keep and on_snapshot is not None:
+            on_snapshot(state.t, terms.values, space)
         last = terms.values
-        if rec is not None:
-            records.append(rec)
 
     steps = partial(_steps, state, what, rate, rung, cfg, space, flow)
     if not may_fork():
@@ -498,9 +486,7 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
             stop, error = worker.outcome()
         if error is not None:
             raise error
-    if space is not grid:
-        last = space.unfold(last, np.empty(grid.shape, dtype=np.complex128))
-    state = replace(state, u=Field(grid, last))
+    state = replace(state, u=full_field(last, space))
 
     estimate = None
     if stop:

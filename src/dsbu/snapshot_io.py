@@ -35,12 +35,12 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SnapshotFormatError, UsageError
-from .spectral import Field, Grid2D, OperatorParams, Quarter
+from .spectral import Field, Grid2D, OperatorParams, Quarter, on_its_space
 
 MAGIC = b"DSBU"
 VERSION = 2
@@ -56,18 +56,11 @@ _shared_grid = functools.lru_cache(maxsize=8)(Grid2D)
 
 @dataclass(frozen=True)
 class SnapshotMeta:
-    """Run metadata carried alongside the field samples.
-
-    ``even`` is read from a version-2 header: whether the stored field is
-    even in x1 and in x2, None for a version-1 file, which does not say.
-    It describes the payload, not the run, so it takes no part in equality,
-    and ``write_snapshot`` takes the parity from the field it writes.
-    """
+    """Run metadata carried alongside the field samples."""
 
     t: float
     nu: int
     gamma: float
-    even: bool | None = dataclass_field(default=None, compare=False)
 
 
 def atomic_write(path: str, *chunks: bytes | str | np.ndarray) -> None:
@@ -94,17 +87,13 @@ def write_snapshot(
 ) -> None:
     """Write a snapshot atomically, an even field as its quarter.
 
-    ``field`` is a ``Field``, whose parity ``Quarter.holds`` finds, or the
-    pair (values, space) that ``evolution.run``'s sink is handed: samples on
-    the grid, or on the ``Quarter`` of an even field.
+    ``field`` is the pair (values, space) that ``evolution.run``'s sink is
+    handed and ``read_snapshot`` returns: samples on the grid, or on the
+    ``Quarter`` of an even field. A ``Field`` is written on the space that
+    ``spectral.on_its_space`` finds for it.
     """
-    if isinstance(field, Field):
-        grid, values = field.grid, field.values
-        space = grid.quarter if Quarter.holds(values) else grid
-        values = values[: space.shape[0], : space.shape[1]]
-    else:
-        values, space = field
-        grid = space if isinstance(space, Grid2D) else space.grid
+    values, space = on_its_space(field) if isinstance(field, Field) else field
+    grid = space.grid
     header = _HEADER.pack(
         MAGIC, VERSION, grid.n, meta.nu, grid.box_length, meta.t, meta.gamma
     ) + _PARITY.pack(space is not grid)
@@ -113,9 +102,10 @@ def write_snapshot(
     atomic_write(path, header, payload, struct.pack("<I", crc))
 
 
-def _checked_header(path: str, fh) -> tuple[Grid2D, SnapshotMeta, int]:
-    """Grid, metadata and the payload's side m (n, or n/2+1 for an even field) from the
-    header of the open snapshot ``fh``, checked with its size."""
+def _checked_header(path: str, fh) -> tuple[Grid2D | Quarter, SnapshotMeta, bool]:
+    """The space of the payload (the grid, or its quarter for an even field), the metadata,
+    and whether the header names that space (version 2; a version-1 payload is always the
+    grid's), from the header of the open snapshot ``fh``, checked with its size."""
     size = os.fstat(fh.fileno()).st_size
     if size < _HEADER.size + 4:
         raise SnapshotFormatError(f"{path}: truncated file ({size} bytes)")
@@ -126,7 +116,7 @@ def _checked_header(path: str, fh) -> tuple[Grid2D, SnapshotMeta, int]:
         raise SnapshotFormatError(f"{path}: unsupported format version {version}")
     if not math.isfinite(t):
         raise SnapshotFormatError(f"{path}: bad header: t = {t}, must be finite")
-    start, even, side = _HEADER.size, None, n
+    start, parity, side = _HEADER.size, None, n
     if version == VERSION:
         start += _PARITY.size
         if size < start + 4:
@@ -137,13 +127,12 @@ def _checked_header(path: str, fh) -> tuple[Grid2D, SnapshotMeta, int]:
                 f"{path}: bad parity flag {parity} in header bytes "
                 f"[{_HEADER.size}, {start}), must be 0 or 1"
             )
-        even = parity == 1
-        side = n // 2 + 1 if even else n
+        side = n // 2 + 1 if parity else n
     expected = start + 16 * side * side + 4
     if size != expected:
         raise SnapshotFormatError(
             f"{path}: structural size mismatch: header says n={n}"
-            f"{'' if even is None else f', parity {int(even)}'}: payload bytes "
+            f"{'' if parity is None else f', parity {parity}'}: payload bytes "
             f"[{start}, {expected - 4}) (expect {expected} bytes), file has {size}"
         )
     # grid and couplings are checked once the file size has vouched for n
@@ -152,7 +141,7 @@ def _checked_header(path: str, fh) -> tuple[Grid2D, SnapshotMeta, int]:
         OperatorParams(nu, gamma)
     except UsageError as exc:
         raise SnapshotFormatError(f"{path}: bad header: {exc}") from None
-    return grid, SnapshotMeta(t=t, nu=nu, gamma=gamma, even=even), side
+    return grid.quarter if parity else grid, SnapshotMeta(t, nu, gamma), parity is not None
 
 
 def read_header(path: str) -> SnapshotMeta:
@@ -161,17 +150,20 @@ def read_header(path: str) -> SnapshotMeta:
         return _checked_header(path, fh)[1]
 
 
-def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:
+def read_snapshot(path: str) -> tuple[tuple[np.ndarray, Grid2D | Quarter], SnapshotMeta]:
     """Read and validate a snapshot written by ``write_snapshot`` (format 1 or 2).
 
-    The payload is read straight into an array, which is the field's or, for
-    an even field, its quarter, unfolded into the field. Snapshots on the
-    same (n, box_length) share one ``Grid2D``.
+    Returns ((values, space), meta), which ``write_snapshot`` takes. The
+    payload is read straight into the array of samples on the space that a
+    version-2 header names: the grid, or the ``Quarter`` of an even field,
+    which is not unfolded. A version-1 payload, always the grid's, is put on
+    the space that ``spectral.on_its_space`` finds for it. Snapshots on the
+    same (n, box_length) share one ``Grid2D`` and its ``quarter``.
     """
     with open(path, "rb") as fh:
-        grid, meta, side = _checked_header(path, fh)
+        space, meta, named = _checked_header(path, fh)
         start = fh.tell()
-        values = np.empty((side, side), dtype="<c16")
+        values = np.empty(space.shape, dtype="<c16")
         fh.readinto(values)
         stored = fh.read(4)
     if stored != struct.pack("<I", zlib.crc32(values) & 0xFFFFFFFF):
@@ -179,6 +171,4 @@ def read_snapshot(path: str) -> tuple[Field, SnapshotMeta]:
             f"{path}: checksum mismatch over payload bytes "
             f"[{start}, {start + values.nbytes})"
         )
-    if side != grid.n:
-        values = Quarter.unfold(values, np.empty(grid.shape, dtype=np.complex128))
-    return Field(grid, values), meta
+    return (values, space) if named else on_its_space(Field(space, values)), meta

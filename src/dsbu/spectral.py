@@ -85,6 +85,11 @@ class Grid2D:
         """The transform object of the grid's fields even in x1 and in x2."""
         return Quarter(self)
 
+    @property
+    def grid(self) -> "Grid2D":
+        """The grid itself, as a ``Quarter``'s ``grid`` is the grid it is the quarter of."""
+        return self
+
     @staticmethod
     def check(n: int, box_length: float) -> None:
         """The grid rule, n even and >= 8 and box_length finite and > 0; builds no array."""
@@ -313,6 +318,27 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
+
+
+def on_its_space(u: Field) -> tuple[np.ndarray, Grid2D | Quarter]:
+    """u's samples on the space that holds them whole, (values, space): a view of the
+    quarter and the grid's ``quarter`` where u equals its mirrors in x1 and in x2, else
+    u's values and its grid. The package's one test of a field's parity: ``run``, the
+    snapshot files and the concentration traces put a ``Field`` on its space here."""
+    grid = u.grid
+    if not Quarter.holds(u.values):
+        return u.values, grid
+    h = grid.quarter.shape[0]
+    return u.values[:h, :h], grid.quarter
+
+
+def full_field(values: np.ndarray, space: Grid2D | Quarter) -> Field:
+    """The ``Field`` of the samples ``values`` on ``space``, the inverse of ``on_its_space``:
+    a quarter unfolded into a new n x n array, samples on the grid as they are."""
+    grid = space.grid
+    if space is not grid:
+        values = space.unfold(values, np.empty(grid.shape, dtype=np.complex128))
+    return Field(grid, values)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsbu import Field, Grid2D, cli
-from dsbu.spectral import Quarter
+from dsbu import Field, Grid2D, cli, concentration
+from dsbu.spectral import Quarter, full_field
 from dsbu.cli import main
 from dsbu.config import RunConfig, config_summary, parse_config
 from dsbu.errors import ConfigError, SnapshotFormatError
@@ -212,10 +212,10 @@ class TestSnapshotFormat:
         meta = SnapshotMeta(t=0.75, nu=-1, gamma=2.5)
         path = tmp_path / "field.dsbu"
         write_snapshot(str(path), field, meta)
-        back, meta_back = read_snapshot(str(path))
+        (values, space), meta_back = read_snapshot(str(path))
         assert meta_back == meta
-        assert back.grid == field.grid
-        assert back.values.tobytes() == field.values.tobytes()
+        assert space == field.grid
+        assert values.tobytes() == field.values.tobytes()
 
     def test_reads_on_one_grid_share_it(self, tmp_path):
         meta = SnapshotMeta(t=0.0, nu=1, gamma=1.0)
@@ -223,9 +223,9 @@ class TestSnapshotFormat:
         write_snapshot(str(p1), self.make_field(seed=1), meta)
         write_snapshot(str(p2), self.make_field(seed=2), meta)
         write_snapshot(str(p3), self.make_field(box=9.0), meta)
-        a, b, c = (read_snapshot(str(p))[0] for p in (p1, p2, p3))
-        assert a.grid is b.grid
-        assert c.grid is not a.grid and c.grid.box_length == 9.0
+        a, b, c = (read_snapshot(str(p))[0][1] for p in (p1, p2, p3))
+        assert a is b
+        assert c is not a and c.box_length == 9.0
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         field = self.make_field()
@@ -288,8 +288,8 @@ class TestSnapshotFormat:
     def test_crafted_blob_is_valid_by_default(self, tmp_path):
         path = tmp_path / "good.dsbu"
         path.write_bytes(snapshot_blob())
-        field, meta = read_snapshot(str(path))
-        assert field.grid.n == 8 and meta == SnapshotMeta(0.5, 1, 1.0)
+        (values, space), meta = read_snapshot(str(path))
+        assert space.n == 8 and values.shape == (8, 8) and meta == SnapshotMeta(0.5, 1, 1.0)
         assert read_header(str(path)) == meta
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -308,8 +308,10 @@ class TestSnapshotFormat:
 
     @pytest.mark.parametrize("even", [True, False], ids=["even", "not even"])
     def test_even_field_is_stored_as_its_quarter(self, even, tmp_path):
-        # an even field's payload is its (n/2+1)^2 quarter, any other keeps
-        # all n^2 samples; both read back bitwise and rewrite byte-identically
+        # an even field's payload is its (n/2+1)^2 quarter, read back as it
+        # is stored, on the quarter; any other keeps all n^2 samples on the
+        # grid. Both unfold to the field bitwise, and what read_snapshot
+        # returns, or its full field, rewrites byte-identically
         field = self.even_field() if even else self.make_field()
         side = 17 if even else 32
         path, again = tmp_path / "field.dsbu", tmp_path / "again.dsbu"
@@ -317,10 +319,14 @@ class TestSnapshotFormat:
         blob = path.read_bytes()
         assert len(blob) == _HEADER.size + _PARITY.size + 16 * side**2 + 4
         assert _PARITY.unpack_from(blob, _HEADER.size) == (int(even),)
-        back, meta = read_snapshot(str(path))
-        assert back.values.tobytes() == field.values.tobytes()
-        assert meta.even is read_header(str(path)).even is even
-        write_snapshot(str(again), back, meta)
+        (values, space), meta = read_snapshot(str(path))
+        assert values.shape == space.shape == (side, side)
+        assert (space is space.grid.quarter) is even and space.grid == field.grid
+        assert full_field(values, space).values.tobytes() == field.values.tobytes()
+        assert meta == read_header(str(path)) == SnapshotMeta(0.25, 1, 1.0)
+        write_snapshot(str(again), *read_snapshot(str(path)))
+        assert again.read_bytes() == blob
+        write_snapshot(str(again), full_field(values, space), meta)
         assert again.read_bytes() == blob
 
     def test_samples_on_the_quarter_write_the_even_field(self, tmp_path):
@@ -338,11 +344,16 @@ class TestSnapshotFormat:
         path = tmp_path / "v1.dsbu"
         path.write_bytes(snapshot_blob(n=32, box_length=8.0, t=0.75, parity=None,
                                        payload=field.values))
-        back, meta = read_snapshot(str(path))
-        assert back.values.tobytes() == field.values.tobytes()
-        assert back.grid == field.grid
+        # the full payload comes on the space its field's parity gives, and
+        # rewrites as the version-2 file of the same field
+        (values, space), meta = read_snapshot(str(path))
+        assert (space is space.grid.quarter) is even and space.grid == field.grid
+        assert full_field(values, space).values.tobytes() == field.values.tobytes()
         assert meta == read_header(str(path)) == SnapshotMeta(0.75, 1, 1.0)
-        assert meta.even is None
+        v2, again = tmp_path / "v2.dsbu", tmp_path / "again.dsbu"
+        write_snapshot(str(v2), field, meta)
+        write_snapshot(str(again), *read_snapshot(str(path)))
+        assert again.read_bytes() == v2.read_bytes()
 
     @pytest.mark.parametrize("parity", [2, 0xFFFFFFFF])
     def test_bad_parity_flag_rejected_naming_its_bytes(self, parity, tmp_path):
@@ -374,7 +385,7 @@ class TestSnapshotFormat:
         with pytest.raises(SnapshotFormatError,
                            match=re.escape(f"checksum mismatch over payload bytes [44, {end})")):
             read_snapshot(str(path))
-        assert read_header(str(path)).even is True
+        assert read_header(str(path)) == SnapshotMeta(0.0, 1, 1.0)
 
 
 EVOLVE_CFG = """
@@ -452,8 +463,8 @@ class TestCli:
         assert len(records) >= 5
         snaps = sorted(out.glob("snap_*.dsbu"))
         assert len(snaps) >= 4
-        field, meta = read_snapshot(str(snaps[0]))
-        assert field.grid.n == 64
+        (values, space), meta = read_snapshot(str(snaps[0]))
+        assert space.grid.n == 64
         assert meta.gamma == 1.0
 
     def test_deterministic_rerun_bitwise(self, tmp_path):
@@ -539,8 +550,9 @@ class TestCli:
         runs["v1"].mkdir()
         snaps = sorted(runs["v2"].glob("snap_*.dsbu"))
         for snap in snaps:
-            field, meta = read_snapshot(str(snap))
-            assert meta.even is True
+            (values, space), meta = read_snapshot(str(snap))
+            assert space is space.grid.quarter
+            field = full_field(values, space)
             (runs["v1"] / snap.name).write_bytes(snapshot_blob(
                 field.grid.n, meta.nu, field.grid.box_length, meta.t, meta.gamma,
                 parity=None, payload=field.values))
@@ -554,6 +566,27 @@ class TestCli:
                              for f in ("analysis.csv", "analysis_summary.txt")]
         assert len(outputs["v2"][0].splitlines()) == len(snaps) + 1
         assert outputs["v1"] == outputs["v2"]
+
+    @pytest.mark.parametrize("trace", ["disk", "square"])
+    def test_even_snapshots_analyze_without_an_unfold(self, trace, tmp_path, monkeypatch):
+        # read_snapshot hands the trace each stored quarter as it is, which is
+        # measured there; walked in this process, so the patches see every
+        # read and every measurement
+        run_out, cfg = tmp_path / "run", tmp_path / "run.cfg"
+        cfg.write_text(EVOLVE_CFG.format(out=run_out))
+        assert main(["evolve", str(cfg)]) == 0
+        snaps = sorted(run_out.glob("snap_*.dsbu"))
+        unfolds, reads, read = [], [], cli.read_snapshot
+        monkeypatch.setattr(concentration, "may_fork", lambda: False)
+        monkeypatch.setattr(Quarter, "unfold", lambda *args: unfolds.append(args))
+        monkeypatch.setattr(cli, "read_snapshot", lambda path: reads.append(path) or read(path))
+        an_cfg = tmp_path / "an.cfg"
+        an_cfg.write_text(f"mode = analyze\nsnapshot_dir = {run_out}\ntrace = {trace}\n"
+                          f"c_opt = 0.26\nt_star = 0.3\noutput_dir = {tmp_path / 'an'}\n")
+        assert main(["analyze", str(an_cfg)]) == 0
+        assert len(reads) == len(snaps) >= 4
+        assert unfolds == []
+        assert len((tmp_path / "an" / "analysis.csv").read_text().splitlines()) == len(snaps) + 1
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         override = tmp_path / "override"

@@ -29,7 +29,7 @@ from dsbu.concentration import (
     windowed_mass_sup,
 )
 from dsbu.errors import DomainError, SnapshotFormatError
-from dsbu.spectral import FieldTerms, Quarter, density
+from dsbu.spectral import FieldTerms, Quarter, density, on_its_space
 from dsbu.exact import eval_pc_blowup, eval_standing_wave
 
 from oracles import brute_force_windowed_mass, reference_disk_trace
@@ -112,7 +112,7 @@ class TestWindowedMassSup:
         w = WindowSpec(shape, size)
         terms = FieldTerms(u.values, g)
         np.testing.assert_array_equal(terms.rho_half, np.fft.rfft2(density(u.values)))
-        shared = windowed_mass_sup(u, w, terms=terms)
+        shared = windowed_mass_sup(terms, w)
         assert shared == windowed_mass_sup(u, w)
 
     def test_sub_cell_window_rejected(self):
@@ -161,7 +161,7 @@ class TestWindowedMassOnTheQuarter:
         u = even_field(Grid2D(64, 12.0), EVEN_FIELDS[name])
         w = WindowSpec(shape, size)
         full = windowed_mass_sup(u, w)
-        got = windowed_mass_sup(u, w, quarter_terms(u))
+        got = windowed_mass_sup(quarter_terms(u), w)
         assert got.best_mass == pytest.approx(full.best_mass, rel=1e-13, abs=0)
         assert got.best_center == full.best_center
         assert got.clamped == full.clamped == (size > 12.0)
@@ -173,7 +173,7 @@ class TestWindowedMassOnTheQuarter:
         u = even_field(g, lambda x1, x2: np.exp(-((np.abs(x1) - 4.0) ** 2 + x2**2) / 1.3))
         want, want_idx = brute_force_windowed_mass(u.values, 16.0, DISK, 2.1)
         assert want_idx == (8, 16)
-        got = windowed_mass_sup(u, WindowSpec(DISK, 2.1), quarter_terms(u))
+        got = windowed_mass_sup(quarter_terms(u), WindowSpec(DISK, 2.1))
         assert got.best_center == (g.x[8], g.x[16]) == (-4.0, 0.0)
         assert abs(got.best_mass - want) <= 1e-13 * want
         full = windowed_mass_sup(u, WindowSpec(DISK, 2.1))
@@ -187,7 +187,7 @@ class TestWindowedMassOnTheQuarter:
         terms = quarter_terms(u)
         terms.rho_half  # made once per snapshot, outside the call
         counter = FFTCounter(monkeypatch)
-        windowed_mass_sup(u, WindowSpec(DISK, 1.3), terms)
+        windowed_mass_sup(terms, WindowSpec(DISK, 1.3))
         assert counter.total == pytest.approx(2 * 0.5 * (64 // 2 + 1) / 64, rel=1e-12)
 
 
@@ -218,9 +218,9 @@ class TestKernelSpectra:
             if size <= g.dx:
                 continue
             w = WindowSpec(shape, size)
-            got = windowed_mass_sup(u, w, terms, kernels)
+            got = windowed_mass_sup(terms, w, kernels)
             assert len(kernels) <= kernels.size
-            assert got == windowed_mass_sup(u, w, terms)
+            assert got == windowed_mass_sup(terms, w)
             want, want_idx = brute_force_windowed_mass(u.values, g.box_length, shape, size)
             assert abs(got.best_mass - want) <= 1e-10 * want
             # on the quarter the first maximum of an even map may be the mirror's
@@ -238,10 +238,10 @@ class TestKernelSpectra:
         terms = quarter_terms(u) if space == "quarter" else FieldTerms.of(u)
         terms.rho_half
         kernels = concentration.KernelSpectra()
-        first = windowed_mass_sup(u, WindowSpec(DISK, 1.3), terms, kernels)
+        first = windowed_mass_sup(terms, WindowSpec(DISK, 1.3), kernels)
         counter = FFTCounter(monkeypatch)
         # a radius with the same lattice points reuses the kept spectrum
-        again = windowed_mass_sup(u, WindowSpec(DISK, 1.31), terms, kernels)
+        again = windowed_mass_sup(terms, WindowSpec(DISK, 1.31), kernels)
         one = 0.5 * (g.n // 2 + 1) / g.n if space == "quarter" else 0.5
         assert counter.total == pytest.approx(one, rel=1e-12)
         assert again == first
@@ -547,9 +547,9 @@ class TestTracesOnTheQuarter:
 
     @pytest.mark.parametrize("trace", ["disk", "square"])
     def test_a_given_parity_is_taken_without_a_scan(self, trace, monkeypatch):
-        # (t, u, even) items, as analyze reads them with the parity from each
-        # file's header, give the bits of (t, u) pairs, whose parity is found
-        # by Quarter.holds, and never call it
+        # (t, values, space) items, the samples on their space as analyze
+        # reads them and run hands its sink, give the bits of (t, u) pairs,
+        # whose space is found by Quarter.holds, and never call it
         snaps = even_snapshots() + [(2.0, edge_snapshots()[0][1])]
         traced = {
             "disk": lambda items: disk_concentration_trace(
@@ -559,10 +559,11 @@ class TestTracesOnTheQuarter:
         }[trace]
         # walked in this process (iterators), so the counter sees every snapshot
         want = traced(iter(snaps))
+        items = [(t, *on_its_space(u)) for t, u in snaps]
+        assert [space is space.grid for _, _, space in items] == [False] * (len(snaps) - 1) + [True]
         scans = []
         monkeypatch.setattr(Quarter, "holds", lambda u: scans.append(1))
-        parities = [True] * (len(snaps) - 1) + [False]
-        got = traced(iter([(t, u, even) for (t, u), even in zip(snaps, parities)]))
+        got = traced(iter(items))
         assert scans == []
         assert repr(got) == repr(want)
 
@@ -584,9 +585,9 @@ class TestTracesOnTheQuarter:
 
 
 def sequential_rows(work, snaps):
-    """The per-snapshot function over ``snaps`` in a plain loop on this thread, with no
-    parity given, as the traces take (t, u) pairs."""
-    return [work(t, u, None) for t, u in snaps]
+    """The per-snapshot function over the (t, u) pairs ``snaps`` in a plain loop on this
+    thread, each u's samples on the space that ``on_its_space`` finds, as the traces do."""
+    return [work(t, *on_its_space(u)) for t, u in snaps]
 
 
 def assert_same_records(got, want):
@@ -726,10 +727,10 @@ class TestTracesOnTwoProcesses:
         parent = os.getpid()
         work = partial(concentration._square_rows, 3.0, 1.0, concentration.KernelSpectra())
 
-        def failing(t, u, even):
+        def failing(t, values, space):
             if os.getpid() != parent and t > 0.95:
                 raise LocalError(f"bad snapshot at {t}")
-            return work(t, u, even)
+            return work(t, values, space)
 
         traced = concentration._traced_in_order(edge_snapshots(), lambda t0: failing)
         with pytest.raises(DomainError, match="^LocalError: bad snapshot at 0.955$"):
@@ -738,7 +739,7 @@ class TestTracesOnTwoProcesses:
     def test_a_child_that_sends_nothing_is_an_error(self):
         parent = os.getpid()
 
-        def exiting(t, u, even):
+        def exiting(t, values, space):
             if os.getpid() != parent:
                 raise SystemExit(3)
             return t
@@ -754,7 +755,7 @@ class TestTracesOnTwoProcesses:
         monkeypatch.setattr(os, "pipe", lambda: pipes.append(make_pipe()) or pipes[-1])
         parent = os.getpid()
 
-        def dying(t, u, even):
+        def dying(t, values, space):
             if os.getpid() != parent:
                 os.write(pipes[-1][1], pickle.dumps((True, ((t, [t] * 100), None)))[:40])
                 os.kill(os.getpid(), signal.SIGKILL)
