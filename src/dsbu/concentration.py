@@ -29,7 +29,8 @@ Each kept snapshot's |u|^2 is transformed once, and that half spectrum is
 shared by quartic(u) and every window of the three schedules. The window
 kernels' half spectra are shared too: the windows of nearby snapshots and
 schedules often hold the same lattice points, and each trace call keeps its
-last four kernel spectra (``KernelSpectra``). Both traces measure a
+last sixteen kernel spectra (``KernelSpectra``), found by a window's count
+of lattice points without building its kernel. Both traces measure a
 snapshot on its space, (values, space): the grid's ``quarter`` for a
 snapshot equal to its mirrors in x1 and x2 sample for sample, as the
 snapshots of a run from even data are, else the full grid. An item gives
@@ -101,14 +102,29 @@ def _periodic_offsets(grid: Grid2D) -> np.ndarray:
     return np.where(off < grid.box_length / 2, off, off - grid.box_length)
 
 
-def _window_kernel(off: np.ndarray, w: WindowSpec) -> np.ndarray:
-    """Indicator of the window about index (0, 0), for the periodic offsets ``off`` of an axis."""
+def _window_distance(off: np.ndarray, shape: str) -> np.ndarray:
+    """Each offset pair's distance from index (0, 0), for the periodic offsets ``off`` of
+    an axis: d1^2 + d2^2 for disks, max(|d1|, |d2|) for squares."""
     d1 = off[:, None]
     d2 = off[None, :]
-    if w.shape == DISK:
-        return (d1**2 + d2**2 <= w.size**2).astype(float)
-    half = w.size / 2
-    return ((np.abs(d1) <= half) & (np.abs(d2) <= half)).astype(float)
+    if shape == DISK:
+        return d1**2 + d2**2
+    return np.maximum(np.abs(d1), np.abs(d2))
+
+
+def _window_bound(w: WindowSpec) -> float:
+    """The largest ``_window_distance`` inside w: size^2 for disks, size/2 for squares."""
+    return w.size**2 if w.shape == DISK else w.size / 2
+
+
+def _window_kernel(off: np.ndarray, w: WindowSpec) -> np.ndarray:
+    """Indicator of the window about index (0, 0), for the periodic offsets ``off`` of an axis."""
+    return (_window_distance(off, w.shape) <= _window_bound(w)).astype(float)
+
+
+def _space_offsets(space: Grid2D | Quarter) -> np.ndarray:
+    """The periodic offsets of an axis of ``space``: the grid's, cut to the quarter."""
+    return _periodic_offsets(space.grid)[: space.shape[0]]
 
 
 class KernelSpectra:
@@ -117,24 +133,42 @@ class KernelSpectra:
     A disk or square kernel is a nested lattice point set: growing the
     window only adds points. On a given space, the grid or its ``Quarter``,
     the count of its points therefore fixes it, and its spectrum is kept
-    under (grid, space shape, window shape, count). At most ``size``
-    spectra are held; the least recently used goes first. Each trace call
-    makes its own, and each process of a split walk holds its own copy.
+    under (grid, space shape, window shape, count). The count comes from a
+    sorted table of the space's ``_window_distance``, made once per space
+    and window shape; the kernel is built only for a spectrum not kept. At
+    most ``size`` spectra are held; the least recently used goes first. The
+    disk trace's schedules walk one shrinking ladder of kernels at staggered
+    times: on the seed-0 collapse-256 snapshots, 16 spectra make 66 + 88
+    transforms of the two processes' 66 + 86 kernels, where 4 made
+    172 + 210. Each trace call makes its own, and each process of a split
+    walk holds its own copy.
     """
 
-    size = 4
+    size = 16
 
     def __init__(self):
         self._spectra: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._tables: dict[tuple, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._spectra)
 
-    def spectrum(self, key: tuple, kernel: np.ndarray, space: Grid2D | Quarter) -> np.ndarray:
-        """The spectrum kept under ``key``, else ``space.rfft(kernel)``, kept from now on."""
+    def count(self, space: Grid2D | Quarter, w: WindowSpec) -> int:
+        """The lattice points of w's kernel on ``space``: ``count_nonzero`` of the kernel."""
+        key = (space.grid, space.shape, w.shape)
+        table = self._tables.get(key)
+        if table is None:
+            table = np.sort(_window_distance(_space_offsets(space), w.shape), axis=None)
+            self._tables[key] = table
+        return int(np.searchsorted(table, _window_bound(w), side="right"))
+
+    def spectrum(self, space: Grid2D | Quarter, w: WindowSpec, count: int) -> np.ndarray:
+        """The spectrum of w's kernel on ``space``, of ``count`` points: the one kept, else
+        ``space.rfft`` of the kernel, kept from now on."""
+        key = (space.grid, space.shape, w.shape, count)
         spectrum = self._spectra.get(key)
         if spectrum is None:
-            spectrum = space.rfft(kernel)
+            spectrum = space.rfft(_window_kernel(_space_offsets(space), w))
             spectrum.flags.writeable = False
             if len(self._spectra) == self.size:
                 self._spectra.popitem(last=False)
@@ -158,27 +192,28 @@ def windowed_mass_sup(
     too, and it is made from the window's quarter. Every mirror of a quarter
     index comes later in C order, so the first maximum over the quarter is
     the first over the grid. ``kernels`` keeps the window's spectrum for
-    later calls with the same kernel (each trace call has one); the same
-    kernel gives the same bits, so the result is that of a call without it.
+    later calls with the same kernel, which it finds without building it
+    (each trace call has one); the same kernel gives the same bits, so the
+    result is that of a call without it.
     """
     terms = FieldTerms.of(u) if isinstance(u, Field) else u
     space = terms.space
     grid = space.grid
     if not w.size > grid.dx:
         raise DomainError(f"window size {w.size} must exceed one cell (dx={grid.dx})")
-    kernel = _window_kernel(_periodic_offsets(grid)[: space.shape[0]], w)
-    count = int(np.count_nonzero(kernel))
     if kernels is None:
-        spectrum = space.rfft(kernel)
+        kernel = _window_kernel(_space_offsets(space), w)
+        count, spectrum = int(np.count_nonzero(kernel)), space.rfft(kernel)
     else:
-        spectrum = kernels.spectrum((grid, space.shape, w.shape, count), kernel, space)
+        count = kernels.count(space, w)
+        spectrum = kernels.spectrum(space, w, count)
     captured = space.irfft(terms.rho_half * spectrum)
     captured *= grid.dx**2
     idx = np.unravel_index(np.argmax(captured), captured.shape)
     return WindowedMass(
         best_mass=float(captured[idx]),
         best_center=(float(grid.x[idx[0]]), float(grid.x[idx[1]])),
-        clamped=count == kernel.size,
+        clamped=count == space.shape[0] * space.shape[1],
     )
 
 

@@ -12,24 +12,27 @@ where S is the Rayleigh-type quotient <(1+|xi|^2) R_hat, R_hat> /
 <F[L(R^2) R], R_hat>; the stabilization exponent 3/2 = p/(p-1) for the cubic
 degree p = 3 makes the nontrivial fixed point attracting. Convergence is
 certified by the equation residual, not by iterate differences; the residual
-comes by Parseval from the same two transforms that the update uses.
+comes by Parseval from the spectra that the update uses.
 
 This map G converges linearly (45 iterations at n = 512), so the loop
 accelerates it by type-II Anderson mixing of depth m = ``ANDERSON_DEPTH`` = 3
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): with f = G(r) - r and dF_j,
 dG_j the differences of f and of G(r) between the last m + 1 iterates, the
 next iterate is G(r) - sum_j gamma_j dG_j, where gamma minimizes
-||f - sum_j gamma_j dF_j||. The differences are quarter arrays, so the step
-costs no transform. Safeguard: when they are nearly collinear or not
-finite, or the residual grew, the history is dropped and the step is the
-plain G(r), as the first step is; the result counts these steps. The
-residual certifies the returned iterate however it was reached.
+||f - sum_j gamma_j dF_j||. The loop keeps r_hat from sweep to sweep and
+mixes spectra, so the step costs no transform; by Parseval their weighted
+inner products are the fields' times one constant, so gamma is unchanged.
+Safeguard: when the differences are nearly collinear or not finite, or the
+residual grew, the history is dropped and the step is the plain G(r), as the
+first step is; the result counts these steps. The residual certifies the
+returned iterate however it was reached.
 
 The iterate is real and even in x1 and in x2 (the initial Gaussian is, and
 the map keeps it: |xi|^2 and the symbol of B are even in each component of
 xi), so the loop runs on its quarter, indices 0..n/2 of each axis, through
 ``spectral.Quarter``: the real pair of transforms, and quarter sums weighted
-1 at indices 0 and n/2 and 2 elsewhere for the quotient and the residual.
+1 at indices 0 and n/2 and 2 elsewhere for the sums. A sweep makes 4 real
+quarter transforms: r from r_hat, the pair inside L(r^2), and N = L(r^2) r.
 The profile is unfolded to the full grid once, at the end.
 
 The converged profile optimizes the interaction inequality
@@ -89,7 +92,7 @@ class GroundStateResult:
     """Converged profile with the derived sharp-constant data.
 
     ``residual`` is the L2 norm of Lap R - R + L(R^2) R, computed by
-    Parseval from the transforms of R and L(R^2) R that the update uses;
+    Parseval from the spectra of R and L(R^2) R that the update uses;
     ``residual_history`` holds it after each of the ``iterations`` updates,
     and ``residual`` is its last entry. ``mass`` is that of R, and ``c_opt``
     equals 2/``mass`` by construction; ``sharpness_ratio`` is the interaction
@@ -180,17 +183,18 @@ def solve_ground_state(
     comfortably (box_length >= 20 and n >= 256 are safe defaults). The
     iterate r lives on the quarter of the grid (``spectral.Quarter``), where
     the initial Gaussian is built, so it is even by construction for any box.
-    Each sweep transforms r and N = L(r^2) r once with the quarter's real
-    transform; the quotient, the map G(r) and the Parseval residual
-    dx/n * ||N_hat - (1 + |xi|^2) r_hat|| of r all come from those two
-    transforms, summed with the quarter's weights, and the Anderson step
-    mixes G(r) with the kept differences. The report's terms (mass,
-    gradient and quartic) are those of the converged r on the quarter, and
-    r is then unfolded to the n x n profile; the loop's arrays and the
-    mixing history are freed first, and the grid's n x n multipliers are
-    never built. Raises
-    NonConvergenceError with the residual history if the residual is not
-    below ``cfg.tol`` within ``cfg.max_iter`` updates.
+    Each sweep forms r from its kept spectrum r_hat and transforms
+    N = L(r^2) r with the quarter's real pair; the quotient, the map G(r)
+    and the Parseval residual dx/n * ||N_hat - (1 + |xi|^2) r_hat|| of r all
+    come from r_hat and N_hat, summed with the quarter's weights, and the
+    Anderson step mixes G(r) with the kept differences, all spectra. The
+    report's terms (mass, gradient and quartic) are those of the converged r
+    on the quarter, and r is then unfolded to the n x n profile; the loop's
+    arrays and the mixing history are freed first, and the grid's n x n
+    multipliers are never built. Raises NonConvergenceError with the
+    residual history if the residual is not below ``cfg.tol`` within
+    ``cfg.max_iter`` updates, or at the first sweep whose quotient is not a
+    finite positive number.
     """
     cfg = cfg or GroundStateConfig()
     if p.nu != 1:
@@ -202,8 +206,8 @@ def solve_ground_state(
     history: list[float] = []
     mixing = _AndersonMixing(q)
 
+    rhat = q.rfft(r)
     for iteration in range(cfg.max_iter + 1):
-        rhat = q.rfft(r)
         nhat = q.rfft(interaction_potential(r * r, q, p) * r)
         if iteration > 0:
             defect = q.total(density(nhat - denom * rhat))
@@ -218,14 +222,16 @@ def solve_ground_state(
             )
         s_num = float(q.total(denom * density(rhat)))
         s_den = float(q.total(nhat * rhat))
-        if s_den <= 0.0:
+        s = s_num / s_den if s_den > 0.0 else 0.0
+        if not 0.0 < s < math.inf:
             raise NonConvergenceError(
-                "spectral renormalization degenerated (nonpositive quotient)", history
+                "spectral renormalization degenerated (nonpositive quotient, or not finite)",
+                history,
             )
-        s = s_num / s_den
         nhat *= s**1.5
         nhat /= denom
-        r = mixing.next_iterate(r, q.irfft(nhat), history)
+        rhat = mixing.next_iterate(rhat, nhat, history)
+        r = q.irfft(rhat)
 
     safeguarded = mixing.safeguarded
     del rhat, nhat, denom, mixing  # the report holds the profile and its own terms only

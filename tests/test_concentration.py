@@ -21,6 +21,7 @@ from dsbu.concentration import (
     SQUARE,
     ConcentrationRecord,
     DiskTraceSummary,
+    KernelSpectra,
     LambdaSchedule,
     WindowSpec,
     disk_concentration_trace,
@@ -33,7 +34,7 @@ from dsbu.spectral import FieldTerms, Quarter, density, on_its_space
 from dsbu.exact import eval_pc_blowup, eval_standing_wave
 
 from oracles import brute_force_windowed_mass, reference_disk_trace
-from test_evolution import FFTCounter, assert_no_child_left, open_fds
+from test_evolution import FFTCounter, assert_no_child_left, in_one_process, open_fds
 
 
 def bump(grid, center, width=0.4, amplitude=1.0):
@@ -203,6 +204,18 @@ def random_even_field(grid, seed):
 SIZE_LADDER = tuple(4.0 * 0.95**k for k in range(30))
 
 
+def reuse_distance(keys):
+    """The largest number of distinct keys used from one use of a key to its next, that
+    key included: the fewest least-recently-used entries that miss each key only once."""
+    largest, recent = 0, []
+    for key in keys:
+        if key in recent:
+            largest = max(largest, len(recent) - recent.index(key))
+            recent.remove(key)
+        recent.append(key)
+    return largest
+
+
 class TestKernelSpectra:
     """``windowed_mass_sup`` with kept kernel spectra against fresh transforms and brute force."""
 
@@ -229,7 +242,76 @@ class TestKernelSpectra:
             keys.add(int(np.count_nonzero(
                 concentration._window_kernel(concentration._periodic_offsets(g), w))))
         assert len(keys) < sum(size > g.dx for size in SIZE_LADDER)  # the ladder repeats kernels
-        assert len(kernels) == kernels.size
+        # every kernel is kept while they fit (an even kernel is fixed by its quarter)
+        assert len(kernels) == min(len(keys), kernels.size)
+
+    @pytest.mark.parametrize("space", ["grid", "quarter"])
+    @pytest.mark.parametrize("shape", [DISK, SQUARE])
+    def test_table_count_is_the_kernel_count(self, shape, space):
+        # dx = 1/8, so the offsets and the sizes below are exact: a size on a lattice
+        # distance is a tie of the <= test, and the next floats either side are not
+        g = Grid2D(16, 2.0)
+        on = g.quarter if space == "quarter" else g
+        kernels = concentration.KernelSpectra()
+        lattice = [g.dx * k for k in (1, 2, 3, 5)]
+        if shape == SQUARE:
+            lattice = [2 * size for size in lattice]  # the half side on the lattice
+        sizes = [1.3 * g.dx, 0.37 * g.box_length, g.box_length, 3.0 * g.box_length]
+        for size in lattice:
+            sizes += [size, np.nextafter(size, 0.0), np.nextafter(size, np.inf)]
+        for size in sizes:
+            w = WindowSpec(shape, size)
+            kernel = concentration._window_kernel(concentration._space_offsets(on), w)
+            assert kernels.count(on, w) == np.count_nonzero(kernel), size
+        whole = WindowSpec(shape, g.box_length)  # clamped: every point of the space
+        assert kernels.count(on, whole) == on.shape[0] * on.shape[1]
+
+    @pytest.mark.parametrize("space", ["grid", "quarter"])
+    @pytest.mark.parametrize("shape", [DISK, SQUARE])
+    def test_ties_and_the_whole_box_match_fresh_calls(self, shape, space):
+        g = Grid2D(16, 2.0)
+        u = random_even_field(g, 8)
+        terms = quarter_terms(u) if space == "quarter" else FieldTerms.of(u)
+        kernels = concentration.KernelSpectra()
+        half = 1 if shape == DISK else 2
+        for size in (3 * half * g.dx, np.nextafter(3 * half * g.dx, 0.0), g.box_length):
+            w = WindowSpec(shape, size)
+            got = windowed_mass_sup(terms, w, kernels)
+            assert got == windowed_mass_sup(terms, w)
+        assert got.clamped and got.best_mass == pytest.approx(mass(u), rel=1e-12)
+
+    def test_a_three_schedule_ladder_transforms_each_kernel_once(
+            self, monkeypatch, in_one_process):
+        # The disk trace's main and +-2% schedules walk one shrinking ladder of
+        # kernels at staggered times. While the kernels used between two uses of
+        # one (its reuse distance) fit the kept spectra, each is built and
+        # transformed once; the old size of 4 built some of them again.
+        g = Grid2D(32, 2.0)
+        q = g.quarter
+        values = np.exp(-(q.x[:, None] ** 2 + q.x**2) / 2).astype(complex)
+        snaps = [(1.0 - 0.5 * 0.9**k, values, q) for k in range(60)]
+        schedule = LambdaSchedule(PARABOLIC_MINUS_EPS, 0.1, 1.0)
+        windows, built = [], []
+        measure, make = windowed_mass_sup, concentration._window_kernel
+        monkeypatch.setattr(concentration, "windowed_mass_sup",
+                            lambda terms, w, kernels: windows.append(w) or measure(terms, w, kernels))
+        monkeypatch.setattr(concentration, "_window_kernel",
+                            lambda off, w: built.append(w) or make(off, w))
+        kept = []
+        monkeypatch.setattr(concentration, "KernelSpectra",
+                            lambda: kept.append(KernelSpectra()) or kept[-1])
+        records, _ = disk_concentration_trace(snaps, schedule, 0.26, OperatorParams(1, 1.0))
+        keys = [int(np.count_nonzero(make(concentration._space_offsets(q), w))) for w in windows]
+        assert len(windows) > 2 * len(records)  # the shifted schedules measure too
+        assert len(set(keys)) > KernelSpectra.size  # more kernels than are kept at once
+        assert reuse_distance(keys) <= KernelSpectra.size
+        assert len(built) == len(set(keys))
+        assert len(kept) == 1 and len(kept[0]) == KernelSpectra.size
+        monkeypatch.setattr(KernelSpectra, "size", 4)
+        built.clear()
+        disk_concentration_trace(snaps, schedule, 0.26, OperatorParams(1, 1.0))
+        assert len(built) > len(set(keys))
+        assert len(kept[-1]) <= 4
 
     @pytest.mark.parametrize("space", ["grid", "quarter"])
     def test_a_kept_kernel_costs_one_transform(self, monkeypatch, space):

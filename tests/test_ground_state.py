@@ -181,10 +181,20 @@ class TestQuarterSolve:
                 solve(Grid2D(64, 20.0), params_focusing, cfg)
             assert exc.value.residual_history == []
 
+    def test_overflowing_quotient_stops_at_the_first_sweep(self, params_focusing):
+        # r * r * r overflows, so the quotient is not finite: the loop stops at
+        # once rather than running every sweep on NaN
+        cfg = GroundStateConfig(init_amplitude=1e100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError, match="nonpositive quotient") as exc:
+                solve_ground_state(Grid2D(64, 20.0), params_focusing, cfg)
+        assert len(exc.value.residual_history) <= 1
+
     def test_fft_budget_per_iteration(self, monkeypatch, params_focusing):
-        # Five quarter transforms of the real pair per iteration (r, N, the pair
-        # inside L and the update), each two real passes of n/2+1 lines, 1/2 of
-        # (n/2+1)/n FFT-equivalents; the full grid's complex loop takes 4.
+        # Four quarter transforms of the real pair per iteration (r from its kept
+        # spectrum, the pair inside L and N), each two real passes of n/2+1 lines,
+        # 1/2 of (n/2+1)/n FFT-equivalents, and one for the initial spectrum; the
+        # full grid's complex loop takes 4.
         counter = FFTCounter(monkeypatch)
         grid = Grid2D(64, 20.0)
         counts = []
@@ -195,8 +205,8 @@ class TestQuarterSolve:
                                    GroundStateConfig(tol=1e-30, max_iter=max_iter))
             counts.append(counter.total - before)
         c = (grid.n // 2 + 1) / grid.n
-        assert counts[1] - counts[0] == pytest.approx(5 * 0.5 * c, rel=1e-12)
-        assert counts[0] == pytest.approx((5 * 5 + 4) * 0.5 * c, rel=1e-12)
+        assert counts[1] - counts[0] == pytest.approx(4 * 0.5 * c, rel=1e-12)
+        assert counts[0] == pytest.approx((1 + 5 * 4 + 3) * 0.5 * c, rel=1e-12)
 
 
 class TestAndersonMixing:
