@@ -23,7 +23,6 @@ its virial lead 8 E0, and ``negative_energy_gaussian``, a builder of
 negative-energy data.
 """
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -183,7 +182,7 @@ def townes_mass(shoot_tol: float = 1e-12, r_max: float = 18.0) -> float:
     return float(sol.y[2, -1]), float(a)
 
 
-def reference_record(state, dt_used, l4_accum):
+def reference_record(state, dt_used):
     """Diagnostics of a state from the public whole-field functionals."""
     sm = second_moment(state.u)
     return ConservationRecord(
@@ -194,7 +193,7 @@ def reference_record(state, dt_used, l4_accum):
         second_moment=sm.value,
         moment_valid=sm.boundary_ok,
         sup_abs_u=float(np.abs(state.u.values).max()),
-        l4_accum=l4_accum,
+        l4_accum=state.l4_accum,
         dt_used=dt_used,
     )
 
@@ -215,14 +214,6 @@ class SnapshotList(list):
         self.append((t, full_field(values, space)))
 
 
-@dataclass
-class ReferenceRun(RunResult):
-    """``reference_run``'s result: its records carry the midpoint L4 sum, as ``run``'s do,
-    and ``l4_trapezoid`` holds ``strang_step``'s trapezoid at each record."""
-
-    l4_trapezoid: list = field(default_factory=list)
-
-
 def reference_run(state0, cfg):
     """``evolution.run`` as repeated ``strang_step`` calls, one record at a time.
 
@@ -231,10 +222,10 @@ def reference_run(state0, cfg):
     diagnostic recomputed from the physical field. Before each step the
     oracle forms its own mid-step field v = ifft2(E(dt/2) fft2(u)) on the
     full grid: the sup guard reads sup|v| after the step, the next step's
-    adaptive rate is max|L(|v|^2)| (the initial field's for the first step),
-    and the records' ``l4_accum`` is the midpoint sum of dt times the
-    integral of |v|^4. The snapshots that ``run`` hands its sink come back
-    in ``RunResult.snapshots``.
+    adaptive rate is max|L(|v|^2)| (the initial field's for the first step).
+    The records' ``l4_accum`` is ``strang_step``'s midpoint sum over the same
+    v. The snapshots that ``run`` hands its sink come back in
+    ``RunResult.snapshots``.
     """
     state = state0
     grid = state.u.grid
@@ -246,9 +237,7 @@ def reference_run(state0, cfg):
     def max_potential(values):
         return float(np.abs(interaction_potential(np.abs(values) ** 2, grid, p)).max())
 
-    midpoint = 0.0
-    records = [reference_record(state, 0.0, midpoint)]
-    trapezoid = [state.l4_accum]
+    records = [reference_record(state, 0.0)]
     snapshots = [(state.t, state.u.copy())]
     ratio = cfg.snapshot_grad_ratio
     if ratio is not None:
@@ -259,8 +248,7 @@ def reference_run(state0, cfg):
     t_eps = 1e-12 * max(1.0, abs(cfg.t_end))
 
     def record(state, dt):
-        records.append(reference_record(state, dt, midpoint))
-        trapezoid.append(state.l4_accum)
+        records.append(reference_record(state, dt))
         return records[-1]
 
     while state.t < cfg.t_end - t_eps:
@@ -278,7 +266,6 @@ def reference_run(state0, cfg):
             stop_reason = "non_finite"
             break
         rate = max_potential(mid)
-        midpoint += dt * grid.dx**2 * float(np.sum(np.abs(mid) ** 4))
 
         if float(np.abs(mid).max()) > guard:
             record(state, dt)
@@ -314,8 +301,8 @@ def reference_run(state0, cfg):
             estimate = estimate_t_star(records)
         except NoBlowupError:
             estimate = None
-    return ReferenceRun(state=state, records=records, stop_reason=stop_reason,
-                        blowup=estimate, snapshots=snapshots, l4_trapezoid=trapezoid)
+    return RunResult(state=state, records=records, stop_reason=stop_reason,
+                     blowup=estimate, snapshots=snapshots)
 
 
 def full_spectrum_quartic(u, p):

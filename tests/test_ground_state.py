@@ -5,6 +5,7 @@ oracle for the cubic focusing profile; its output is frozen below and the
 oracle itself is re-run to guard the frozen number.
 """
 
+import warnings
 from collections import deque
 
 import numpy as np
@@ -183,9 +184,11 @@ class TestQuarterSolve:
 
     def test_overflowing_quotient_stops_at_the_first_sweep(self, params_focusing):
         # r * r * r overflows, so the quotient is not finite: the loop stops at
-        # once rather than running every sweep on NaN
+        # once rather than running every sweep on NaN, and the typed error is
+        # all a caller sees (``dsbu ground-state`` prints no numpy warning)
         cfg = GroundStateConfig(init_amplitude=1e100)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NonConvergenceError, match="nonpositive quotient") as exc:
                 solve_ground_state(Grid2D(64, 20.0), params_focusing, cfg)
         assert len(exc.value.residual_history) <= 1
