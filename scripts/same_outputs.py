@@ -8,8 +8,10 @@ checkout's ``configs/``, with ``write_configs`` of ``perfbench/workloads.py``
 ``python3 -m dsbu.cli`` with that checkout's ``src/`` first on PYTHONPATH:
 ``evolve`` for fixed-512 and collapse-256; ``evolve`` (the seed-0 collapse
 data), ``ground-state`` and then ``analyze`` of those snapshots with the
-solved c_opt for profile-analyze. Each command writes into a directory of
-its own name, and its stdout is kept as ``<command>/stdout``; every path is
+solved c_opt for profile-analyze, and once more with the analyze config's
+``trace = disk`` switched to ``trace = square`` (step ``analyze-square``),
+the trace that no workload runs. Each step writes into a directory of its
+own name, and its stdout is kept as ``<step>/stdout``; every path is
 relative, so the two sides' outputs can be equal byte for byte. Then it
 prints each output file that differs or exists on one side only, and the
 number of files compared. Exit status: 0 when every file is the same, 1 on
@@ -32,7 +34,7 @@ SIDES = ("parent", "change")
 COMMANDS = {
     "fixed-512": ["evolve"],
     "collapse-256": ["evolve"],
-    "profile-analyze": ["evolve", "ground-state", "analyze"],
+    "profile-analyze": ["evolve", "ground-state", "analyze", "analyze-square"],
 }
 
 
@@ -72,7 +74,7 @@ def _c_opt(report: Path) -> str:
 
 
 def run_side(checkout: Path, work: Path, workload: str, seed: int) -> Path:
-    """Run the workload's commands of ``checkout`` in ``work``; returns the outputs' directory."""
+    """Run the workload's steps with ``checkout`` in ``work``; returns the outputs' directory."""
     workloads = _workloads()
     configs = work / "configs"
     configs.mkdir(parents=True)
@@ -82,18 +84,24 @@ def run_side(checkout: Path, work: Path, workload: str, seed: int) -> Path:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(checkout / "src"), env.get("PYTHONPATH")) if p)
-    for command in COMMANDS[workload]:
+    for step in COMMANDS[workload]:
+        command = "analyze" if step.startswith("analyze") else step
         if command == "analyze":
-            paths[command] = str(configs / "analyze.cfg")
-            Path(paths[command]).write_text(workloads.analyze_cfg(
-                "evolve", _c_opt(out / "ground-state" / "ground_state_report.txt")))
-        env["DSBU_OUTPUT_DIR"] = command
-        proc = subprocess.run([sys.executable, "-m", "dsbu.cli", command, paths[command]],
+            text = workloads.analyze_cfg(
+                "evolve", _c_opt(out / "ground-state" / "ground_state_report.txt"))
+            if step == "analyze-square":
+                if "trace = disk\n" not in text:
+                    raise RuntimeError("the analyze config has no 'trace = disk' line")
+                text = text.replace("trace = disk\n", "trace = square\n")
+            paths[step] = str(configs / f"{step}.cfg")
+            Path(paths[step]).write_text(text)
+        env["DSBU_OUTPUT_DIR"] = step
+        proc = subprocess.run([sys.executable, "-m", "dsbu.cli", command, paths[step]],
                               cwd=out, env=env, capture_output=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr.decode(errors="replace"))
-            raise RuntimeError(f"{checkout}: dsbu {command} exited {proc.returncode}")
-        (out / command / "stdout").write_bytes(proc.stdout)
+            raise RuntimeError(f"{checkout}: dsbu {step} exited {proc.returncode}")
+        (out / step / "stdout").write_bytes(proc.stdout)
     return out
 
 

@@ -79,7 +79,7 @@ def _report(path: str | None, pairs: list[tuple[str, object]]) -> None:
 def _output_dir(cfg: RunConfig) -> str:
     """The output directory, made if missing, with the run's resolved config written there."""
     out = os.environ.get("DSBU_OUTPUT_DIR", cfg.output_dir)
-    with _writing("output_dir", out):
+    with _os_errors("write", "output_dir", out):
         os.makedirs(out, exist_ok=True)
     # resolved-config record: one config fully determines a run
     atomic_write(os.path.join(out, "run_config.txt"), config_summary(cfg) + "\n")
@@ -111,26 +111,18 @@ def _read_records_csv(path: str) -> list[ConservationRecord]:
 
 
 @contextmanager
-def _reading(what: str, path: str):
-    """An input the block cannot read (any OSError) is a usage error naming it."""
+def _os_errors(verb: str, what: str, path: str):
+    """An input the block cannot read or an output it cannot make (any OSError) is a
+    usage error naming it, "cannot {verb} {what} {path}"; a file that ``atomic_write``
+    cannot write is one already."""
     try:
         yield
     except OSError as exc:
-        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
-
-
-@contextmanager
-def _writing(what: str, path: str):
-    """An output the block cannot make (any OSError) is a usage error naming it; a
-    file that ``atomic_write`` cannot write is one already."""
-    try:
-        yield
-    except OSError as exc:
-        raise UsageError(f"cannot write {what} {path}: {exc}") from exc
+        raise UsageError(f"cannot {verb} {what} {path}: {exc}") from exc
 
 
 def _load_config(path: str) -> RunConfig:
-    with _reading("config", path), open(path, "r", encoding="utf-8") as fh:
+    with _os_errors("read", "config", path), open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_config(text)
 
@@ -151,7 +143,7 @@ def _initial_state(cfg: RunConfig) -> SimulationState:
         return SimulationState.initial(Field(grid, values), params)
     key = "snapshot_path" if cfg.ic == "snapshot" else "profile_path"
     path = getattr(cfg, key)
-    with _reading(key, path):
+    with _os_errors("read", key, path):
         (values, space), meta = read_snapshot(path)
     u0 = full_field(values, space)
     # run_config.txt records the config's couplings; the run must use them
@@ -202,7 +194,7 @@ class _SnapshotWriter:
     def __init__(self, cfg: RunConfig):
         self.out, self.couplings, self.written = _output_dir(cfg), (cfg.nu, cfg.gamma), 0
         # analyze would read what an earlier run left here as part of this one
-        with _writing("output_dir", self.out):
+        with _os_errors("write", "output_dir", self.out):
             for name in os.listdir(self.out):
                 if name in ("records.csv", "blowup.txt") or fnmatch(name, _SNAPSHOT_FILES):
                     os.remove(os.path.join(self.out, name))
@@ -250,7 +242,7 @@ class _SnapshotFiles(Sequence):
         return len(self.names)
 
     def __getitem__(self, i: int) -> tuple[float, np.ndarray, Grid2D | Quarter]:
-        with _reading("snapshot_dir", self.directory):
+        with _os_errors("read", "snapshot_dir", self.directory):
             (values, space), meta = read_snapshot(os.path.join(self.directory, self.names[i]))
         return meta.t, values, space
 
@@ -258,7 +250,7 @@ class _SnapshotFiles(Sequence):
 def _cmd_analyze(cfg: RunConfig) -> int:
     # Every input is read before any output is written: the snapshot headers
     # here, each field inside the trace, which runs before _output_dir.
-    with _reading("snapshot_dir", cfg.snapshot_dir):
+    with _os_errors("read", "snapshot_dir", cfg.snapshot_dir):
         names = sorted(f for f in os.listdir(cfg.snapshot_dir) if fnmatch(f, _SNAPSHOT_FILES))
         if not names:
             raise DomainError(f"no {_SNAPSHOT_FILES} files in {cfg.snapshot_dir}")

@@ -96,12 +96,6 @@ class WindowedMass(NamedTuple):
     clamped: bool
 
 
-def _periodic_offsets(grid: Grid2D) -> np.ndarray:
-    """Signed periodic displacement for each index offset, wrapped to [-L/2, L/2)."""
-    off = grid.dx * np.arange(grid.n)
-    return np.where(off < grid.box_length / 2, off, off - grid.box_length)
-
-
 def _window_distance(off: np.ndarray, shape: str) -> np.ndarray:
     """Each offset pair's distance from index (0, 0), for the periodic offsets ``off`` of
     an axis: d1^2 + d2^2 for disks, max(|d1|, |d2|) for squares."""
@@ -123,8 +117,9 @@ def _window_kernel(off: np.ndarray, w: WindowSpec) -> np.ndarray:
 
 
 def _space_offsets(space: Grid2D | Quarter) -> np.ndarray:
-    """The periodic offsets of an axis of ``space``: the grid's, cut to the quarter."""
-    return _periodic_offsets(space.grid)[: space.shape[0]]
+    """The signed periodic displacement of each index offset of ``space``, in [-L/2, L/2)."""
+    off, box = space.dx * np.arange(space.shape[0]), space.grid.box_length
+    return np.where(off < box / 2, off, off - box)
 
 
 class KernelSpectra:
@@ -154,7 +149,7 @@ class KernelSpectra:
         return len(self._spectra)
 
     def count(self, space: Grid2D | Quarter, w: WindowSpec) -> int:
-        """The lattice points of w's kernel on ``space``: ``count_nonzero`` of the kernel."""
+        """The lattice points of w's kernel on ``space``, its ``count_nonzero``, by the table."""
         key = (space.grid, space.shape, w.shape)
         table = self._tables.get(key)
         if table is None:
@@ -191,23 +186,19 @@ def windowed_mass_sup(
     quarter the window and |u|^2 are even, so the map of captured mass is
     too, and it is made from the window's quarter. Every mirror of a quarter
     index comes later in C order, so the first maximum over the quarter is
-    the first over the grid. ``kernels`` keeps the window's spectrum for
-    later calls with the same kernel, which it finds without building it
-    (each trace call has one); the same kernel gives the same bits, so the
-    result is that of a call without it.
+    the first over the grid. The window's count and spectrum come from
+    ``kernels`` (each trace call has one), which keeps the spectrum for later
+    calls with the same kernel and finds it without building it, or from a
+    fresh ``KernelSpectra`` if None; the same kernel gives the same bits.
     """
     terms = FieldTerms.of(u) if isinstance(u, Field) else u
     space = terms.space
     grid = space.grid
     if not w.size > grid.dx:
         raise DomainError(f"window size {w.size} must exceed one cell (dx={grid.dx})")
-    if kernels is None:
-        kernel = _window_kernel(_space_offsets(space), w)
-        count, spectrum = int(np.count_nonzero(kernel)), space.rfft(kernel)
-    else:
-        count = kernels.count(space, w)
-        spectrum = kernels.spectrum(space, w, count)
-    captured = space.irfft(terms.rho_half * spectrum)
+    kernels = KernelSpectra() if kernels is None else kernels  # not `or`: empty is falsy
+    count = kernels.count(space, w)
+    captured = space.irfft(terms.rho_half * kernels.spectrum(space, w, count))
     captured *= grid.dx**2
     idx = np.unravel_index(np.argmax(captured), captured.shape)
     return WindowedMass(

@@ -142,8 +142,6 @@ def _validate(cfg: RunConfig, lines: dict[str, int]) -> None:
         except DsbuError as exc:
             fail(exc.key, str(exc))
 
-    if cfg.mode not in MODES:
-        fail("mode", f"mode must be one of {', '.join(MODES)}, got {cfg.mode!r}")
     build(Grid2D.check, cfg.n, cfg.box_length)
     build(cfg.operator_params)
     if cfg.mode == "ground-state":
@@ -210,6 +208,9 @@ def parse_config(text: str) -> RunConfig:
     if "mode" not in values:
         raise ConfigError(0, "missing required key 'mode'")
     mode = values["mode"]
+    if mode not in MODES:  # first, or a misspelled mode's own keys would not apply
+        message = f"mode must be one of {', '.join(MODES)}, got {mode!r}"
+        raise ConfigError(lines_seen["mode"], message)
     for key, lineno in lines_seen.items():
         if not _applies(key, mode):
             raise ConfigError(lineno, f"key {key!r} does not apply to mode {mode!r}")

@@ -224,8 +224,9 @@ class RunResult:
     records: list[ConservationRecord]
     stop_reason: str  # t_end | sup_guard | grad_guard | non_finite
     blowup: BlowupEstimate | None
-    # Nothing in dsbu fills this list; the benchmark harness reads it, and its
-    # rewrite (ROADMAP item 1) deletes it together with PHYSICAL.
+    # Filled by nothing in dsbu: the benchmark harness reads it, and the test oracle
+    # reference_run returns its snapshots in it. The harness rewrite (ROADMAP item 1)
+    # deletes it with PHYSICAL, and gives the oracle a return of its own.
     snapshots: list[tuple[float, Field]] = field(default_factory=list)
 
 
@@ -415,7 +416,8 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     ``spectral.on_its_space`` decides; no setting chooses. On the quarter
     the steps, the boundaries, the records and the snapshots all stay there.
     On either space ``run`` lets go of the caller's field once it has its copy.
-    The states of the loop carry no field; the last one is unfolded once,
+    The states of the loop carry no field; every boundary's field is formed
+    in one buffer, the initial field's copy at first, which is unfolded once,
     into the result's state.
     """
     state = state0
@@ -430,7 +432,7 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
     u, space = on_its_space(state.u)
     if not np.all(np.isfinite(u)):
         raise DomainError("run: initial field contains non-finite values")
-    # The boundaries' field, at first the initial field's copy; the loop's spectrum.
+    # The boundaries' field (first the initial field's copy, last the run's); the loop's spectrum.
     boundary = u = u.copy()
     state = replace(state, u=None)
     what = space.fft(u, np.empty_like(u))
@@ -448,14 +450,14 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
         """The axis factor e(k) = exp(-i k^2 tau) of the free flow over tau."""
         return np.exp(-1j * k_sq * tau)
 
-    records, last = [], u  # the last field formed is the run's last state
+    records = []
 
     def work(now, dt_used, dt_prev, terms, record, keep) -> None:
         """The boundary of state ``now``, in this process: where ``terms`` hold no field it
         forms u = ifft(E(dt_prev/2) terms.uhat) into ``boundary``; it appends the record if
         ``record`` is set, then hands u on its space to the sink if ``keep`` is. ``now`` is
-        the run's state and u its last field from here on."""
-        nonlocal state, last
+        the run's state, and ``boundary`` its last field, from here on."""
+        nonlocal state
         state = now
         if terms.values is None:
             terms.values = _flowed(terms.uhat, flow(dt_prev / 2), boundary, space)
@@ -463,7 +465,6 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
             records.append(_record(state, dt_used, terms))
         if keep and on_snapshot is not None:
             on_snapshot(state.t, terms.values, space)
-        last = terms.values
 
     steps = partial(_steps, state, what, rate, rung, cfg, space, flow)
     if not may_fork():
@@ -482,7 +483,7 @@ def run(state0: SimulationState, cfg: EvolveConfig, on_snapshot=None) -> RunResu
             stop, error = worker.outcome()
         if error is not None:
             raise error
-    state = replace(state, u=full_field(last, space))
+    state = replace(state, u=full_field(boundary, space))
 
     estimate = None
     if stop:

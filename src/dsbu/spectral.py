@@ -49,13 +49,14 @@ class Grid2D:
 
     Coordinates are x_i = -L/2 + i*dx with dx = L/n; wavenumbers are
     xi_k = 2*pi*k/L for k in [-n/2, n/2). The 1-D arrays ``x`` and ``k`` are
-    built with the grid; the n x n multipliers ``ksq`` and ``b_symbol`` on
-    first use, which a field stepped or traced on its quarter never makes;
-    ``quarter``, the grid's one ``Quarter``, on first use too. Every array is
-    read-only, so a grid may be shared freely between fields. dsbu runs one
-    thread per process, but a grid stays safe to read from several threads:
-    ``functools.cached_property`` builds each cached value under its lock
-    (Python 3.11), and every build gives the same read-only bits.
+    built with the grid; on first use ``ksq``, its only n x n multiplier, and
+    B's symbol ``b_half`` on the columns that ``rfft`` keeps, neither made for
+    a field on its quarter, and ``quarter``, the grid's one ``Quarter``, which
+    builds its own symbol. Every array is read-only, so a grid may be shared
+    freely between fields. dsbu runs one thread per process, but a grid stays
+    safe to read from several threads: ``functools.cached_property`` builds
+    each cached value under its lock (Python 3.11), and every build gives the
+    same read-only bits.
     """
 
     def __init__(self, n: int, box_length: float):
@@ -76,9 +77,9 @@ class Grid2D:
         return ksq
 
     @cached_property
-    def b_symbol(self) -> np.ndarray:
-        """The symbol xi1^2/|xi|^2 of B on the n x n lattice."""
-        return _b_symbol(self.k)
+    def b_half(self) -> np.ndarray:
+        """The symbol of B on the columns 0..n/2 that ``rfft`` keeps."""
+        return _b_symbol(self.k, self.k[: self.n // 2 + 1])
 
     @cached_property
     def quarter(self) -> "Quarter":
@@ -111,11 +112,6 @@ class Grid2D:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
-
-    @property
-    def b_half(self) -> np.ndarray:
-        """The symbol of B on the columns 0..n/2 that ``rfft`` keeps."""
-        return self.b_symbol[:, : self.n // 2 + 1]
 
     def fft(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """fft2(v) written into ``out``, which may be v."""
@@ -160,11 +156,11 @@ class Grid2D:
         return f"Grid2D(n={self.n}, box_length={self.box_length})"
 
 
-def _b_symbol(k: np.ndarray) -> np.ndarray:
-    """xi1^2/|xi|^2 on the lattice ``k`` x ``k`` (k[0] = 0), read-only; elementwise, so on
-    ``k[:h]`` it is bitwise the corner of the symbol on ``k``."""
-    k1_sq = k[:, None] ** 2
-    ksq = k1_sq + k**2
+def _b_symbol(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """B's one builder: xi1^2/|xi|^2 on the lattice ``k1`` x ``k2`` (0 first), new, read-only;
+    elementwise, so on cuts of a grid's ``k`` it is bitwise that corner of the symbol on ``k``."""
+    k1_sq = k1[:, None] ** 2
+    ksq = k1_sq + k2**2
     ksq[0, 0] = 1.0
     b = np.divide(k1_sq, ksq, out=ksq)
     # Zero mode carries the exact origin-cell average of the symbol; any
@@ -191,8 +187,8 @@ class Quarter:
     grid's (``Grid2D``) on that quarter:
 
     * ``x`` and ``k`` are the grid's cut to the quarter, and ``b_half`` is
-      the symbol of B built on the quarter's ``k``, bitwise the grid's
-      ``b_symbol`` cut to the quarter, which the real pair keeps as well;
+      the symbol of B built on the quarter's own ``k`` x ``k``, bitwise the
+      corner of the grid's, which the real pair keeps as well;
     * the complex pair ``fft``/``ifft_in_place`` mirrors its input into a
       buffer of its own, (n/2+1) n complex values seen as rows (n/2+1, n) or
       columns (n, n/2+1), and transforms one axis at a time, rows then
@@ -219,7 +215,7 @@ class Quarter:
         n, h = grid.n, grid.n // 2 + 1
         self.grid, self.n, self.dx, self.shape = grid, n, grid.dx, (h, h)
         self.x, self.k = grid.x[:h], grid.k[:h]
-        self.b_half = _b_symbol(self.k)
+        self.b_half = _b_symbol(self.k, self.k)
         self.weight = np.full(h, 2.0)
         self.weight[[0, -1]] = 1.0
         self.weight.flags.writeable = False

@@ -306,11 +306,17 @@ def reference_run(state0, cfg):
 
 
 def full_spectrum_quartic(u, p):
-    """Interaction functional with the full fft2 spectrum of |u|^2."""
+    """Interaction functional with the full fft2 spectrum of |u|^2 and an n x n symbol of B
+    built here from the grid's wavenumbers."""
     g = u.grid
     w = np.abs(u.values) ** 2
     what = np.fft.fft2(w)
-    b_part = np.sum(g.b_symbol * np.abs(what) ** 2) / g.n**2
+    k1_sq = g.k[:, None] ** 2
+    ksq = k1_sq + g.k**2
+    ksq[0, 0] = 1.0
+    symbol = k1_sq / ksq
+    symbol[0, 0] = 0.5  # the symbol's average over the origin cell
+    b_part = np.sum(symbol * np.abs(what) ** 2) / g.n**2
     return float(g.dx**2 * (p.nu * np.sum(w * w) + p.gamma * b_part))
 
 

@@ -95,6 +95,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="does not apply"):
             parse_config("mode = ground-state\nt_end = 1\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("mode = evolv\nt_end = 1\n", 1),
+        ("mode = evolv\n", 1),
+        ("t_end = 1\nmode = evolv\n", 2),
+    ])
+    def test_misspelled_mode_is_reported_on_its_line(self, text, line, tmp_path, capsys):
+        # the mode is checked before any key is tested against it
+        message = "mode must be one of ground-state, evolve, analyze, verify, got 'evolv'"
+        with pytest.raises(ConfigError, match=message) as exc:
+            parse_config(text)
+        assert exc.value.line == line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["evolve", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
     def test_run_config_record_reads_back(self, path):
         # run_config.txt holds config_summary of the resolved config; it

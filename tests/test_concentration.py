@@ -240,7 +240,7 @@ class TestKernelSpectra:
             mirror = tuple(abs(g.x[i]) for i in want_idx)
             assert tuple(map(abs, got.best_center)) == mirror
             keys.add(int(np.count_nonzero(
-                concentration._window_kernel(concentration._periodic_offsets(g), w))))
+                concentration._window_kernel(concentration._space_offsets(g), w))))
         assert len(keys) < sum(size > g.dx for size in SIZE_LADDER)  # the ladder repeats kernels
         # every kernel is kept while they fit (an even kernel is fixed by its quarter)
         assert len(kernels) == min(len(keys), kernels.size)
@@ -265,6 +265,22 @@ class TestKernelSpectra:
             assert kernels.count(on, w) == np.count_nonzero(kernel), size
         whole = WindowSpec(shape, g.box_length)  # clamped: every point of the space
         assert kernels.count(on, whole) == on.shape[0] * on.shape[1]
+
+    @pytest.mark.parametrize("space", ["grid", "quarter"])
+    @pytest.mark.parametrize("shape", [DISK, SQUARE])
+    def test_no_kernels_is_a_fresh_cache_and_an_empty_one_is_filled(self, shape, space):
+        # an empty KernelSpectra is falsy (its __len__), yet the one passed in is the one used
+        g = Grid2D(32, 8.0)
+        u = random_even_field(g, 5)
+        terms = quarter_terms(u) if space == "quarter" else FieldTerms.of(u)
+        w = WindowSpec(shape, 2.3)
+        kernels = KernelSpectra()
+        assert not kernels
+        got = windowed_mass_sup(terms, w, kernels)
+        assert len(kernels) == 1
+        assert got == windowed_mass_sup(terms, w)
+        if space == "grid":
+            assert windowed_mass_sup(u, w) == windowed_mass_sup(u, w, KernelSpectra())
 
     @pytest.mark.parametrize("space", ["grid", "quarter"])
     @pytest.mark.parametrize("shape", [DISK, SQUARE])

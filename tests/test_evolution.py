@@ -765,7 +765,7 @@ class TestQuarterLoop:
         s = SimulationState.initial(gaussian(g, 1.5, 1.0), OperatorParams(1, 1.0))
         got = run(s, EvolveConfig(t_end=0.02, dt0=1e-3, adaptive=True, sample_interval=5e-3))
         assert got.state.step_index == 20 and len(got.records) == 5
-        assert "ksq" not in vars(g) and "b_symbol" not in vars(g)
+        assert "ksq" not in vars(g) and "b_half" not in vars(g)
 
     @pytest.mark.parametrize("fork", [True, False], ids=["forked", "here"])
     @pytest.mark.parametrize("shift", [0.0, 0.3], ids=["quarter", "grid"])

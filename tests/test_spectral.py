@@ -64,6 +64,16 @@ class TestGrid:
         with pytest.raises(UsageError):
             Grid2D(16, 0.0)
 
+    def test_full_grid_l_builds_no_n_by_n_symbol(self):
+        # L on the full grid reads B's symbol on rfft's half columns, built as it is
+        g = Grid2D(64, 12.0)
+        x1, x2 = g.coords()
+        w = np.exp(-((x1 - 0.7) ** 2 + 2 * (x2 + 0.3) ** 2))
+        interaction_potential(w, g, OperatorParams(1, 1.0))
+        assert g.b_half.shape == (64, 33) and g.b_half.base is None
+        assert not g.b_half.flags.writeable
+        assert "ksq" not in vars(g)
+
 
 class TestField:
     def test_shape_mismatch_rejected(self):
@@ -442,8 +452,8 @@ class TestQuarter:
     def test_symbol_is_bitwise_the_corner_of_the_grids(self, n, box):
         g = Grid2D(n, box)
         b_half = Quarter(g).b_half
-        assert "b_symbol" not in vars(g)
-        assert np.array_equal(b_half, g.b_symbol[: n // 2 + 1, : n // 2 + 1])
+        assert "b_half" not in vars(g)
+        assert np.array_equal(b_half, g.b_half[: n // 2 + 1])
         assert not b_half.flags.writeable
 
     def test_edge_of_the_box_is_read_on_the_quarter(self):
@@ -544,7 +554,7 @@ class TestGridMultipliersOnThreads:
         want = Grid2D(64, 12.0).b_half
         for b in got:
             assert np.array_equal(b, want) and not b.flags.writeable
-        assert not g.b_symbol.flags.writeable and not g.ksq.flags.writeable
+        assert not g.b_half.flags.writeable and not g.ksq.flags.writeable
 
 
 class TestScalingLaws:
